@@ -80,11 +80,13 @@ class BoConfig:
     iterations: int = 20
 
     def __post_init__(self):
-        if self.length_scale <= 0 or self.signal_var <= 0 or self.jitter <= 0:
-            raise ValueError("kernel hyperparameters must be positive")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        if self.candidates < 1 or self.init_points < 1 or self.iterations < 0:
+        # comparisons are negated so that NaN fails them
+        if not (0 < self.length_scale < math.inf and 0 < self.signal_var < math.inf
+                and 0 < self.jitter < math.inf):
+            raise ValueError("kernel hyperparameters must be positive and finite")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError("beta must be >= 0 and finite")
+        if not (self.candidates >= 1 and self.init_points >= 1 and self.iterations >= 0):
             raise ValueError("bad acquisition/iteration settings")
 
 

@@ -109,15 +109,21 @@ def _apply_overrides(config: search.SearchConfig, pairs: list[str]) -> search.Se
             target, attr = config, search_keys[name]
         else:
             raise UsageError(f"unknown config key {key!r} (use bo.* or search.*)")
-        current = getattr(target, attr)
         try:
-            value = int(float(raw)) if isinstance(current, int) else float(raw)
+            value = float(raw)
         except ValueError:
             raise UsageError(f"invalid value {raw!r} for {key}") from None
+        if isinstance(getattr(target, attr), int):
+            if not value.is_integer():  # also false for NaN and infinities
+                raise UsageError(f"{key} needs an integer, got {raw!r}")
+            value = int(value)
         setattr(target, attr, value)
     # re-validate after mutation
-    config.bo.__post_init__()
-    config.__post_init__()
+    try:
+        config.bo.__post_init__()
+        config.__post_init__()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return config
 
 
@@ -286,6 +292,10 @@ def cmd_bench(args) -> int:
         if m not in PDR_METHODS + ("random", "prorl"):
             raise UsageError(f"unknown method {m!r}")
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0]
+    if "prorl" in methods:  # reject a bad budget or --set before any task runs
+        if args.budget < 0:
+            raise UsageError("--budget must be >= 0")
+        _apply_overrides(search.SearchConfig(episode_budget=args.budget), args.set or [])
     table = _load_bks_table(args.bks)
 
     instances = []

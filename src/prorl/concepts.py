@@ -12,11 +12,14 @@ Five normalized features summarize a partial schedule at a decision point:
 Every feature lies in [0, 1]. Whenever a (max - min) / max ratio has max = 0
 the feature is defined as 0 (nothing left in that dimension reads as
 perfectly balanced).
+
+`extract` reads remaining machine loads, job work and duration bounds from
+the running totals on `SimState`: O(n + m) per vector for n jobs and m
+machines, with no rescan of the jobs' unscheduled suffixes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -37,7 +40,7 @@ class ConceptVector:
 
     def __post_init__(self):
         for name, value in zip(CONCEPT_NAMES, self.as_tuple()):
-            if not math.isfinite(value) or not 0.0 <= value <= 1.0:
+            if not 0.0 <= value <= 1.0:  # also rejects NaN
                 raise ValueError(f"concept {name} = {value} outside [0, 1]")
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
@@ -55,51 +58,23 @@ def extract(
 ) -> ConceptVector:
     """Compute the concept vector for the pending decision.
 
-    `ready` may pass in the already-computed startable set to avoid
-    recomputing it; otherwise startable operations are counted directly
-    from the state (same readiness predicate the simulator uses: job
-    predecessor complete and machine free at the clock).
+    `ready` may pass in the already-computed startable set; otherwise the
+    simulator's `ready_set` is called to count it.
     """
-    total = instance.total_operations
-    unscheduled = total - state.scheduled_count
+    unscheduled = instance.total_operations - state.scheduled_count
     if unscheduled <= 0:
         raise ValueError("all operations scheduled; no decision pending")
+    if ready is None:
+        from .sim import ready_set
 
-    m = instance.num_machines
-    free = sum(1 for t in state.machine_free_at if t <= state.clock)
-    am = free / m
+        ready = ready_set(state, instance)
 
-    if ready is not None:
-        ready_count = len(ready)
-    else:
-        ready_count = 0
-        for job in range(instance.num_jobs):
-            k = state.job_next_op[job]
-            if k < len(instance.jobs[job]):
-                op = instance.jobs[job][k]
-                if max(state.job_ready_at[job], state.machine_free_at[op.machine]) <= state.clock:
-                    ready_count += 1
-    ao = ready_count / unscheduled
-
-    machine_load = [0] * m
-    job_work = []
-    dur_min, dur_max = None, None
-    for job in range(instance.num_jobs):
-        ops = instance.jobs[job]
-        k = state.job_next_op[job]
-        if k >= len(ops):
-            continue
-        work = 0
-        for op in ops[k:]:
-            machine_load[op.machine] += op.duration
-            work += op.duration
-            if dur_max is None or op.duration > dur_max:
-                dur_max = op.duration
-            if dur_min is None or op.duration < dur_min:
-                dur_min = op.duration
-        job_work.append(work)
-
-    ld = _spread(max(machine_load), min(machine_load))
-    jd = _spread(max(job_work), min(job_work)) if len(job_work) > 1 else 0.0
-    st = _spread(dur_max, dur_min)
+    clock = state.clock
+    am = len([t for t in state.machine_free_at if t <= clock]) / instance.num_machines
+    ao = len(ready) / unscheduled
+    loads = state.machine_load
+    ld = _spread(max(loads), min(loads))
+    work = [w for w in state.job_work if w]  # jobs with nothing left are excluded
+    jd = _spread(max(work), min(work)) if len(work) > 1 else 0.0
+    st = _spread(state.duration_max, state.duration_min)
     return ConceptVector(ld=ld, am=am, ao=ao, jd=jd, st=st)

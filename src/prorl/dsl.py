@@ -291,31 +291,40 @@ def serialize(program: Program) -> str:
     return json.dumps(_node_to_obj(program.root), indent=2) + "\n"
 
 
+_NODE_KEYS = {"action": {"kind", "heuristic"}, "if": {"kind", "weights", "then", "else"}}
+
+
 def _node_from_obj(obj) -> Node:
     if not isinstance(obj, dict):
         raise PolicyFormatError(f"expected an object node, got {type(obj).__name__}")
     kind = obj.get("kind")
+    allowed = _NODE_KEYS.get(kind) if isinstance(kind, str) else None
+    if allowed is None:
+        raise PolicyFormatError(f"unknown node kind {kind!r}")
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise PolicyFormatError(f"unknown key(s) {', '.join(map(repr, unknown))} in {kind} node")
     if kind == "action":
         name = obj.get("heuristic")
         try:
             return Action(Heuristic.parse(str(name)))
         except ValueError as exc:
             raise PolicyFormatError(str(exc)) from None
-    if kind == "if":
-        weights = obj.get("weights")
-        if not isinstance(weights, list) or len(weights) != WEIGHTS_LEN:
-            raise PolicyFormatError(
-                f"condition needs {WEIGHTS_LEN} weights, got "
-                f"{len(weights) if isinstance(weights, list) else weights!r}"
-            )
-        if "then" not in obj or "else" not in obj:
-            raise PolicyFormatError("if-node needs 'then' and 'else' branches")
-        try:
-            condition = Condition(tuple(float(w) for w in weights))
-        except (TypeError, ValueError) as exc:
-            raise PolicyFormatError(str(exc)) from None
-        return If(condition, _node_from_obj(obj["then"]), _node_from_obj(obj["else"]))
-    raise PolicyFormatError(f"unknown node kind {kind!r}")
+    weights = obj.get("weights")
+    if not isinstance(weights, list) or len(weights) != WEIGHTS_LEN:
+        raise PolicyFormatError(
+            f"condition needs {WEIGHTS_LEN} weights, got "
+            f"{len(weights) if isinstance(weights, list) else weights!r}"
+        )
+    if any(isinstance(w, bool) or not isinstance(w, (int, float)) for w in weights):
+        raise PolicyFormatError(f"condition weights must be JSON numbers, got {weights!r}")
+    if "then" not in obj or "else" not in obj:
+        raise PolicyFormatError("if-node needs 'then' and 'else' branches")
+    try:
+        condition = Condition(tuple(float(w) for w in weights))
+    except ValueError as exc:
+        raise PolicyFormatError(str(exc)) from None
+    return If(condition, _node_from_obj(obj["then"]), _node_from_obj(obj["else"]))
 
 
 def deserialize(text: str) -> Program:

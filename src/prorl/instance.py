@@ -11,7 +11,10 @@ comments in every format.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 
 class ParseError(ValueError):
@@ -56,15 +59,34 @@ class Instance:
                     raise ValueError(f"{self.name}: job {i} visits machine {op.machine} twice")
                 seen.add(op.machine)
 
-    @property
+    # Derived tables, cached on first use; the simulator reads them per decision.
+    @cached_property
     def total_operations(self) -> int:
         return sum(len(job) for job in self.jobs)
 
-    def machine_workload(self, machine: int) -> int:
-        return sum(op.duration for job in self.jobs for op in job if op.machine == machine)
+    @cached_property
+    def suffix_work(self) -> tuple[tuple[int, ...], ...]:
+        """suffix_work[j][k]: total duration of job j's operations from k on (0 past the end)."""
+        return tuple(
+            tuple(accumulate((op.duration for op in reversed(job)), initial=0))[::-1]
+            for job in self.jobs
+        )
 
-    def job_length(self, job: int) -> int:
-        return sum(op.duration for op in self.jobs[job])
+    @cached_property
+    def suffix_ops(self) -> tuple[tuple[int, ...], ...]:
+        """suffix_ops[j][k]: number of job j's operations from k on (0 past the end)."""
+        return tuple(tuple(range(len(job), -1, -1)) for job in self.jobs)
+
+    @cached_property
+    def machine_loads(self) -> tuple[int, ...]:
+        """Total processing time per machine."""
+        ops = [op for job in self.jobs for op in job]
+        return tuple(sum(o.duration for o in ops if o.machine == m) for m in range(self.num_machines))
+
+    @cached_property
+    def duration_counts(self) -> tuple[tuple[int, int], ...]:
+        """The multiset of operation durations as sorted (duration, count) pairs."""
+        return tuple(sorted(Counter(op.duration for job in self.jobs for op in job).items()))
 
 
 @dataclass(frozen=True)
@@ -101,9 +123,8 @@ def _ints(line_no: int, tokens: list[str]) -> list[int]:
     return values
 
 
-def parse_standard(text: str, name: str = "unnamed") -> Instance:
-    """Parse the OR-Library standard format (0-based machine indices)."""
-    lines = _data_lines(text)
+def _header(lines) -> tuple[int, int, int]:
+    """Read the "n m" header line; returns (line_no, n, m)."""
     try:
         line_no, tokens = next(lines)
     except StopIteration:
@@ -114,6 +135,13 @@ def parse_standard(text: str, name: str = "unnamed") -> Instance:
     n, m = header
     if n < 1 or m < 1:
         raise ParseError(line_no, f"bad dimensions {n}x{m}")
+    return line_no, n, m
+
+
+def parse_standard(text: str, name: str = "unnamed") -> Instance:
+    """Parse the OR-Library standard format (0-based machine indices)."""
+    lines = _data_lines(text)
+    line_no, n, m = _header(lines)
 
     jobs = []
     for _ in range(n):
@@ -140,16 +168,7 @@ def parse_standard(text: str, name: str = "unnamed") -> Instance:
 def parse_taillard(text: str, name: str = "unnamed") -> Instance:
     """Parse Taillard's native format (times matrix then 1-based machines matrix)."""
     lines = _data_lines(text)
-    try:
-        line_no, tokens = next(lines)
-    except StopIteration:
-        raise ParseError(0, "empty input") from None
-    header = _ints(line_no, tokens)
-    if len(header) != 2:
-        raise ParseError(line_no, f"expected 'n m' header, got {len(header)} values")
-    n, m = header
-    if n < 1 or m < 1:
-        raise ParseError(line_no, f"bad dimensions {n}x{m}")
+    line_no, n, m = _header(lines)
 
     def read_matrix(label: str) -> list[list[int]]:
         rows = []

@@ -42,33 +42,22 @@ class Heuristic(enum.Enum):
 HEURISTICS = tuple(Heuristic)
 
 
-def _remaining_ops(ready: ReadyOp, instance: Instance) -> int:
-    return len(instance.jobs[ready.job]) - ready.op_index
-
-
-def _remaining_work(ready: ReadyOp, instance: Instance) -> int:
-    job = instance.jobs[ready.job]
-    return sum(op.duration for op in job[ready.op_index:])
-
-
 def apply(rule: Heuristic, ready: Sequence[ReadyOp], state: SimState, instance: Instance) -> ReadyOp:
-    """Return the best candidate under the rule's key."""
+    """Return the best candidate under the rule's key; the remaining work and
+    operation counts come from the instance's cached suffix tables."""
     if not ready:
         raise ValueError("empty ready set")
-
-    def key(cand: ReadyOp):
-        if rule is Heuristic.FIFO:
-            primary = cand.arrival
-        elif rule is Heuristic.SPT:
-            primary = cand.duration
-        elif rule is Heuristic.MOR:
-            primary = -_remaining_ops(cand, instance)
-        elif rule is Heuristic.MWR:
-            primary = -_remaining_work(cand, instance)
-        else:  # LOR
-            primary = _remaining_ops(cand, instance)
-        return (primary, cand.job, cand.op_index)
-
+    if rule is Heuristic.FIFO:
+        key = lambda c: (c.arrival, c.job, c.op_index)
+    elif rule is Heuristic.SPT:
+        key = lambda c: (c.duration, c.job, c.op_index)
+    elif rule is Heuristic.MWR:
+        work = instance.suffix_work
+        key = lambda c: (-work[c.job][c.op_index], c.job, c.op_index)
+    else:
+        ops = instance.suffix_ops
+        sign = -1 if rule is Heuristic.MOR else 1
+        key = lambda c: (sign * ops[c.job][c.op_index], c.job, c.op_index)
     return min(ready, key=key)
 
 

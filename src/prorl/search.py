@@ -51,13 +51,14 @@ class SearchConfig:
     bo: BoConfig = field(default_factory=BoConfig)
 
     def __post_init__(self):
-        if self.episode_budget < 0:
+        # comparisons are negated so that NaN fails them
+        if not self.episode_budget >= 0:
             raise ValueError("episode_budget must be >= 0")
-        if self.lam < 1:
+        if not self.lam >= 1:
             raise ValueError("lam must be >= 1")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must be in [0, 1]")
-        if self.workers < 1:
+        if not self.workers >= 1:
             raise ValueError("workers must be >= 1")
 
 

@@ -8,12 +8,19 @@ clock but work remains, the clock jumps to the earliest time at which some
 operation becomes startable (the smallest max(job ready, machine free) over
 pending next-operations). Episodes therefore make exactly one policy call
 per operation and produce non-delay schedules.
+
+`SimState` also keeps running totals for the concepts: remaining load per
+machine, remaining work per job, and the unscheduled durations with their
+min and max. `reset` seeds them from the instance's cached tables and
+`step` updates them, so a decision costs O(n + m) for n jobs and m
+machines: one `ready_set` pass, the concept read-out, and one pass in
+`step` that both looks for a startable operation and finds the next event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .concepts import ConceptVector, extract
 from .instance import Instance
@@ -29,10 +36,14 @@ class SimState:
     job_ready_at: list[int]
     start_times: list[list[int | None]]
     scheduled_count: int
+    machine_load: list[int]  # unscheduled processing time per machine
+    job_work: list[int]  # unscheduled processing time per job
+    duration_count: dict[int, int]  # unscheduled durations -> multiplicity
+    duration_min: int  # min/max key of duration_count; 0 once it is empty
+    duration_max: int
 
 
-@dataclass(frozen=True)
-class ReadyOp:
+class ReadyOp(NamedTuple):
     """An operation startable at the current clock."""
 
     job: int
@@ -57,6 +68,7 @@ Policy = Callable[[ConceptVector, Sequence[ReadyOp], SimState, Instance], tuple[
 
 def reset(instance: Instance) -> SimState:
     """Fresh state: clock 0, all machines free, every job at its first operation."""
+    durations = dict(instance.duration_counts)
     return SimState(
         clock=0,
         machine_free_at=[0] * instance.num_machines,
@@ -64,6 +76,11 @@ def reset(instance: Instance) -> SimState:
         job_ready_at=[0] * instance.num_jobs,
         start_times=[[None] * len(job) for job in instance.jobs],
         scheduled_count=0,
+        machine_load=list(instance.machine_loads),
+        job_work=[work[0] for work in instance.suffix_work],
+        duration_count=durations,
+        duration_min=min(durations, default=0),
+        duration_max=max(durations, default=0),
     )
 
 
@@ -71,60 +88,64 @@ def ready_set(state: SimState, instance: Instance) -> list[ReadyOp]:
     """Operations startable now, ordered by job index for determinism."""
     if state.scheduled_count >= instance.total_operations:
         raise ValueError("all operations scheduled")
+    clock, free_at = state.clock, state.machine_free_at
     ready = []
-    for job in range(instance.num_jobs):
-        k = state.job_next_op[job]
-        if k >= len(instance.jobs[job]):
-            continue
-        op = instance.jobs[job][k]
-        start = max(state.job_ready_at[job], state.machine_free_at[op.machine])
-        if start <= state.clock:
-            ready.append(
-                ReadyOp(
-                    job=job,
-                    op_index=k,
-                    machine=op.machine,
-                    duration=op.duration,
-                    ready_at=start,
-                    arrival=state.job_ready_at[job],
-                )
-            )
+    pending = zip(instance.jobs, state.job_next_op, state.job_ready_at)
+    for job, (ops, k, arrival) in enumerate(pending):
+        if arrival <= clock and k < len(ops):
+            op = ops[k]
+            free = free_at[op.machine]
+            if free <= clock:
+                ready.append(ReadyOp(job, k, op.machine, op.duration, max(arrival, free), arrival))
     return ready
 
 
-def _advance_clock(state: SimState, instance: Instance) -> None:
-    """Jump to the earliest time at which some pending operation is startable."""
-    next_time = None
-    for job in range(instance.num_jobs):
-        k = state.job_next_op[job]
-        if k >= len(instance.jobs[job]):
-            continue
-        op = instance.jobs[job][k]
-        t = max(state.job_ready_at[job], state.machine_free_at[op.machine])
-        if next_time is None or t < next_time:
-            next_time = t
-    if next_time is not None and next_time > state.clock:
-        state.clock = next_time
-
-
 def step(state: SimState, instance: Instance, pick: ReadyOp) -> SimState:
-    """Dispatch `pick` at the clock and advance to the next decision point."""
-    k = state.job_next_op[pick.job]
-    if k != pick.op_index or k >= len(instance.jobs[pick.job]):
-        raise ValueError(f"pick J{pick.job}-op{pick.op_index} is not the job's next operation")
-    op = instance.jobs[pick.job][k]
-    if max(state.job_ready_at[pick.job], state.machine_free_at[op.machine]) > state.clock:
-        raise ValueError(f"pick J{pick.job}-op{pick.op_index} is not startable at t={state.clock}")
+    """Dispatch `pick` at the clock, update the running totals, and advance
+    the clock to the next decision point if nothing else is startable now."""
+    job = pick.job
+    k = state.job_next_op[job]
+    ops = instance.jobs[job]
+    if k != pick.op_index or k >= len(ops):
+        raise ValueError(f"pick J{job}-op{pick.op_index} is not the job's next operation")
+    op = ops[k]
+    clock, free_at, job_ready_at = state.clock, state.machine_free_at, state.job_ready_at
+    if max(job_ready_at[job], free_at[op.machine]) > clock:
+        raise ValueError(f"pick J{job}-op{pick.op_index} is not startable at t={clock}")
 
-    end = state.clock + op.duration
-    state.start_times[pick.job][k] = state.clock
-    state.machine_free_at[op.machine] = end
-    state.job_ready_at[pick.job] = end
-    state.job_next_op[pick.job] += 1
+    d = op.duration
+    end = clock + d
+    state.start_times[job][k] = clock
+    free_at[op.machine] = end
+    job_ready_at[job] = end
+    state.job_next_op[job] = k + 1
     state.scheduled_count += 1
+    state.machine_load[op.machine] -= d
+    state.job_work[job] -= d
+    counts = state.duration_count
+    if counts[d] > 1:
+        counts[d] -= 1
+    else:
+        del counts[d]
+        if d == state.duration_min:
+            state.duration_min = min(counts, default=0)
+        if d == state.duration_max:
+            state.duration_max = max(counts, default=0)
 
-    if state.scheduled_count < instance.total_operations and not ready_set(state, instance):
-        _advance_clock(state, instance)
+    # One pass over the jobs' next operations: stay at the clock if any is
+    # startable, else jump to the earliest time one becomes startable.
+    next_time = None
+    for job_ops, next_op, t in zip(instance.jobs, state.job_next_op, job_ready_at):
+        if next_op < len(job_ops):
+            free = free_at[job_ops[next_op].machine]
+            if free > t:
+                t = free
+            if t <= clock:
+                return state
+            if next_time is None or t < next_time:
+                next_time = t
+    if next_time is not None:
+        state.clock = next_time
     return state
 
 
@@ -139,15 +160,12 @@ def run_episode(instance: Instance, policy: Policy) -> ScheduleResult:
         decisions.append((cv, label))
         step(state, instance, pick)
 
-    makespan = 0
-    start_times = []
-    for job, starts in zip(instance.jobs, state.start_times):
-        row = []
-        for op, start in zip(job, starts):
-            row.append(start)
-            makespan = max(makespan, start + op.duration)
-        start_times.append(tuple(row))
-    return ScheduleResult(makespan=makespan, start_times=tuple(start_times), decisions=tuple(decisions))
+    # machines run their operations in dispatch order, so the last one ends last
+    return ScheduleResult(
+        makespan=max(state.machine_free_at),
+        start_times=tuple(map(tuple, state.start_times)),
+        decisions=tuple(decisions),
+    )
 
 
 def verify_feasible(result: ScheduleResult, instance: Instance) -> bool:
@@ -175,14 +193,13 @@ def verify_feasible(result: ScheduleResult, instance: Instance) -> bool:
 
 def schedule_csv(result: ScheduleResult, instance: Instance) -> str:
     """Schedule dump as CSV rows "job,op,machine,start,end" sorted by start."""
-    rows = []
-    for job_idx, (job, starts) in enumerate(zip(instance.jobs, result.start_times)):
-        for op_idx, (op, start) in enumerate(zip(job, starts)):
-            rows.append((start, job_idx, op_idx, op.machine, start + op.duration))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    rows = sorted(  # (start, job, op) is unique, so machine and end never decide
+        (start, j, k, op.machine, start + op.duration)
+        for j, (job, starts) in enumerate(zip(instance.jobs, result.start_times))
+        for k, (op, start) in enumerate(zip(job, starts))
+    )
     lines = ["job,op,machine,start,end"]
-    for start, job_idx, op_idx, machine, end in rows:
-        lines.append(f"{job_idx},{op_idx},{machine},{start},{end}")
+    lines += [f"{j},{k},{machine},{start},{end}" for start, j, k, machine, end in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -100,3 +100,52 @@ def all_nondelay_makespans(instance: Instance) -> set[int]:
 
     walk(0, [0] * instance.num_machines, [0] * instance.num_jobs, [0] * instance.num_jobs, 0)
     return results
+
+
+def reference_concepts(state, instance: Instance) -> tuple[float, float, float, float, float]:
+    """The concept vector recomputed from scratch; independent of the
+    simulator's running totals.
+
+    Counts startable operations with the readiness predicate and rescans
+    every job's unscheduled suffix for machine loads, job work and the
+    duration bounds, as the simulator did before it kept incremental state.
+    """
+
+    def spread(max_value, min_value):
+        return (max_value - min_value) / max_value if max_value > 0 else 0.0
+
+    unscheduled = instance.total_operations - state.scheduled_count
+    m = instance.num_machines
+    am = sum(1 for t in state.machine_free_at if t <= state.clock) / m
+
+    ready_count = 0
+    for job in range(instance.num_jobs):
+        k = state.job_next_op[job]
+        if k < len(instance.jobs[job]):
+            op = instance.jobs[job][k]
+            if max(state.job_ready_at[job], state.machine_free_at[op.machine]) <= state.clock:
+                ready_count += 1
+    ao = ready_count / unscheduled
+
+    machine_load = [0] * m
+    job_work = []
+    dur_min, dur_max = None, None
+    for job in range(instance.num_jobs):
+        ops = instance.jobs[job]
+        k = state.job_next_op[job]
+        if k >= len(ops):
+            continue
+        work = 0
+        for op in ops[k:]:
+            machine_load[op.machine] += op.duration
+            work += op.duration
+            if dur_max is None or op.duration > dur_max:
+                dur_max = op.duration
+            if dur_min is None or op.duration < dur_min:
+                dur_min = op.duration
+        job_work.append(work)
+
+    ld = spread(max(machine_load), min(machine_load))
+    jd = spread(max(job_work), min(job_work)) if len(job_work) > 1 else 0.0
+    st = spread(dur_max, dur_min)
+    return (ld, am, ao, jd, st)

@@ -190,8 +190,9 @@ def test_criterion_6a_feasibility_bounds_concepts_10k():
         program = random_program(rng)
         result = sim.run_episode(inst, make_policy(program))
         assert sim.verify_feasible(result, inst)
-        machine_bound = max(inst.machine_workload(m) for m in range(inst.num_machines))
-        job_bound = max(inst.job_length(j) for j in range(inst.num_jobs))
+        ops = [op for job in inst.jobs for op in job]
+        machine_bound = max(sum(op.duration for op in ops if op.machine == m) for m in range(inst.num_machines))
+        job_bound = max(sum(op.duration for op in job) for job in inst.jobs)
         assert result.makespan >= max(machine_bound, job_bound)
         for cv, _ in result.decisions:
             for value in cv.as_tuple():

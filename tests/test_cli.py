@@ -101,6 +101,31 @@ def test_train_bad_set_key_usage_error(tiny_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("pair", [
+    "bo.length_scale=nan",
+    "bo.beta=nan",
+    "bo.beta=inf",
+    "bo.iterations=2.7",
+    "bo.init_points=inf",
+    "bo.candidates=nan",
+    "search.lambda=0",
+    "search.mutation_rate=nan",
+])
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_bad_set_value_is_usage_error(tmp_path, capsys, tiny_path, pair, command):
+    # non-finite, non-integral and out-of-range overrides are rejected up
+    # front with the usage exit code, never trained with or truncated
+    if command == "train":
+        argv = ["train", "--instance", tiny_path, "--budget", "4"]
+    else:
+        inst_dir = tmp_path / "instances"
+        inst_dir.mkdir()
+        (inst_dir / "tiny.txt").write_text(TINY_2X2 + "\n")
+        argv = ["bench", "--dir", str(inst_dir), "--methods", "prorl", "--budget", "4"]
+    assert main(argv + ["--set", pair]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_eval_reproduces_training_makespan(tmp_path, capsys, tiny_path):
     out = tmp_path / "policy.json"
     main([

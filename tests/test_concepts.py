@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import random_instance
+from conftest import random_instance, reference_concepts
 from prorl import sim
 from prorl.concepts import extract
 from prorl.instance import Instance, Operation, parse_standard
@@ -120,3 +120,19 @@ def test_scale_invariance_of_normalized_concepts():
             assert (pick_a.job, pick_a.op_index) == (pick_b.job, pick_b.op_index)
             sim.step(state_a, inst, pick_a)
             sim.step(state_b, big, pick_b)
+
+
+def test_incremental_concepts_match_from_scratch_oracle():
+    # the running totals on SimState must give exactly the vector that a
+    # full rescan gives, at every decision of random episodes, whether the
+    # ready set is passed in or counted by extract itself
+    rng = random.Random(34)
+    for trial in range(300):
+        inst = random_instance(rng, max_jobs=6, max_machines=5, max_duration=12, square=False)
+        state = sim.reset(inst)
+        for _ in range(inst.total_operations):
+            expected = reference_concepts(state, inst)
+            ready = sim.ready_set(state, inst)
+            passed = ready if trial % 2 else None
+            assert extract(state, inst, passed).as_tuple() == expected
+            sim.step(state, inst, ready[rng.randrange(len(ready))])

@@ -264,6 +264,20 @@ def test_deserialize_rejects_unknown_heuristic():
         deserialize('{"kind": "action", "heuristic": "LPT"}')
 
 
+@pytest.mark.parametrize("doc, fragment", [
+    # JSON booleans and strings are not weights, even where float() takes them
+    ('{"kind": "if", "weights": [true, 0, 0, 0, 0, 0], "then": {"kind": "action", "heuristic": "SPT"}, "else": {"kind": "action", "heuristic": "MOR"}}', "JSON numbers"),
+    ('{"kind": "if", "weights": ["1", 0, 0, 0, 0, 0], "then": {"kind": "action", "heuristic": "SPT"}, "else": {"kind": "action", "heuristic": "MOR"}}', "JSON numbers"),
+    # unknown keys are typos or foreign documents, never silently dropped
+    ('{"kind": "action", "heuristic": "SPT", "rule": "MOR"}', "unknown key"),
+    ('{"kind": "if", "weights": [1, 0, 0, 0, 0, 0], "then": {"kind": "action", "heuristic": "SPT"}, "else": {"kind": "action", "heuristic": "MOR"}, "comment": "x"}', "unknown key"),
+    ('{"kind": ["if"]}', "unknown node kind"),
+], ids=["bool-weight", "string-weight", "action-extra-key", "if-extra-key", "list-kind"])
+def test_deserialize_is_strict(doc, fragment):
+    with pytest.raises(PolicyFormatError, match=fragment):
+        deserialize(doc)
+
+
 def test_deserialize_rejects_depth_violation():
     obj = '{"kind": "action", "heuristic": "SPT"}'
     for _ in range(5):

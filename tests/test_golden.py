@@ -1,0 +1,65 @@
+"""Golden fingerprints: simulator and training outputs pinned byte for byte.
+
+The hashes were frozen from the from-scratch simulator (every concept and
+the ready set recomputed at each decision). Any rewrite of the simulator,
+the concepts or the rules must reproduce them exactly.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from conftest import INSTANCE_DIR
+from prorl import dsl, search, sim
+from prorl.instance import load_instance_file
+from prorl.pdr import Heuristic, run_pdr
+
+# (instance, rule) -> (makespan, sha256 of trace_csv, sha256 of schedule_csv)
+PDR_GOLDEN = {
+    ("ft06", "FIFO"): (65, "43c89eec28109382a25adca5504f65082b26d03a738ae1ef43634848a07b5ea5", "4c61477d6482af78a9ae1a71e53f3d5c582d0534bc6302335b7d5da6e8035b9f"),
+    ("ft06", "SPT"): (88, "af337a688b91eaea063497f41296c37689c9e0c260e8ddf6ed0d4cebe7f480a4", "5bde04871600734ea50d34c9c8ceb4219ea65cd154a337e3057f5a6d23a55e33"),
+    ("ft06", "MOR"): (59, "ca115e1c81e1a7a108a4df5df482ca6c7908693451b736cd6ae0d45e72ad0d3a", "5c5d4f899a57e789e490a3cb8036f39255e0e47f8f5313af5c92420d0abcacd9"),
+    ("ft06", "MWR"): (61, "2ccbc2c7357c6d9097abe28ffbc34cdfe5cbfdf90f3ea8de490758c879d7dd95", "8eeeedeaa0e725869c7e87a89a0612060a2cee86a1074e0864441606239c37e5"),
+    ("ft06", "LOR"): (68, "7dc2c97dd2799b24c5a1405ddb3f74a9a14b742090b227471110a17785c94351", "b04364915db28e560ba25210467622723cd310b7e9c9aaf038f67b79d3856da4"),
+    ("ft10", "FIFO"): (1184, "46aeb9761141cca8ad5ccc0f1402347e09b9d4dfb14fa642b3f9d25a1d884a27", "60895c3931747a19790caec5807db689b8047daf2069d49f8dde50f19338df89"),
+    ("ft10", "SPT"): (1074, "6a3e5d5954bddd15a2bc57808d5bbe0eeb506038d15c4124019f2511ec45ae42", "b4b8d362d059c7006874594fd4e3b1f3769254224e9d4aab3615155865a77dae"),
+    ("ft10", "MOR"): (1163, "c25f9bbb46b46ffe1fcf0c8f24d784ce16b985af2e9fb37eb782881852194466", "43bae502889af026f993e5348720903af7236ef88842d8efc24b3498d28f12ff"),
+    ("ft10", "MWR"): (1108, "c0c03a83b3e117036f0617831b8986ef97f6d4fc1ba99cbbcad1165b9eb20ef8", "dfc8612ea35817e85807aa49f3cc2fb68b22563b3c8013c90890089c38da0863"),
+    ("ft10", "LOR"): (1352, "c13244f1f605cad6f8d1736e58e3ac76bd313d50cf050a4e6c943ca491fe5adf", "83577e5960dd2dd3d5cd08529d8e8e8d76fc55add9cdc47d67fd42c45ed1f7d3"),
+    ("ta01", "FIFO"): (1486, "8d91281ef6cd391fe6ca376f89860dbd23f5cf9976cf1dbea08e439059e39261", "47eb152e2da9d6bf526c6837021b7be91ae79986e3adc360f466f90f2d2f6493"),
+    ("ta01", "SPT"): (1462, "1f6fe8dbe23c71731ff9f72166d72d270df5e061857c663f061f0a293676f0dd", "b1f2611b6847c5887e84b53c0e3de61b0bc63080431e1d637bd25ff97244a620"),
+    ("ta01", "MOR"): (1438, "346a7bae72f77e545eed05b34243fd3961e2a9851c59ebc0fddcbcea24cedf29", "e859c63adf26407d17aff083d535f1aad567f8359e7d7b6ba2dd7cedf2b14652"),
+    ("ta01", "MWR"): (1491, "171c37d7d676ea5826780db9c11dd9f45c7b76519ac0e7f2c1c73c21991c92cc", "85ff6d8ea0a17f4b461c533676e744583588f0f0d7b573f28266adf33b2c947f"),
+    ("ta01", "LOR"): (1737, "db3e89d30853eaf6da2857a65ad77fec57ef0be767075df8fa2b7a35a72a9302", "a1d5a4706d9ccbd0e22bf0635e58375393ae5e2fa55b9f10e02e1c21f87963b3"),
+}
+
+# train(ft06, budget=200, seed=0): sha256 of serialize(program) and training_log_csv
+TRAIN_GOLDEN = (
+    "e6248ef177de79a58686bf0c9cb18ecdfaacac550bfe1a9e766154a56db6d100",
+    "4eb4060b6b4ae713a0db41c28d234b05e26c1579572aa4f3de3a244f13e33028",
+)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _load(name: str):
+    fmt = "taillard" if name.startswith("ta") else "standard"
+    return load_instance_file(str(INSTANCE_DIR / f"{name}.txt"), fmt)
+
+
+@pytest.mark.parametrize("name", ["ft06", "ft10", "ta01"])
+def test_pdr_outputs_match_golden(name):
+    instance = _load(name)
+    for rule in Heuristic:
+        result = run_pdr(instance, rule)
+        got = (result.makespan, _sha(sim.trace_csv(result)), _sha(sim.schedule_csv(result, instance)))
+        assert got == PDR_GOLDEN[(name, rule.value)], f"{name} {rule.value}"
+
+
+def test_training_matches_golden():
+    program, state = search.train(_load("ft06"), search.SearchConfig(episode_budget=200, seed=0))
+    assert (_sha(dsl.serialize(program)), _sha(search.training_log_csv(state))) == TRAIN_GOLDEN

@@ -122,6 +122,16 @@ def test_formats_agree_on_same_problem():
         )
 
 
+def test_derived_tables_2x2():
+    # J0 = (M0,3)(M1,2), J1 = (M1,2)(M0,4)
+    inst = parse_standard(TINY_2X2, "tiny")
+    assert inst.total_operations == 4
+    assert inst.suffix_work == ((5, 2, 0), (6, 4, 0))
+    assert inst.suffix_ops == ((2, 1, 0), (2, 1, 0))
+    assert inst.machine_loads == (7, 4)
+    assert inst.duration_counts == ((2, 2), (3, 1), (4, 1))
+
+
 def test_instance_rejects_repeated_machine_visit():
     with pytest.raises(ValueError, match="twice"):
         Instance("bad", 1, 2, ((Operation(0, 1), Operation(0, 2)),))
