@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,43 +29,21 @@ class BudgetExhaustedError(RuntimeError):
 
 
 class EpisodeMeter:
-    """Thread-safe countdown of simulator episodes allowed during training."""
+    """Countdown of simulator episodes allowed during training."""
 
     def __init__(self, budget: int):
         if budget < 0:
             raise ValueError("budget must be >= 0")
-        self._budget = budget
-        self._remaining = budget
-        self._lock = threading.Lock()
-
-    @property
-    def budget(self) -> int:
-        return self._budget
-
-    @property
-    def remaining(self) -> int:
-        with self._lock:
-            return self._remaining
-
-    @property
-    def used(self) -> int:
-        with self._lock:
-            return self._budget - self._remaining
+        self.remaining = budget
+        self.used = 0
 
     def try_charge(self) -> bool:
         """Charge one episode; False when the budget is exhausted."""
-        with self._lock:
-            if self._remaining <= 0:
-                return False
-            self._remaining -= 1
-            return True
-
-    def reserve(self, count: int) -> int:
-        """Atomically take up to `count` episodes; returns the amount granted."""
-        with self._lock:
-            granted = min(count, self._remaining)
-            self._remaining -= granted
-            return granted
+        if self.remaining <= 0:
+            return False
+        self.remaining -= 1
+        self.used += 1
+        return True
 
 
 @dataclass
@@ -203,14 +180,6 @@ def posterior_batch(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np
 def posterior(model: GpModel, query: tuple[float, ...]) -> tuple[float, float]:
     mean, std = posterior_batch(model, np.array([query], dtype=float))
     return float(mean[0]), float(std[0])
-
-
-def ucb(model: GpModel, query: tuple[float, ...], beta: float) -> float:
-    """Upper confidence bound: mean + beta * stddev."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    mean, std = posterior(model, query)
-    return mean + beta * std
 
 
 def propose(

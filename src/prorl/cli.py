@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import bo, dsl, pdr, search, sim
@@ -188,11 +188,7 @@ def cmd_random(args) -> int:
 
 
 def _search_config(args) -> search.SearchConfig:
-    config = search.SearchConfig(
-        episode_budget=args.budget,
-        seed=args.seed,
-        workers=search.default_workers(),
-    )
+    config = search.SearchConfig(episode_budget=args.budget, seed=args.seed)
     return _apply_overrides(config, args.set or [])
 
 
@@ -264,7 +260,7 @@ def _bench_single(instance: Instance, method: str, seed: int, budget: int,
         makespan = float(sim.run_episode(instance, pdr.random_rule_policy(rng)).makespan)
         episodes, report_seed = 1, seed
     elif method == "prorl":
-        config = search.SearchConfig(episode_budget=budget, seed=seed, workers=1)
+        config = search.SearchConfig(episode_budget=budget, seed=seed)
         config = _apply_overrides(config, set_pairs)
         program, state = search.train(instance, config)
         makespan = float(search.evaluate_policy(program, instance)[0])
@@ -288,10 +284,15 @@ def cmd_bench(args) -> int:
     if not paths:
         raise UsageError(f"no instance files in {args.dir!r}")
     methods = [m.strip().lower() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise UsageError("--methods names no method")
     for m in methods:
         if m not in PDR_METHODS + ("random", "prorl"):
             raise UsageError(f"unknown method {m!r}")
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0]
+    except ValueError:
+        raise UsageError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from None
     if "prorl" in methods:  # reject a bad budget or --set before any task runs
         if args.budget < 0:
             raise UsageError("--budget must be >= 0")
@@ -306,26 +307,16 @@ def cmd_bench(args) -> int:
         except Exception as exc:  # reported, then skipped
             failures.append((path.name, str(exc), IO_ERROR))
 
-    tasks = []
+    reports = []
     for instance in instances:
         for method in methods:
             for seed in seeds if method in ("prorl", "random") else [seeds[0]]:
-                tasks.append((instance, method, seed))
-
-    def run(task):
-        instance, method, seed = task
-        try:
-            return _bench_single(instance, method, seed, args.budget, table, args.set or [])
-        except Exception as exc:
-            failures.append((f"{instance.name}/{method}/s{seed}", str(exc), INTERNAL_ERROR))
-            return None
-
-    workers = search.default_workers()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = [r for r in pool.map(run, tasks) if r is not None]
-    else:
-        reports = [r for r in map(run, tasks) if r is not None]
+                try:
+                    reports.append(
+                        _bench_single(instance, method, seed, args.budget, table, args.set or [])
+                    )
+                except Exception as exc:
+                    failures.append((f"{instance.name}/{method}/s{seed}", str(exc), INTERNAL_ERROR))
 
     print(RunReport.table_header())
     for report in reports:
@@ -362,6 +353,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="prorl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -9,16 +9,16 @@ initial program untrained.
 
 Reproducibility: the neighborhood and every candidate's inner loop draw
 from random sources seeded deterministically from (seed, generation,
-candidate index), and each candidate's episode allowance is reserved from
-the shared meter up front in candidate order, so results do not depend on
-worker scheduling.
+candidate index). Candidates run one after another, in neighborhood order,
+on one shared episode meter. A candidate with d tunable weights takes
+min(init_points + iterations, remaining) episodes when d > 0 and one
+episode when d = 0; a candidate reached with the meter empty is skipped
+and charged nothing.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .bo import BoConfig, EpisodeMeter, optimize_params
@@ -47,7 +47,6 @@ class SearchConfig:
     max_depth: int = MAX_DEPTH
     max_tokens: int = MAX_TOKENS
     seed: int = 0
-    workers: int = 1
     bo: BoConfig = field(default_factory=BoConfig)
 
     def __post_init__(self):
@@ -58,8 +57,10 @@ class SearchConfig:
             raise ValueError("lam must be >= 1")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must be in [0, 1]")
-        if not self.workers >= 1:
-            raise ValueError("workers must be >= 1")
+        if not 1 <= self.max_depth <= MAX_DEPTH:
+            raise ValueError(f"max_depth must be in [1, {MAX_DEPTH}]")
+        if not 1 <= self.max_tokens <= MAX_TOKENS:
+            raise ValueError(f"max_tokens must be in [1, {MAX_TOKENS}]")
 
 
 @dataclass(frozen=True)
@@ -80,17 +81,6 @@ class SearchState:
     incumbent_return: float | None
     episodes_used: int
     history: list[GenerationRecord] = field(default_factory=list)
-
-
-def default_workers() -> int:
-    """Worker count from PRORL_WORKERS, else the machine's parallelism."""
-    env = os.environ.get("PRORL_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"PRORL_WORKERS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
 
 
 def _derived_rng(seed: int, *scope) -> random.Random:
@@ -127,7 +117,6 @@ def train(instance: Instance, config: SearchConfig) -> tuple[Program, SearchStat
         return incumbent, state
 
     meter = EpisodeMeter(config.episode_budget)
-    per_candidate = config.bo.init_points + config.bo.iterations
 
     while meter.remaining > 0:
         gen = state.generation + 1
@@ -140,37 +129,20 @@ def train(instance: Instance, config: SearchConfig) -> tuple[Program, SearchStat
             config.max_tokens,
         )
 
-        # Reserve each candidate's episode allowance up front, in candidate
-        # order; a candidate with no allowance left is skipped entirely.
-        jobs = []
-        dims, charges = [], []
-        for idx, candidate in enumerate(neighborhood):
-            dim = WEIGHTS_LEN * if_count(candidate)
-            want = 1 if dim == 0 else per_candidate
-            granted = meter.reserve(want)
-            dims.append(dim)
-            charges.append(granted)
-            if granted > 0:
-                jobs.append((idx, candidate, EpisodeMeter(granted)))
-
-        def run_candidate(job):
-            idx, candidate, sub_meter = job
-            cand_rng = _derived_rng(config.seed, "gen", gen, "cand", idx)
-            return idx, optimize_params(candidate, instance, sub_meter, cand_rng, config.bo)
-
-        if config.workers > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(run_candidate, jobs))
-        else:
-            results = [run_candidate(job) for job in jobs]
-
         # Selection over optimized candidates plus the incumbent; ties keep
         # the incumbent, then the earlier candidate.
         best_program = incumbent
         best_return = state.incumbent_return
-        for _, (program, value) in sorted(results, key=lambda r: r[0]):
-            if best_return is None or value > best_return:
-                best_program, best_return = program, value
+        dims, charges = [], []
+        for idx, candidate in enumerate(neighborhood):
+            dims.append(WEIGHTS_LEN * if_count(candidate))
+            used_before = meter.used
+            if meter.remaining > 0:
+                cand_rng = _derived_rng(config.seed, "gen", gen, "cand", idx)
+                program, value = optimize_params(candidate, instance, meter, cand_rng, config.bo)
+                if best_return is None or value > best_return:
+                    best_program, best_return = program, value
+            charges.append(meter.used - used_before)
 
         incumbent = best_program
         state.incumbent = best_program

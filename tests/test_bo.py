@@ -16,8 +16,8 @@ from prorl.bo import (
     fit,
     optimize_params,
     posterior,
+    posterior_batch,
     propose,
-    ucb,
 )
 from prorl.dsl import Action, Condition, If, Program, get_params, if_count
 from prorl.instance import parse_standard
@@ -159,16 +159,21 @@ def test_permutation_symmetry():
         assert posterior(a, q)[1] == pytest.approx(posterior(b, q)[1], rel=1e-10, abs=1e-10)
 
 
-def test_ucb():
-    model = fit(dataset_from([((0.0,), 0.0), ((1.0,), 1.0)]))
-    q = (0.5,)
-    mean, std = posterior(model, q)
-    assert std > 0
-    assert ucb(model, q, 0.0) == pytest.approx(mean)
-    assert ucb(model, q, 1.0) == pytest.approx(mean + std)
-    assert ucb(model, q, 2.0) > ucb(model, q, 1.0) > ucb(model, q, 0.0)
+def test_propose_is_ucb_argmax():
+    model = fit(dataset_from([((0.0, 0.0), 0.0), ((1.0, -1.0), 1.0), ((-1.5, 0.5), -2.0)]))
+    picks = set()
+    for beta in (0.0, 1.0, 5.0):
+        # replay the candidate draws from the same seed and score them by UCB
+        replay = random.Random(11)
+        candidates = np.array([[replay.uniform(-2.0, 2.0) for _ in range(2)] for _ in range(64)])
+        mean, std = posterior_batch(model, candidates)
+        expected = tuple(candidates[int(np.argmax(mean + beta * std))])
+        assert propose(model, 2, beta, random.Random(11), 64) == expected
+        picks.add(expected)
+    assert len(picks) > 1  # the exploration weight changes the choice
     # at a training point the band collapses onto the observation
-    assert ucb(model, (1.0,), 5.0) == pytest.approx(1.0, abs=1e-2)
+    mean, std = posterior(fit(dataset_from([((0.0,), 0.0), ((1.0,), 1.0)])), (1.0,))
+    assert mean + 5.0 * std == pytest.approx(1.0, abs=1e-2)
 
 
 def test_propose_degenerate_cases():
@@ -267,11 +272,12 @@ def test_optimize_best_is_max_of_observations(inst, monkeypatch):
     assert running_best == sorted(running_best)
 
 
-def test_meter_reserve_and_charge():
-    meter = EpisodeMeter(5)
-    assert meter.reserve(3) == 3
-    assert meter.reserve(10) == 2
-    assert meter.remaining == 0
+def test_meter_charges_down_to_zero():
+    meter = EpisodeMeter(3)
+    for used in (1, 2, 3):
+        assert meter.try_charge()
+        assert (meter.used, meter.remaining) == (used, 3 - used)
     assert not meter.try_charge()
+    assert (meter.used, meter.remaining) == (3, 0)
     with pytest.raises(ValueError):
         EpisodeMeter(-1)

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from conftest import INSTANCE_DIR, TINY_2X2
-from prorl import dsl
-from prorl.cli import main
+from prorl import cli, dsl, search
+from prorl.cli import build_parser, main
 
 FT06 = str(INSTANCE_DIR / "ft06.txt")
 
@@ -110,6 +110,10 @@ def test_train_bad_set_key_usage_error(tiny_path, capsys):
     "bo.candidates=nan",
     "search.lambda=0",
     "search.mutation_rate=nan",
+    "search.max_depth=10",
+    "search.max_depth=0",
+    "search.max_tokens=86",
+    "search.max_tokens=0",
 ])
 @pytest.mark.parametrize("command", ["train", "bench"])
 def test_bad_set_value_is_usage_error(tmp_path, capsys, tiny_path, pair, command):
@@ -124,6 +128,39 @@ def test_bad_set_value_is_usage_error(tmp_path, capsys, tiny_path, pair, command
         argv = ["bench", "--dir", str(inst_dir), "--methods", "prorl", "--budget", "4"]
     assert main(argv + ["--set", pair]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+def test_train_ignores_prorl_workers(monkeypatch, capsys, tiny_path):
+    monkeypatch.setenv("PRORL_WORKERS", "abc")
+    code = main([
+        "train", "--instance", tiny_path, "--budget", "4",
+        "--set", "search.lambda=2", "--set", "bo.init_points=2",
+    ])
+    assert code == 0
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch, tiny_path):
+    assert build_parser() is build_parser()
+    configs = []
+    real_train = search.train
+
+    def recording_train(instance, config):
+        configs.append(config)
+        return real_train(instance, config)
+
+    monkeypatch.setattr(search, "train", recording_train)
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--instance", tiny_path, "--budget", "0",
+                 "--set", "search.lambda=2", "--set", "bo.beta=0.5"]) == 0
+    assert main(["pdr", "--instance", tiny_path, "--rule", "spt", "--trace", "trace.csv"]) == 0
+    (tmp_path / "trace.csv").unlink()
+    before = sorted(tmp_path.iterdir())
+    # the same commands without --set and --trace see none of those values
+    assert main(["train", "--instance", tiny_path, "--budget", "0"]) == 0
+    assert main(["pdr", "--instance", tiny_path, "--rule", "spt"]) == 0
+    assert (configs[0].lam, configs[0].bo.beta) == (2, 0.5)
+    assert configs[1] == search.SearchConfig(episode_budget=0)
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_eval_reproduces_training_makespan(tmp_path, capsys, tiny_path):
@@ -179,6 +216,22 @@ def test_bench_deterministic_csv(tmp_path, capsys):
     assert main(base + ["--csv", str(a)]) == 0
     assert main(base + ["--csv", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--seeds", "a"),
+    ("--seeds", "0,,1"),
+    ("--methods", ","),
+])
+def test_bench_bad_seeds_or_methods_is_usage_error(tmp_path, capsys, monkeypatch, flag, value):
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    (inst_dir / "tiny.txt").write_text(TINY_2X2 + "\n")
+    ran = []
+    monkeypatch.setattr(cli, "_bench_single", lambda *task: ran.append(task))
+    assert main(["bench", "--dir", str(inst_dir), "--methods", "spt,random", flag, value]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert ran == []  # rejected before any task runs
 
 
 def test_bench_empty_dir_usage_error(tmp_path, capsys):

@@ -74,16 +74,6 @@ def test_reproducibility(inst):
     assert (c_prog, c_state.history) != (a_prog, a_state.history)
 
 
-def test_worker_count_does_not_change_results(inst):
-    base = small_config(30, seed=6)
-    threaded = small_config(30, seed=6)
-    threaded.workers = 4
-    a_prog, a_state = train(inst, base)
-    b_prog, b_state = train(inst, threaded)
-    assert a_prog == b_prog
-    assert a_state.history == b_state.history
-
-
 def test_incumbent_monotonicity(inst):
     _, state = train(inst, small_config(60, seed=7))
     returns = [rec.best_return for rec in state.history]
