@@ -17,7 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsl import WEIGHT_HIGH, WEIGHT_LOW, WEIGHTS_LEN, Program, if_count, make_policy, set_params
+from .dsl import (
+    WEIGHT_HIGH,
+    WEIGHT_LOW,
+    WEIGHTS_LEN,
+    Program,
+    if_count,
+    make_policy,
+    random_weights,
+    set_params,
+)
 from .instance import Instance
 from .sim import run_episode
 
@@ -198,19 +207,14 @@ def propose(
         return ()
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
-    candidates = np.array(
-        [[rng.uniform(WEIGHT_LOW, WEIGHT_HIGH) for _ in range(dim)] for _ in range(n_candidates)]
-    )
+    # one row-major draw: row i holds the i-th candidate, as a nested loop would
+    candidates = np.array(random_weights(rng, n_candidates * dim)).reshape(n_candidates, dim)
     if model is None:
         return tuple(candidates[0])
     mean, std = posterior_batch(model, candidates)
     scores = mean + beta * std
     best = int(np.argmax(scores))  # ties resolve to the first occurrence
     return tuple(candidates[best])
-
-
-def _uniform_params(rng: random.Random, dim: int) -> tuple[float, ...]:
-    return tuple(rng.uniform(WEIGHT_LOW, WEIGHT_HIGH) for _ in range(dim))
 
 
 def optimize_params(
@@ -255,7 +259,7 @@ def optimize_params(
         return True
 
     for _ in range(config.init_points):
-        if not evaluate_point(_uniform_params(rng, dim)):
+        if not evaluate_point(tuple(random_weights(rng, dim))):
             break
     if best_params is not None:
         for _ in range(config.iterations):

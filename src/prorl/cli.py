@@ -138,16 +138,16 @@ def _emit_report(report: RunReport, csv_path: str | None) -> None:
         _write(csv_path, RunReport.CSV_HEADER + "\n" + report.csv_row() + "\n")
 
 
-def cmd_pdr(args) -> int:
+def _run_policy(args, policy: sim.Policy, method: str) -> int:
+    """One episode of `policy` on --instance: report it, then write the dumps."""
     instance = load_instance_file(args.instance, args.format)
     table = _load_bks_table(args.bks)
-    rule = pdr.Heuristic.parse(args.rule)
     started = time.perf_counter()
-    result = pdr.run_pdr(instance, rule)
+    result = sim.run_episode(instance, policy)
     elapsed = time.perf_counter() - started
     report = RunReport(
         instance=instance.name,
-        method=rule.value,
+        method=method,
         makespan=result.makespan,
         gap=_gap_for(table, instance, result.makespan),
         seed=None,
@@ -160,6 +160,11 @@ def cmd_pdr(args) -> int:
     if args.dump_schedule:
         _write(args.dump_schedule, sim.schedule_csv(result, instance))
     return 0
+
+
+def cmd_pdr(args) -> int:
+    rule = pdr.Heuristic.parse(args.rule)
+    return _run_policy(args, lambda cv: rule, rule.value)
 
 
 def cmd_random(args) -> int:
@@ -187,23 +192,21 @@ def cmd_random(args) -> int:
     return 0
 
 
-def _search_config(args) -> search.SearchConfig:
-    config = search.SearchConfig(episode_budget=args.budget, seed=args.seed)
-    return _apply_overrides(config, args.set or [])
+def _search_config(budget: int, seed: int, set_pairs: list[str] | None) -> search.SearchConfig:
+    if budget < 0:
+        raise UsageError("--budget must be >= 0")
+    config = search.SearchConfig(episode_budget=budget, seed=seed)
+    return _apply_overrides(config, set_pairs or [])
 
 
 def cmd_train(args) -> int:
-    if args.budget < 0:
-        raise UsageError("--budget must be >= 0")
+    config = _search_config(args.budget, args.seed, args.set)
     instance = load_instance_file(args.instance, args.format)
     table = _load_bks_table(args.bks)
-    config = _search_config(args)
     started = time.perf_counter()
     program, state = search.train(instance, config)
     elapsed = time.perf_counter() - started
-    makespan, gap = search.evaluate_policy(
-        program, instance, table.lookup(instance.name) if table and instance.name in table else None
-    )
+    makespan = search.evaluate_policy(program, instance)[0]
     if args.out:
         _write(args.out, dsl.serialize(program))
     if args.log:
@@ -214,7 +217,7 @@ def cmd_train(args) -> int:
         instance=instance.name,
         method="prorl",
         makespan=makespan,
-        gap=gap,
+        gap=_gap_for(table, instance, makespan),
         seed=args.seed,
         seconds=elapsed,
         episodes=state.episodes_used,
@@ -224,45 +227,24 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    instance = load_instance_file(args.instance, args.format)
-    table = _load_bks_table(args.bks)
     with open(args.policy, "r", encoding="utf-8") as fh:
         program = dsl.deserialize(fh.read())
-    started = time.perf_counter()
-    result = sim.run_episode(instance, dsl.make_policy(program))
-    elapsed = time.perf_counter() - started
-    report = RunReport(
-        instance=instance.name,
-        method="prorl",
-        makespan=result.makespan,
-        gap=_gap_for(table, instance, result.makespan),
-        seed=None,
-        seconds=elapsed,
-        episodes=1,
-    )
-    _emit_report(report, args.csv)
-    if args.trace:
-        _write(args.trace, sim.trace_csv(result))
-    if args.dump_schedule:
-        _write(args.dump_schedule, sim.schedule_csv(result, instance))
-    return 0
+    return _run_policy(args, dsl.make_policy(program), "prorl")
 
 
 def _bench_single(instance: Instance, method: str, seed: int, budget: int,
-                  table: BksTable | None, set_pairs: list[str]) -> RunReport:
+                  table: BksTable | None, set_pairs: list[str] | None) -> RunReport:
     started = time.perf_counter()
     if method in PDR_METHODS:
         rule = pdr.Heuristic.parse(method)
-        makespan: float = pdr.run_pdr(instance, rule).makespan
+        makespan: float = sim.run_pdr(instance, rule).makespan
         episodes, report_seed = 1, None
     elif method == "random":
         rng = random.Random(seed)
         makespan = float(sim.run_episode(instance, pdr.random_rule_policy(rng)).makespan)
         episodes, report_seed = 1, seed
     elif method == "prorl":
-        config = search.SearchConfig(episode_budget=budget, seed=seed)
-        config = _apply_overrides(config, set_pairs)
-        program, state = search.train(instance, config)
+        program, state = search.train(instance, _search_config(budget, seed, set_pairs))
         makespan = float(search.evaluate_policy(program, instance)[0])
         episodes, report_seed = state.episodes_used, seed
     else:
@@ -294,9 +276,7 @@ def cmd_bench(args) -> int:
     except ValueError:
         raise UsageError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from None
     if "prorl" in methods:  # reject a bad budget or --set before any task runs
-        if args.budget < 0:
-            raise UsageError("--budget must be >= 0")
-        _apply_overrides(search.SearchConfig(episode_budget=args.budget), args.set or [])
+        _search_config(args.budget, seeds[0], args.set)
     table = _load_bks_table(args.bks)
 
     instances = []
@@ -313,7 +293,7 @@ def cmd_bench(args) -> int:
             for seed in seeds if method in ("prorl", "random") else [seeds[0]]:
                 try:
                     reports.append(
-                        _bench_single(instance, method, seed, args.budget, table, args.set or [])
+                        _bench_single(instance, method, seed, args.budget, table, args.set)
                     )
                 except Exception as exc:
                     failures.append((f"{instance.name}/{method}/s{seed}", str(exc), INTERNAL_ERROR))
@@ -399,17 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="sweep a directory of instances")
+    add_common(p, with_instance=False)
     p.add_argument("--dir", required=True, help="directory of instance files")
-    p.add_argument(
-        "--format", choices=("standard", "taillard"), default="standard",
-        help="instance file format",
-    )
     p.add_argument("--methods", default="fifo,spt,mor,mwr,lor",
                    help="comma-separated: fifo,spt,mor,mwr,lor,random,prorl")
     p.add_argument("--budget", type=int, default=1000, help="episode budget for prorl")
     p.add_argument("--seeds", default="0", help="comma-separated seeds for prorl/random")
-    p.add_argument("--bks", help="CSV file of best-known makespans")
-    p.add_argument("--csv", help="write all run rows as CSV to this path")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override bo.* or search.* configuration keys")
     p.set_defaults(func=cmd_bench)

@@ -51,23 +51,12 @@ def _spread(max_value: float, min_value: float) -> float:
     return (max_value - min_value) / max_value if max_value > 0 else 0.0
 
 
-def extract(
-    state: SimState,
-    instance: Instance,
-    ready: Sequence[ReadyOp] | None = None,
-) -> ConceptVector:
-    """Compute the concept vector for the pending decision.
-
-    `ready` may pass in the already-computed startable set; otherwise the
-    simulator's `ready_set` is called to count it.
-    """
+def extract(state: SimState, instance: Instance, ready: Sequence[ReadyOp]) -> ConceptVector:
+    """Compute the concept vector for the pending decision; `ready` is the
+    simulator's startable set at the clock."""
     unscheduled = instance.total_operations - state.scheduled_count
     if unscheduled <= 0:
         raise ValueError("all operations scheduled; no decision pending")
-    if ready is None:
-        from .sim import ready_set
-
-        ready = ready_set(state, instance)
 
     clock = state.clock
     am = len([t for t in state.machine_free_at if t <= clock]) / instance.num_machines

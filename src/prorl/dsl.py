@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .concepts import CONCEPT_NAMES, ConceptVector
-from .instance import Instance
-from .pdr import HEURISTICS, Heuristic, apply
+from .pdr import HEURISTICS, Heuristic
 from .sim import Policy
 
 MAX_DEPTH = 4
@@ -136,17 +135,20 @@ def evaluate(program: Program, cv: ConceptVector) -> Heuristic:
 
 
 def make_policy(program: Program) -> Policy:
-    """Wrap a program as a simulator policy: route to a rule, then apply it."""
+    """Wrap a program as a simulator policy: route the concepts to a rule."""
+    return lambda cv: evaluate(program, cv)
 
-    def policy(cv, ready, state, instance):
-        rule = evaluate(program, cv)
-        return apply(rule, ready, state, instance), rule.value
 
-    return policy
+def random_weights(rng: random.Random, n: int) -> list[float]:
+    """n uniform draws from the weight box; the same stream as n calls of
+    `rng.uniform(WEIGHT_LOW, WEIGHT_HIGH)`."""
+    r = rng.random
+    span = WEIGHT_HIGH - WEIGHT_LOW
+    return [WEIGHT_LOW + span * r() for _ in range(n)]
 
 
 def _random_condition(rng: random.Random) -> Condition:
-    return Condition(tuple(rng.uniform(WEIGHT_LOW, WEIGHT_HIGH) for _ in range(WEIGHTS_LEN)))
+    return Condition(tuple(random_weights(rng, WEIGHTS_LEN)))
 
 
 def _random_node(rng: random.Random, depth_budget: int, token_budget: int) -> Node:

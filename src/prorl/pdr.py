@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .concepts import ConceptVector
-from .instance import Instance
-from .sim import Policy, ReadyOp, ScheduleResult, SimState, run_episode
+if TYPE_CHECKING:
+    from .instance import Instance
+    from .sim import Policy, ReadyOp
 
 
 class Heuristic(enum.Enum):
@@ -42,7 +42,7 @@ class Heuristic(enum.Enum):
 HEURISTICS = tuple(Heuristic)
 
 
-def apply(rule: Heuristic, ready: Sequence[ReadyOp], state: SimState, instance: Instance) -> ReadyOp:
+def apply(rule: Heuristic, ready: Sequence[ReadyOp], instance: Instance) -> ReadyOp:
     """Return the best candidate under the rule's key; the remaining work and
     operation counts come from the instance's cached suffix tables."""
     if not ready:
@@ -61,25 +61,6 @@ def apply(rule: Heuristic, ready: Sequence[ReadyOp], state: SimState, instance: 
     return min(ready, key=key)
 
 
-def rule_policy(rule: Heuristic) -> Policy:
-    """A policy that applies one fixed rule at every decision."""
-
-    def policy(cv: ConceptVector, ready, state, instance):
-        return apply(rule, ready, state, instance), rule.value
-
-    return policy
-
-
 def random_rule_policy(rng: random.Random) -> Policy:
     """A policy drawing a uniform rule independently at every decision."""
-
-    def policy(cv: ConceptVector, ready, state, instance):
-        rule = rng.choice(HEURISTICS)
-        return apply(rule, ready, state, instance), rule.value
-
-    return policy
-
-
-def run_pdr(instance: Instance, rule: Heuristic) -> ScheduleResult:
-    """One episode under a constant dispatching rule."""
-    return run_episode(instance, rule_policy(rule))
+    return lambda cv: rng.choice(HEURISTICS)

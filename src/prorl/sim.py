@@ -15,13 +15,18 @@ min and max. `reset` seeds them from the instance's cached tables and
 `step` updates them, so a decision costs O(n + m) for n jobs and m
 machines: one `ready_set` pass, the concept read-out, and one pass in
 `step` that both looks for a startable operation and finds the next event.
+
+A policy only picks a dispatching rule from the concept vector;
+`run_episode` applies that rule to the ready set and records its name in
+the decision trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
+from . import pdr
 from .concepts import ConceptVector, extract
 from .instance import Instance
 
@@ -50,7 +55,6 @@ class ReadyOp(NamedTuple):
     op_index: int
     machine: int
     duration: int
-    ready_at: int
     arrival: int  # completion time of the job predecessor; 0 for first ops
 
 
@@ -61,9 +65,8 @@ class ScheduleResult:
     decisions: tuple[tuple[ConceptVector, str], ...]
 
 
-# A policy maps (concepts, ready set, state, instance) to the chosen ready
-# operation plus a short action label recorded in the decision trace.
-Policy = Callable[[ConceptVector, Sequence[ReadyOp], SimState, Instance], tuple[ReadyOp, str]]
+# A policy maps the concepts at a decision to the dispatching rule to apply.
+Policy = Callable[[ConceptVector], pdr.Heuristic]
 
 
 def reset(instance: Instance) -> SimState:
@@ -96,7 +99,7 @@ def ready_set(state: SimState, instance: Instance) -> list[ReadyOp]:
             op = ops[k]
             free = free_at[op.machine]
             if free <= clock:
-                ready.append(ReadyOp(job, k, op.machine, op.duration, max(arrival, free), arrival))
+                ready.append(ReadyOp(job, k, op.machine, op.duration, arrival))
     return ready
 
 
@@ -156,9 +159,9 @@ def run_episode(instance: Instance, policy: Policy) -> ScheduleResult:
     for _ in range(instance.total_operations):
         ready = ready_set(state, instance)
         cv = extract(state, instance, ready)
-        pick, label = policy(cv, ready, state, instance)
-        decisions.append((cv, label))
-        step(state, instance, pick)
+        rule = policy(cv)
+        decisions.append((cv, rule.value))
+        step(state, instance, pdr.apply(rule, ready, instance))
 
     # machines run their operations in dispatch order, so the last one ends last
     return ScheduleResult(
@@ -166,6 +169,11 @@ def run_episode(instance: Instance, policy: Policy) -> ScheduleResult:
         start_times=tuple(map(tuple, state.start_times)),
         decisions=tuple(decisions),
     )
+
+
+def run_pdr(instance: Instance, rule: pdr.Heuristic) -> ScheduleResult:
+    """One episode under a constant dispatching rule."""
+    return run_episode(instance, lambda cv: rule)
 
 
 def verify_feasible(result: ScheduleResult, instance: Instance) -> bool:

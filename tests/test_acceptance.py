@@ -30,7 +30,8 @@ from prorl.dsl import (
     token_count,
 )
 from prorl.instance import load_instance_file
-from prorl.pdr import Heuristic, run_pdr
+from prorl.pdr import Heuristic
+from prorl.sim import run_pdr
 from prorl.search import SearchConfig, evaluate_policy, train
 
 from test_bo import dataset_from, dense_oracle, oracle_comparison_cases

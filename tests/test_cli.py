@@ -130,6 +130,23 @@ def test_bad_set_value_is_usage_error(tmp_path, capsys, tiny_path, pair, command
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_negative_budget_is_usage_error(tmp_path, capsys, monkeypatch, tiny_path, command):
+    if command == "train":
+        argv = ["train", "--instance", tiny_path]
+    else:
+        inst_dir = tmp_path / "instances"
+        inst_dir.mkdir()
+        (inst_dir / "tiny.txt").write_text(TINY_2X2 + "\n")
+        argv = ["bench", "--dir", str(inst_dir), "--methods", "prorl"]
+    work = []
+    monkeypatch.setattr(cli, "load_instance_file", lambda *a: work.append(a))
+    monkeypatch.setattr(search, "train", lambda *a: work.append(a))
+    assert main(argv + ["--budget", "-1"]) == 2
+    assert "--budget must be >= 0" in capsys.readouterr().err
+    assert work == []  # rejected before any instance is loaded or trained on
+
+
 def test_train_ignores_prorl_workers(monkeypatch, capsys, tiny_path):
     monkeypatch.setenv("PRORL_WORKERS", "abc")
     code = main([

@@ -16,7 +16,8 @@ from prorl.pdr import Heuristic, apply
 def test_2x2_initial_vector(inst_2x2):
     # machine loads: M0 = 3+4 = 7, M1 = 2+2 = 4; job work: J0 = 5, J1 = 6;
     # durations {3,2,2,4}; 2 ready of 4 unscheduled; both machines free
-    cv = extract(sim.reset(inst_2x2), inst_2x2)
+    state = sim.reset(inst_2x2)
+    cv = extract(state, inst_2x2, sim.ready_set(state, inst_2x2))
     assert cv.am == 1.0
     assert cv.ao == 0.5
     assert cv.ld == pytest.approx(3 / 7)
@@ -30,12 +31,13 @@ def test_am_half_when_five_of_ten_machines_busy():
     state = sim.reset(inst)
     for machine in range(5):
         state.machine_free_at[machine] = 9  # five machines busy at the clock
-    assert extract(state, inst).am == 0.5
+    assert extract(state, inst, sim.ready_set(state, inst)).am == 0.5
 
 
 def test_equal_durations_zero_spread():
     inst = parse_standard("2 2\n0 4 1 4\n1 4 0 4", "flat")
-    cv = extract(sim.reset(inst), inst)
+    state = sim.reset(inst)
+    cv = extract(state, inst, sim.ready_set(state, inst))
     assert cv.st == 0.0
     assert cv.ld == 0.0  # equal per-machine loads
     assert cv.jd == 0.0
@@ -47,28 +49,14 @@ def test_single_remaining_job_jd_zero(inst_2x2):
     while sum(1 for j in range(2) if state.job_next_op[j] < 2) > 1:
         sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0])
     assert state.scheduled_count < inst_2x2.total_operations
-    assert extract(state, inst_2x2).jd == 0.0
+    assert extract(state, inst_2x2, sim.ready_set(state, inst_2x2)).jd == 0.0
 
 
 def test_error_when_all_scheduled(inst_1x1):
     state = sim.reset(inst_1x1)
     sim.step(state, inst_1x1, sim.ready_set(state, inst_1x1)[0])
     with pytest.raises(ValueError):
-        extract(state, inst_1x1)
-
-
-def test_ready_count_agrees_with_ready_set():
-    # extract computes startability itself when no ready list is passed;
-    # it must agree with the simulator's ready_set everywhere
-    rng = random.Random(31)
-    for _ in range(100):
-        inst = random_instance(rng)
-        state = sim.reset(inst)
-        for _ in range(inst.total_operations):
-            ready = sim.ready_set(state, inst)
-            unscheduled = inst.total_operations - state.scheduled_count
-            assert extract(state, inst).ao == pytest.approx(len(ready) / unscheduled)
-            sim.step(state, inst, ready[rng.randrange(len(ready))])
+        extract(state, inst_1x1, [])
 
 
 def test_ranges_and_am_exactness_along_episodes():
@@ -115,8 +103,8 @@ def test_scale_invariance_of_normalized_concepts():
             assert cv_a.jd == pytest.approx(cv_b.jd)
             assert cv_a.st == pytest.approx(cv_b.st)
             # drive both with the same count-based rule to stay in lockstep
-            pick_a = apply(Heuristic.MOR, ready_a, state_a, inst)
-            pick_b = apply(Heuristic.MOR, ready_b, state_b, big)
+            pick_a = apply(Heuristic.MOR, ready_a, inst)
+            pick_b = apply(Heuristic.MOR, ready_b, big)
             assert (pick_a.job, pick_a.op_index) == (pick_b.job, pick_b.op_index)
             sim.step(state_a, inst, pick_a)
             sim.step(state_b, big, pick_b)
@@ -124,15 +112,13 @@ def test_scale_invariance_of_normalized_concepts():
 
 def test_incremental_concepts_match_from_scratch_oracle():
     # the running totals on SimState must give exactly the vector that a
-    # full rescan gives, at every decision of random episodes, whether the
-    # ready set is passed in or counted by extract itself
+    # full rescan gives, at every decision of random episodes
     rng = random.Random(34)
-    for trial in range(300):
+    for _ in range(300):
         inst = random_instance(rng, max_jobs=6, max_machines=5, max_duration=12, square=False)
         state = sim.reset(inst)
         for _ in range(inst.total_operations):
             expected = reference_concepts(state, inst)
             ready = sim.ready_set(state, inst)
-            passed = ready if trial % 2 else None
-            assert extract(state, inst, passed).as_tuple() == expected
+            assert extract(state, inst, ready).as_tuple() == expected
             sim.step(state, inst, ready[rng.randrange(len(ready))])

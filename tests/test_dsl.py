@@ -27,11 +27,12 @@ from prorl.dsl import (
     mutate,
     pretty_print,
     random_program,
+    random_weights,
     serialize,
     set_params,
     token_count,
 )
-from prorl.pdr import HEURISTICS, Heuristic, run_pdr
+from prorl.pdr import HEURISTICS, Heuristic
 
 
 def cv(ld=0.0, am=0.0, ao=0.0, jd=0.0, st=0.0) -> ConceptVector:
@@ -140,6 +141,14 @@ def test_random_program_golden_seeds():
         "    else SPT"
     )
     assert random_program(random.Random(5)) == random_program(random.Random(5))
+
+
+def test_random_weights_match_the_uniform_stream():
+    # the batched draw must leave the random stream exactly as n uniform calls
+    for n in (0, 6, 256 * 42):
+        batched, looped = random.Random(n), random.Random(n)
+        assert random_weights(batched, n) == [looped.uniform(-2.0, 2.0) for _ in range(n)]
+        assert batched.getstate() == looped.getstate()
 
 
 def test_random_program_invariants_and_leaf_coverage():

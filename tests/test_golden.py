@@ -14,7 +14,8 @@ import pytest
 from conftest import INSTANCE_DIR
 from prorl import dsl, search, sim
 from prorl.instance import load_instance_file
-from prorl.pdr import Heuristic, run_pdr
+from prorl.pdr import Heuristic
+from prorl.sim import run_pdr
 
 # (instance, rule) -> (makespan, sha256 of trace_csv, sha256 of schedule_csv)
 PDR_GOLDEN = {

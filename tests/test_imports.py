@@ -1,0 +1,97 @@
+"""Module layering: the runtime imports inside `prorl` form no cycle."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import prorl
+
+PACKAGE_DIR = Path(prorl.__file__).parent
+
+
+def _is_type_checking_block(node: ast.AST) -> bool:
+    return isinstance(node, ast.If) and (
+        (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING")
+        or (isinstance(node.test, ast.Attribute) and node.test.attr == "TYPE_CHECKING")
+    )
+
+
+def _runtime_imports(tree: ast.AST, modules: set[str]) -> set[str]:
+    """Sibling modules a module imports when it runs, function bodies included;
+    imports under `if TYPE_CHECKING:` never run and are left out."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST) -> None:
+        if _is_type_checking_block(node):
+            for child in node.orelse:
+                visit(child)
+            return
+        if isinstance(node, ast.ImportFrom):
+            parts = node.module.split(".") if node.module else []
+            if node.level == 0:  # absolute: only prorl.* counts
+                parts = parts[1:] if parts[:1] == ["prorl"] else None
+            if parts is not None:  # "from .x import y" -> x, "from . import x" -> x
+                found.update(parts[:1] or [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1] for alias in node.names if alias.name.startswith("prorl.")
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found & modules
+
+
+def import_graph() -> dict[str, set[str]]:
+    paths = {p.stem: p for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__"}
+    modules = set(paths)
+    return {
+        name: _runtime_imports(ast.parse(path.read_text(encoding="utf-8")), modules) - {name}
+        for name, path in paths.items()
+    }
+
+
+def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """A cycle as a module path that returns to its start, or None."""
+    state: dict[str, int] = {}  # 1 on the current path, 2 finished
+    path: list[str] = []
+
+    def visit(name: str) -> list[str] | None:
+        state[name] = 1
+        path.append(name)
+        for dep in sorted(graph[name]):
+            if state.get(dep) == 1:
+                return path[path.index(dep):] + [dep]
+            if dep not in state:
+                cycle = visit(dep)
+                if cycle:
+                    return cycle
+        path.pop()
+        state[name] = 2
+        return None
+
+    for name in sorted(graph):
+        if name not in state:
+            cycle = visit(name)
+            if cycle:
+                return cycle
+    return None
+
+
+def test_find_cycle_sees_function_level_back_edges():
+    source = "from .b import x\n"
+    lazy = "def f():\n    from .a import y\n"
+    guarded = "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from .a import y\n"
+    modules = {"a", "b"}
+    a = _runtime_imports(ast.parse(source), modules)
+    assert find_cycle({"a": a, "b": _runtime_imports(ast.parse(lazy), modules)}) == ["a", "b", "a"]
+    assert find_cycle({"a": a, "b": _runtime_imports(ast.parse(guarded), modules)}) is None
+
+
+def test_runtime_import_graph_has_no_cycle():
+    graph = import_graph()
+    assert {"sim", "pdr", "concepts", "dsl"} <= set(graph)
+    cycle = find_cycle(graph)
+    assert cycle is None, f"import cycle: {' -> '.join(cycle)}"

@@ -9,7 +9,8 @@ import pytest
 from conftest import all_nondelay_makespans, random_instance
 from prorl import sim
 from prorl.instance import Instance, Operation, parse_standard
-from prorl.pdr import Heuristic, apply, run_pdr
+from prorl.pdr import Heuristic, apply
+from prorl.sim import run_pdr
 
 
 def ready(inst):
@@ -25,33 +26,29 @@ def test_parse_round_trip_case_insensitive():
 
 
 def test_spt_picks_shorter(inst_2x2):
-    state = sim.reset(inst_2x2)
-    pick = apply(Heuristic.SPT, ready(inst_2x2), state, inst_2x2)
+    pick = apply(Heuristic.SPT, ready(inst_2x2), inst_2x2)
     assert (pick.job, pick.duration) == (1, 2)
 
 
 def test_mwr_picks_heavier_job(inst_2x2):
     # remaining work: J0 = 3 + 2 = 5, J1 = 2 + 4 = 6
-    state = sim.reset(inst_2x2)
-    pick = apply(Heuristic.MWR, ready(inst_2x2), state, inst_2x2)
+    pick = apply(Heuristic.MWR, ready(inst_2x2), inst_2x2)
     assert pick.job == 1
 
 
 def test_mor_tie_breaks_to_lowest_job(inst_2x2):
-    state = sim.reset(inst_2x2)
-    pick = apply(Heuristic.MOR, ready(inst_2x2), state, inst_2x2)
+    pick = apply(Heuristic.MOR, ready(inst_2x2), inst_2x2)
     assert pick.job == 0
 
 
 def test_apply_rejects_empty_ready(inst_2x2):
     with pytest.raises(ValueError):
-        apply(Heuristic.SPT, [], sim.reset(inst_2x2), inst_2x2)
+        apply(Heuristic.SPT, [], inst_2x2)
 
 
 def test_apply_is_pure(inst_2x2):
-    state = sim.reset(inst_2x2)
     r = ready(inst_2x2)
-    picks = {apply(Heuristic.FIFO, r, state, inst_2x2) for _ in range(5)}
+    picks = {apply(Heuristic.FIFO, r, inst_2x2) for _ in range(5)}
     assert len(picks) == 1
 
 
@@ -62,7 +59,7 @@ def test_chosen_always_in_ready_set():
         state = sim.reset(inst)
         r = sim.ready_set(state, inst)
         for rule in Heuristic:
-            assert apply(rule, r, state, inst) in r
+            assert apply(rule, r, inst) in r
 
 
 def test_all_rules_reach_seven_on_2x2(inst_2x2):
@@ -91,7 +88,7 @@ def test_count_rules_invariant_under_duration_scaling(rule):
             seq = []
             state = sim.reset(instance)
             for _ in range(instance.total_operations):
-                pick = apply(rule, sim.ready_set(state, instance), state, instance)
+                pick = apply(rule, sim.ready_set(state, instance), instance)
                 seq.append((pick.job, pick.op_index))
                 sim.step(state, instance, pick)
             return seq
@@ -105,7 +102,7 @@ def test_spt_on_single_machine_sorts_by_duration():
     state = sim.reset(inst)
     order = []
     for _ in range(3):
-        pick = apply(Heuristic.SPT, sim.ready_set(state, inst), state, inst)
+        pick = apply(Heuristic.SPT, sim.ready_set(state, inst), inst)
         order.append(pick.duration)
         sim.step(state, inst, pick)
     assert order == [2, 5, 7]

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import all_nondelay_makespans, random_instance
 from prorl import sim
-from prorl.pdr import Heuristic, rule_policy, run_pdr
+from prorl.pdr import HEURISTICS, Heuristic, apply, random_rule_policy
+from prorl.sim import run_pdr
 
 
 def test_reset(inst_2x2):
@@ -23,7 +24,7 @@ def test_reset(inst_2x2):
 def test_ready_set_initial(inst_2x2):
     ready = sim.ready_set(sim.reset(inst_2x2), inst_2x2)
     assert [(r.job, r.op_index, r.machine) for r in ready] == [(0, 0, 0), (1, 0, 1)]
-    assert all(r.arrival == 0 and r.ready_at == 0 for r in ready)
+    assert all(r.arrival == 0 for r in ready)
 
 
 def test_ready_set_after_one_dispatch(inst_2x2):
@@ -88,6 +89,28 @@ def test_determinism(inst_2x2):
     a = run_pdr(inst_2x2, Heuristic.MOR)
     b = run_pdr(inst_2x2, Heuristic.MOR)
     assert a == b
+
+
+def test_policy_picks_a_rule_and_the_episode_applies_it():
+    # a hand-driven loop applying each rule must give the run_episode schedule
+    rng = random.Random(13)
+    for _ in range(50):
+        inst = random_instance(rng)
+        for rule in HEURISTICS:
+            result = sim.run_episode(inst, lambda cv: rule)
+            assert result == run_pdr(inst, rule)
+            assert {label for _, label in result.decisions} == {rule.value}
+            state = sim.reset(inst)
+            for _ in range(inst.total_operations):
+                sim.step(state, inst, apply(rule, sim.ready_set(state, inst), inst))
+            assert result.start_times == tuple(map(tuple, state.start_times))
+
+
+def test_random_rule_policy_labels_follow_the_seeded_draws(inst_2x2):
+    result = sim.run_episode(inst_2x2, random_rule_policy(random.Random(5)))
+    rng = random.Random(5)
+    expected = [rng.choice(HEURISTICS).value for _ in range(inst_2x2.total_operations)]
+    assert [label for _, label in result.decisions] == expected
 
 
 def test_verify_feasible_on_episode_output(inst_2x2):
