@@ -2,7 +2,9 @@
 
 The hashes were frozen from the from-scratch simulator (every concept and
 the ready set recomputed at each decision). Any rewrite of the simulator,
-the concepts or the rules must reproduce them exactly.
+the concepts or the rules must reproduce them exactly. The budget-1000
+training hashes were frozen from training that simulated every episode in
+full, before it gained its episode cache.
 """
 
 from __future__ import annotations
@@ -42,6 +44,24 @@ TRAIN_GOLDEN = (
     "4eb4060b6b4ae713a0db41c28d234b05e26c1579572aa4f3de3a244f13e33028",
 )
 
+# train(instance, budget=1000, seed=0): sha256 of serialize(program), of
+# training_log_csv and of repr(state.history) (which carries the candidate
+# dims and charges), then episodes_used
+TRAIN_1000_GOLDEN = {
+    "ft10": (
+        "4370ddd6b450e328ea396998039cff8965e1ec1c2c21c04107a2aac366334b3b",
+        "926494dfc99e172e2e35f9d13ffeff00f85df4f153509b52f47ca1cf15df3c25",
+        "aa173db3dab3f6ab5a614148fdd741fe10b16daa57d3ce95f0a42c06f8d39393",
+        1000,
+    ),
+    "ta01": (
+        "e90e2fdb19650b9c184d00df9357cbbc8a6de0ea024d75f9c97a0b2a0aba63a6",
+        "04b3fc86fa602eb3d1e4d8fa71540d8a86c5dee5af324c4581df1c7760ebd76e",
+        "3cf7914214a6366a7e33fe6100eb6d1d717242c33d942b0333e9a9ac114e668b",
+        1000,
+    ),
+}
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -64,3 +84,15 @@ def test_pdr_outputs_match_golden(name):
 def test_training_matches_golden():
     program, state = search.train(_load("ft06"), search.SearchConfig(episode_budget=200, seed=0))
     assert (_sha(dsl.serialize(program)), _sha(search.training_log_csv(state))) == TRAIN_GOLDEN
+
+
+@pytest.mark.parametrize("name", sorted(TRAIN_1000_GOLDEN))
+def test_budget_1000_training_matches_golden(name):
+    program, state = search.train(_load(name), search.SearchConfig(episode_budget=1000, seed=0))
+    got = (
+        _sha(dsl.serialize(program)),
+        _sha(search.training_log_csv(state)),
+        _sha(repr(state.history)),
+        state.episodes_used,
+    )
+    assert got == TRAIN_1000_GOLDEN[name]
