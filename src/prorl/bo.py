@@ -7,6 +7,10 @@ The surrogate is a squared-exponential GP with fixed hyperparameters on
 standardized data: inputs are scaled from the weight box [-2, 2] to
 [-1, 1], targets to zero mean and unit variance. The acquisition argmax is
 approximated by scoring uniform random candidates.
+
+Episodes are evaluated through the training run's `sim.EpisodeTrie`, which
+answers repeated dispatch sequences without simulating them. Each
+evaluation still charges one episode to the meter, cached or not.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ from .dsl import (
     random_weights,
     set_params,
 )
-from .instance import Instance
-from .sim import run_episode
+from .sim import EpisodeTrie
 
 _JITTER_CEILING = 1e-2
 
@@ -219,7 +222,7 @@ def propose(
 
 def optimize_params(
     program: Program,
-    instance: Instance,
+    trie: EpisodeTrie,
     meter: EpisodeMeter,
     rng: random.Random,
     config: BoConfig | None = None,
@@ -237,7 +240,7 @@ def optimize_params(
     dim = WEIGHTS_LEN * if_count(program)
 
     def episode_return(candidate: Program) -> float:
-        return -float(run_episode(instance, make_policy(candidate)).makespan)
+        return -float(trie.makespan(make_policy(candidate)))
 
     if dim == 0:
         if not meter.try_charge():

@@ -206,7 +206,7 @@ def cmd_train(args) -> int:
     started = time.perf_counter()
     program, state = search.train(instance, config)
     elapsed = time.perf_counter() - started
-    makespan = search.evaluate_policy(program, instance)[0]
+    makespan = search.evaluate_policy(program, instance)
     if args.out:
         _write(args.out, dsl.serialize(program))
     if args.log:
@@ -245,7 +245,7 @@ def _bench_single(instance: Instance, method: str, seed: int, budget: int,
         episodes, report_seed = 1, seed
     elif method == "prorl":
         program, state = search.train(instance, _search_config(budget, seed, set_pairs))
-        makespan = float(search.evaluate_policy(program, instance)[0])
+        makespan = float(search.evaluate_policy(program, instance))
         episodes, report_seed = state.episodes_used, seed
     else:
         raise UsageError(f"unknown method {method!r}")

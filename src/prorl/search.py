@@ -14,6 +14,13 @@ on one shared episode meter. A candidate with d tunable weights takes
 min(init_points + iterations, remaining) episodes when d > 0 and one
 episode when d = 0; a candidate reached with the meter empty is skipped
 and charged nothing.
+
+Episode cache: one `sim.EpisodeTrie` serves every evaluation of a `train`
+call and answers the repeated ones (at budget 1000, seeds 0-2: 84-99.5% of
+them on ft06, 74-99.5% on ft10, 76-99.5% on ta01) without simulating. Every
+evaluation is still charged, cached or not, so the cache saves time, never
+budget. `SearchState.distinct_episodes` counts the evaluations that did
+simulate: the distinct episodes, while the trie is below its node cap.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .dsl import (
     token_count,
 )
 from .instance import Instance
-from .sim import run_episode
+from .sim import EpisodeTrie, run_episode
 
 _EXTRA_MUTATIONS_CAP = 5
 
@@ -81,6 +88,8 @@ class SearchState:
     incumbent_return: float | None
     episodes_used: int
     history: list[GenerationRecord] = field(default_factory=list)
+    distinct_episodes: int = 0  # evaluations the episode trie could not answer
+    trie_nodes: int = 0
 
 
 def _derived_rng(seed: int, *scope) -> random.Random:
@@ -117,6 +126,7 @@ def train(instance: Instance, config: SearchConfig) -> tuple[Program, SearchStat
         return incumbent, state
 
     meter = EpisodeMeter(config.episode_budget)
+    trie = EpisodeTrie(instance)
 
     while meter.remaining > 0:
         gen = state.generation + 1
@@ -139,7 +149,7 @@ def train(instance: Instance, config: SearchConfig) -> tuple[Program, SearchStat
             used_before = meter.used
             if meter.remaining > 0:
                 cand_rng = _derived_rng(config.seed, "gen", gen, "cand", idx)
-                program, value = optimize_params(candidate, instance, meter, cand_rng, config.bo)
+                program, value = optimize_params(candidate, trie, meter, cand_rng, config.bo)
                 if best_return is None or value > best_return:
                     best_program, best_return = program, value
             charges.append(meter.used - used_before)
@@ -149,6 +159,8 @@ def train(instance: Instance, config: SearchConfig) -> tuple[Program, SearchStat
         state.incumbent_return = best_return
         state.generation = gen
         state.episodes_used = meter.used
+        state.distinct_episodes = trie.misses
+        state.trie_nodes = trie.nodes
         state.history.append(
             GenerationRecord(
                 generation=gen,
@@ -163,13 +175,9 @@ def train(instance: Instance, config: SearchConfig) -> tuple[Program, SearchStat
     return incumbent, state
 
 
-def evaluate_policy(
-    program: Program, instance: Instance, bks: int | None = None
-) -> tuple[int, float | None]:
-    """One deterministic episode; gap = (makespan - bks) / bks when bks given."""
-    makespan = run_episode(instance, make_policy(program)).makespan
-    gap = (makespan - bks) / bks if bks is not None else None
-    return makespan, gap
+def evaluate_policy(program: Program, instance: Instance) -> int:
+    """The makespan of one deterministic episode under the program."""
+    return run_episode(instance, make_policy(program)).makespan
 
 
 def training_log_csv(state: SearchState) -> str:

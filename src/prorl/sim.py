@@ -19,6 +19,12 @@ machines: one `ready_set` pass, the concept read-out, and one pass in
 A policy only picks a dispatching rule from the concept vector;
 `run_episode` applies that rule to the ready set and records its name in
 the decision trace.
+
+Training asks for makespans only, and most of its episodes repeat an
+earlier dispatch sequence. `EpisodeTrie` caches the decisions of every
+episode it runs and answers a repeat by walking them, re-simulating only
+from the first new decision on; it holds at most `TRIE_MAX_NODES` nodes.
+Both it and `run_episode` simulate through the one loop in `_decisions`.
 """
 
 from __future__ import annotations
@@ -152,17 +158,23 @@ def step(state: SimState, instance: Instance, pick: ReadyOp) -> SimState:
     return state
 
 
-def run_episode(instance: Instance, policy: Policy) -> ScheduleResult:
-    """Run one full episode; the episode return is -makespan (reward at the end)."""
-    state = reset(instance)
-    decisions = []
-    for _ in range(instance.total_operations):
+def _decisions(state: SimState, instance: Instance, policy: Policy):
+    """The simulation loop: drive `state` to the end of its episode under
+    `policy`, yielding (ready, cv, rule, pick) for each decision once `pick`
+    has been stepped."""
+    for _ in range(instance.total_operations - state.scheduled_count):
         ready = ready_set(state, instance)
         cv = extract(state, instance, ready)
         rule = policy(cv)
-        decisions.append((cv, rule.value))
-        step(state, instance, pdr.apply(rule, ready, instance))
+        pick = pdr.apply(rule, ready, instance)
+        step(state, instance, pick)
+        yield ready, cv, rule, pick
 
+
+def run_episode(instance: Instance, policy: Policy) -> ScheduleResult:
+    """Run one full episode; the episode return is -makespan (reward at the end)."""
+    state = reset(instance)
+    decisions = [(cv, rule.value) for _, cv, rule, _ in _decisions(state, instance, policy)]
     # machines run their operations in dispatch order, so the last one ends last
     return ScheduleResult(
         makespan=max(state.machine_free_at),
@@ -174,6 +186,76 @@ def run_episode(instance: Instance, policy: Policy) -> ScheduleResult:
 def run_pdr(instance: Instance, rule: pdr.Heuristic) -> ScheduleResult:
     """One episode under a constant dispatching rule."""
     return run_episode(instance, lambda cv: rule)
+
+
+# Node cap of an EpisodeTrie. A node holds about 1 kB on ft06 and ta01
+# (mostly its ready set and concept vector), so a full trie holds about
+# 50 MB there. A budget-1000 training needs up to 34k nodes on ta01.
+TRIE_MAX_NODES = 50_000
+
+
+class _TrieNode:
+    """A decision point: its ready set and concepts, the op each rule has
+    picked here so far, and the child reached through each picked job (a
+    child is a node, or the makespan when the pick ends the episode)."""
+
+    __slots__ = ("ready", "cv", "picks", "children")
+
+    def __init__(self, ready: list[ReadyOp], cv: ConceptVector, rule: pdr.Heuristic, pick: ReadyOp):
+        self.ready = ready
+        self.cv = cv
+        self.picks = {rule: pick}
+        self.children: dict[int, _TrieNode | int] = {}
+
+
+class EpisodeTrie:
+    """Makespans of policies on one instance, cached as a trie of decisions.
+
+    Episodes are deterministic: the state at a decision is a function of the
+    ops dispatched before it. A policy therefore walks the trie from the
+    root, evaluating only its own rule choices, down to a leaf (a cached
+    makespan) or to the first edge no earlier episode took. There the state
+    is rebuilt by stepping along the known picks from `reset`, and the rest
+    of the episode runs through the same loop as `run_episode`, adding one
+    node per decision. Once the trie holds `TRIE_MAX_NODES` nodes it stops
+    growing, and the rest of each miss is simulated without being stored.
+    """
+
+    def __init__(self, instance: Instance):
+        self.instance = instance
+        self._top: dict[None, _TrieNode] = {}  # the root, under the key None
+        self.nodes = 0
+        self.misses = 0  # evaluations that had to simulate
+
+    def makespan(self, policy: Policy) -> int:
+        """The makespan of `run_episode(instance, policy)`."""
+        instance = self.instance
+        children, key, path = self._top, None, []
+        while (node := children.get(key)) is not None:
+            if node.__class__ is int:
+                return node
+            rule = policy(node.cv)
+            pick = node.picks.get(rule)
+            if pick is None:
+                pick = node.picks[rule] = pdr.apply(rule, node.ready, instance)
+            path.append(pick)
+            children, key = node.children, pick.job
+
+        self.misses += 1
+        state = reset(instance)
+        for pick in path:
+            step(state, instance, pick)
+        for ready, cv, rule, pick in _decisions(state, instance, policy):
+            if children is None or self.nodes >= TRIE_MAX_NODES:
+                children = None
+                continue
+            node = children[key] = _TrieNode(ready, cv, rule, pick)
+            self.nodes += 1
+            children, key = node.children, pick.job
+        makespan = max(state.machine_free_at)
+        if children is not None:
+            children[key] = makespan
+        return makespan
 
 
 def verify_feasible(result: ScheduleResult, instance: Instance) -> bool:

@@ -124,8 +124,7 @@ def test_criterion_3_ft06_training_plateau():
     reached = []
     for seed in (0, 1, 2):
         program, _ = train(inst, SearchConfig(episode_budget=1000, seed=seed))
-        makespan, _ = evaluate_policy(program, inst)
-        reached.append(makespan)
+        reached.append(evaluate_policy(program, inst))
     elapsed = time.perf_counter() - started
     hits = sum(1 for makespan in reached if makespan <= 59)
     ok = hits >= 2 and elapsed < 300
@@ -146,7 +145,7 @@ def test_criterion_4_ft10_beats_best_pdr():
     gaps = []
     for seed in (0, 1, 2):
         program, _ = train(inst, SearchConfig(episode_budget=1000, seed=seed))
-        gaps.append(evaluate_policy(program, inst, bks=bks)[1])
+        gaps.append((evaluate_policy(program, inst) - bks) / bks)
     mean_gap = sum(gaps) / len(gaps)
     elapsed = time.perf_counter() - started
     ok = mean_gap < best_pdr and elapsed < 900
@@ -171,7 +170,7 @@ def test_criterion_5_ta15_budget_trend():
         gaps = []
         for budget in (0, 100, 1000):
             program, _ = train(inst, SearchConfig(episode_budget=budget, seed=seed))
-            gaps.append(evaluate_policy(program, inst, bks=bks)[1])
+            gaps.append((evaluate_policy(program, inst) - bks) / bks)
         monotone = gaps[0] >= gaps[1] >= gaps[2]
         agreeing += monotone
         rows.append(f"seed {seed}: " + "->".join(f"{100 * g:.2f}%" for g in gaps))

@@ -22,6 +22,7 @@ from prorl.bo import (
 from prorl.dsl import Action, Condition, If, Program, get_params, if_count
 from prorl.instance import parse_standard
 from prorl.pdr import Heuristic
+from prorl.sim import EpisodeTrie
 
 
 def dataset_from(pairs) -> BoDataset:
@@ -203,69 +204,72 @@ def inst():
     return parse_standard("2 2\n0 3 1 2\n1 2 0 4", "tiny")
 
 
-def test_optimize_parameter_free_charges_one(inst):
+@pytest.fixture
+def trie(inst):
+    return EpisodeTrie(inst)
+
+
+def test_optimize_parameter_free_charges_one(trie):
     meter = EpisodeMeter(10)
-    program, value = optimize_params(Program(Action(Heuristic.SPT)), inst, meter, random.Random(0))
+    program, value = optimize_params(Program(Action(Heuristic.SPT)), trie, meter, random.Random(0))
     assert meter.used == 1
     assert value == -7.0
     assert program == Program(Action(Heuristic.SPT))
 
 
-def test_optimize_no_bo_rounds_charges_n_init(inst):
+def test_optimize_no_bo_rounds_charges_n_init(trie):
     meter = EpisodeMeter(100)
     config = BoConfig(init_points=10, iterations=0)
-    optimize_params(tunable_program(), inst, meter, random.Random(0), config)
+    optimize_params(tunable_program(), trie, meter, random.Random(0), config)
     assert meter.used == 10
 
 
-def test_optimize_defaults_charge_thirty(inst):
+def test_optimize_defaults_charge_thirty(trie):
     meter = EpisodeMeter(100)
-    optimize_params(tunable_program(), inst, meter, random.Random(0), BoConfig())
+    optimize_params(tunable_program(), trie, meter, random.Random(0), BoConfig())
     assert meter.used == 30
 
 
-def test_optimize_respects_partial_budget(inst):
+def test_optimize_respects_partial_budget(trie):
     meter = EpisodeMeter(7)
-    program, value = optimize_params(tunable_program(), inst, meter, random.Random(0), BoConfig())
+    program, value = optimize_params(tunable_program(), trie, meter, random.Random(0), BoConfig())
     assert meter.used == 7
     assert meter.remaining == 0
     assert value == -7.0
 
 
-def test_optimize_exhausted_budget_raises(inst):
+def test_optimize_exhausted_budget_raises(trie):
     with pytest.raises(BudgetExhaustedError):
-        optimize_params(tunable_program(), inst, EpisodeMeter(0), random.Random(0))
+        optimize_params(tunable_program(), trie, EpisodeMeter(0), random.Random(0))
     with pytest.raises(BudgetExhaustedError):
-        optimize_params(Program(Action(Heuristic.SPT)), inst, EpisodeMeter(0), random.Random(0))
+        optimize_params(Program(Action(Heuristic.SPT)), trie, EpisodeMeter(0), random.Random(0))
 
 
-def test_optimize_returns_observed_value(inst):
+def test_optimize_returns_observed_value(inst, trie):
     # the reported value is achieved by the returned program, not predicted
     from prorl.sim import run_episode
     from prorl.dsl import make_policy
 
     meter = EpisodeMeter(50)
-    program, value = optimize_params(tunable_program(), inst, meter, random.Random(1), BoConfig())
+    program, value = optimize_params(tunable_program(), trie, meter, random.Random(1), BoConfig())
     assert -run_episode(inst, make_policy(program)).makespan == value
     assert if_count(program) == 1 and len(get_params(program)) == 6
 
 
-def test_optimize_best_is_max_of_observations(inst, monkeypatch):
-    # instrument the episode runner: the reported value must equal the best
-    # return actually observed, and one episode must run per charge
-    import prorl.bo as bo_module
-
+def test_optimize_best_is_max_of_observations(trie, monkeypatch):
+    # instrument the trie: the reported value must equal the best return
+    # actually observed, and one evaluation must run per charge
     observed = []
-    real_run = bo_module.run_episode
+    real_makespan = trie.makespan
 
-    def recording_run(instance, policy):
-        result = real_run(instance, policy)
-        observed.append(-float(result.makespan))
-        return result
+    def recording_makespan(policy):
+        makespan = real_makespan(policy)
+        observed.append(-float(makespan))
+        return makespan
 
-    monkeypatch.setattr(bo_module, "run_episode", recording_run)
+    monkeypatch.setattr(trie, "makespan", recording_makespan)
     meter = EpisodeMeter(25)
-    _, value = optimize_params(tunable_program(), inst, meter, random.Random(3), BoConfig())
+    _, value = optimize_params(tunable_program(), trie, meter, random.Random(3), BoConfig())
     assert len(observed) == meter.used == 25
     assert value == max(observed)
     running_best = [max(observed[: i + 1]) for i in range(len(observed))]

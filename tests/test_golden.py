@@ -13,8 +13,9 @@ import hashlib
 
 import pytest
 
-from conftest import INSTANCE_DIR
+from conftest import DATA_DIR, INSTANCE_DIR
 from prorl import dsl, search, sim
+from prorl.cli import main
 from prorl.instance import load_instance_file
 from prorl.pdr import Heuristic
 from prorl.sim import run_pdr
@@ -43,6 +44,7 @@ TRAIN_GOLDEN = (
     "e6248ef177de79a58686bf0c9cb18ecdfaacac550bfe1a9e766154a56db6d100",
     "4eb4060b6b4ae713a0db41c28d234b05e26c1579572aa4f3de3a244f13e33028",
 )
+TRAIN_CSV_GOLDEN = "instance,method,makespan,gap_percent,seed,episodes\nft06,prorl,59,7.27,0,200\n"
 
 # train(instance, budget=1000, seed=0): sha256 of serialize(program), of
 # training_log_csv and of repr(state.history) (which carries the candidate
@@ -84,6 +86,17 @@ def test_pdr_outputs_match_golden(name):
 def test_training_matches_golden():
     program, state = search.train(_load("ft06"), search.SearchConfig(episode_budget=200, seed=0))
     assert (_sha(dsl.serialize(program)), _sha(search.training_log_csv(state))) == TRAIN_GOLDEN
+
+
+def test_train_command_files_match_golden(tmp_path, capsys):
+    out, log, csv = tmp_path / "policy.json", tmp_path / "log.csv", tmp_path / "report.csv"
+    code = main([
+        "train", "--instance", str(INSTANCE_DIR / "ft06.txt"), "--budget", "200", "--seed", "0",
+        "--bks", str(DATA_DIR / "bks.csv"), "--out", str(out), "--log", str(log), "--csv", str(csv),
+    ])
+    assert code == 0
+    assert (_sha(out.read_text()), _sha(log.read_text())) == TRAIN_GOLDEN
+    assert csv.read_text() == TRAIN_CSV_GOLDEN
 
 
 @pytest.mark.parametrize("name", sorted(TRAIN_1000_GOLDEN))

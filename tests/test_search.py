@@ -155,19 +155,23 @@ def test_partial_final_generation(inst):
 
 def test_final_return_matches_reevaluation(inst):
     program, state = train(inst, small_config(30, seed=10))
-    makespan, _ = evaluate_policy(program, inst)
-    assert -makespan == state.incumbent_return
+    assert -evaluate_policy(program, inst) == state.incumbent_return
 
 
 def test_evaluate_policy_gap():
     inst = parse_standard("1 1\n0 110", "gap")
     program, _ = train(inst, small_config(0, seed=0))
-    makespan, gap = evaluate_policy(program, inst, bks=100)
+    makespan = evaluate_policy(program, inst)
     assert makespan == 110
-    assert gap == pytest.approx(0.10)
-    makespan, gap = evaluate_policy(program, inst, bks=110)
-    assert gap == 0.0
-    assert evaluate_policy(program, inst)[1] is None
+    assert (makespan - 100) / 100 == pytest.approx(0.10)
+    assert (makespan - 110) / 110 == 0.0
+
+
+def test_search_state_reports_the_episode_trie(ft06):
+    _, state = train(ft06, SearchConfig(episode_budget=200, seed=0))
+    assert state.episodes_used == 200
+    assert 1 <= state.distinct_episodes <= state.episodes_used
+    assert 1 <= state.trie_nodes <= state.distinct_episodes * ft06.total_operations
 
 
 def test_training_log_csv(inst):
@@ -184,7 +188,7 @@ def test_trivial_class_coverage(inst):
     # equal the best single-rule return exactly
     program, state = train(inst, small_config(10, seed=12))
     assert state.incumbent_return == -7.0
-    assert evaluate_policy(program, inst)[0] == 7
+    assert evaluate_policy(program, inst) == 7
 
 
 def test_config_validation():

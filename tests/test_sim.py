@@ -8,6 +8,7 @@ import pytest
 
 from conftest import all_nondelay_makespans, random_instance
 from prorl import sim
+from prorl.dsl import make_policy, random_program
 from prorl.pdr import HEURISTICS, Heuristic, apply, random_rule_policy
 from prorl.sim import run_pdr
 
@@ -182,3 +183,37 @@ def test_trace_csv_shape(inst_2x2):
     assert lines[0] == "t,ld,am,ao,jd,st,action"
     assert len(lines) == 1 + inst_2x2.total_operations
     assert lines[1].endswith(",SPT")
+
+
+def _trie_queries(rng: random.Random):
+    """Random small instances, each with random program policies queried in
+    shuffled, repeated order; yields (instance, policies, queries)."""
+    for _ in range(60):
+        inst = random_instance(rng, max_jobs=4, max_machines=3, max_duration=9)
+        policies = [make_policy(random_program(rng)) for _ in range(8)]
+        policies += [lambda cv, rule=rule: rule for rule in HEURISTICS]
+        queries = policies * 3
+        rng.shuffle(queries)
+        yield inst, policies, queries
+
+
+def test_trie_makespans_equal_run_episode():
+    for inst, policies, queries in _trie_queries(random.Random(80)):
+        trie = sim.EpisodeTrie(inst)
+        for policy in queries:
+            assert trie.makespan(policy) == sim.run_episode(inst, policy).makespan
+        # a policy already queried is answered from the trie
+        assert 1 <= trie.misses <= len(policies)
+        assert trie.nodes <= trie.misses * inst.total_operations
+
+
+@pytest.mark.parametrize("cap", [0, 1, 5])
+def test_trie_past_its_node_cap_simulates_plainly(monkeypatch, cap):
+    monkeypatch.setattr(sim, "TRIE_MAX_NODES", cap)
+    for inst, _, queries in _trie_queries(random.Random(81)):
+        trie = sim.EpisodeTrie(inst)
+        for policy in queries:
+            assert trie.makespan(policy) == sim.run_episode(inst, policy).makespan
+        assert trie.nodes <= cap
+        if cap == 0:
+            assert trie.misses == len(queries)
