@@ -3,8 +3,10 @@
 The hashes were frozen from the from-scratch simulator (every concept and
 the ready set recomputed at each decision). Any rewrite of the simulator,
 the concepts or the rules must reproduce them exactly. The budget-1000
-training hashes were frozen from training that simulated every episode in
-full, before it gained its episode cache.
+training hashes on ft10 and ta01 were frozen from training that simulated
+every episode in full, before it gained its episode cache; those on ft06,
+seeds 0-3, from training that drew weights with one `rng.random()` call
+each and interpreted programs node by node.
 """
 
 from __future__ import annotations
@@ -99,13 +101,51 @@ def test_train_command_files_match_golden(tmp_path, capsys):
     assert csv.read_text() == TRAIN_CSV_GOLDEN
 
 
-@pytest.mark.parametrize("name", sorted(TRAIN_1000_GOLDEN))
-def test_budget_1000_training_matches_golden(name):
-    program, state = search.train(_load(name), search.SearchConfig(episode_budget=1000, seed=0))
-    got = (
+# train(ft06, budget=1000, seed=s) for the four seeds the bench-ft06 benchmark
+# trains; same fingerprints as TRAIN_1000_GOLDEN
+FT06_TRAIN_1000_GOLDEN = {
+    0: (
+        "e6248ef177de79a58686bf0c9cb18ecdfaacac550bfe1a9e766154a56db6d100",
+        "23999e36a5c61d998f24d62b0902cffe323a84274ef47de0861d1bc479ca4941",
+        "ac3d23f668462a7e92d59ee674ef211bea4955eb8d48cec9fb89d9d742c59f4b",
+        1000,
+    ),
+    1: (
+        "0ef67b84115bf557e55f6deb38daac633da970f0cfc454c672e2d3035bceb96e",
+        "a58e2fce24fa90d1b098c7e2218cb508e8487de7f89b62505becbb375f9c4d81",
+        "1eea9da20c11ae73f54148456184808a8a1ba9e18be20439b6d46635c6b43ca8",
+        1000,
+    ),
+    2: (
+        "f028aba23bd077b3ad2818b857f1749e5c14fc583d077a3e460cfd4688c25ff4",
+        "b66be1c7d820fe4461083ea4e0ffe63a076ee31e5f4e43f4580b75e9f04dfe0f",
+        "bfd97dbbcfe0ce0626315994b3848ac8e1754c341fe42aa84e6d75ed698c6fca",
+        1000,
+    ),
+    3: (
+        "fa66998edaed9a2715afbfb4180648712ffa7338358d60815e74162bffc5327a",
+        "d17c01ac0e90423bdb7f0b2c9aaaf559c9848b9fa5b5accbdedf6dfb9f605f21",
+        "770784193e87cba5f350b3bcd2c70983fcae57f73c3a195411c39a171c56f248",
+        1000,
+    ),
+}
+
+
+def _training_fingerprint(name: str, seed: int):
+    program, state = search.train(_load(name), search.SearchConfig(episode_budget=1000, seed=seed))
+    return (
         _sha(dsl.serialize(program)),
         _sha(search.training_log_csv(state)),
         _sha(repr(state.history)),
         state.episodes_used,
     )
-    assert got == TRAIN_1000_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(TRAIN_1000_GOLDEN))
+def test_budget_1000_training_matches_golden(name):
+    assert _training_fingerprint(name, 0) == TRAIN_1000_GOLDEN[name]
+
+
+@pytest.mark.parametrize("seed", sorted(FT06_TRAIN_1000_GOLDEN))
+def test_ft06_budget_1000_training_matches_golden(seed):
+    assert _training_fingerprint("ft06", seed) == FT06_TRAIN_1000_GOLDEN[seed]
