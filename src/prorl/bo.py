@@ -189,11 +189,6 @@ def posterior_batch(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np
     return mean, std
 
 
-def posterior(model: GpModel, query: tuple[float, ...]) -> tuple[float, float]:
-    mean, std = posterior_batch(model, np.array([query], dtype=float))
-    return float(mean[0]), float(std[0])
-
-
 def propose(
     model: GpModel | None,
     dim: int,
@@ -211,13 +206,13 @@ def propose(
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
     # one row-major draw: row i holds the i-th candidate, as a nested loop would
-    candidates = np.array(random_weights(rng, n_candidates * dim)).reshape(n_candidates, dim)
+    candidates = random_weights(rng, n_candidates * dim).reshape(n_candidates, dim)
     if model is None:
-        return tuple(candidates[0])
+        return tuple(candidates[0].tolist())
     mean, std = posterior_batch(model, candidates)
     scores = mean + beta * std
     best = int(np.argmax(scores))  # ties resolve to the first occurrence
-    return tuple(candidates[best])
+    return tuple(candidates[best].tolist())
 
 
 def optimize_params(
@@ -261,8 +256,11 @@ def optimize_params(
             best_params, best_value = params, value
         return True
 
-    for _ in range(config.init_points):
-        if not evaluate_point(tuple(random_weights(rng, dim))):
+    # one draw for every init point; the rng is not read again once the
+    # meter runs dry, so the points it did not need change nothing
+    init_points = random_weights(rng, config.init_points * dim).reshape(config.init_points, dim)
+    for params in init_points.tolist():
+        if not evaluate_point(tuple(params)):
             break
     if best_params is not None:
         for _ in range(config.iterations):

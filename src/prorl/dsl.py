@@ -1,4 +1,4 @@
-"""Policy programs: representation, interpreter, generation, and mutation.
+"""Policy programs: representation, compiler, generation, and mutation.
 
 A program is a binary tree. Leaves are dispatching-rule actions; internal
 nodes are if/else statements guarded by a linear condition over the five
@@ -7,9 +7,13 @@ state concepts,
     w0 + w1*LD + w2*AM + w3*AO + w4*JD + w5*ST > 0,
 
 routing evaluation to the then-branch on a strictly positive value and to
-the else-branch otherwise. Programs are immutable values; generation and
-mutation take an explicit random source and respect the structural limits
-(depth at most 4, at most 85 tokens) by construction.
+the else-branch otherwise. `make_policy` compiles a program into nested
+closures that route a concept vector; `evaluate_counted` walks the tree
+node by node and is the reference they are tested against.
+
+Programs are immutable values; generation and mutation take an explicit
+random source and respect the structural limits (depth at most 4, at most
+85 tokens) by construction.
 
 Token accounting: an action leaf costs 1 token; an if-node costs 1 for the
 keyword plus 7 for its condition (six weights and the comparison) plus the
@@ -23,6 +27,8 @@ import math
 import random
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .concepts import CONCEPT_NAMES, ConceptVector
 from .pdr import HEURISTICS, Heuristic
@@ -121,7 +127,8 @@ def if_count(program: Program) -> int:
 
 
 def evaluate_counted(program: Program, cv: ConceptVector) -> tuple[Heuristic, int]:
-    """Route the concept vector to a leaf; also count condition evaluations."""
+    """Route the concept vector to a leaf by walking the tree; also count
+    condition evaluations. The reference for the compiled `make_policy`."""
     node = program.root
     conditions = 0
     while isinstance(node, If):
@@ -131,24 +138,47 @@ def evaluate_counted(program: Program, cv: ConceptVector) -> tuple[Heuristic, in
 
 
 def evaluate(program: Program, cv: ConceptVector) -> Heuristic:
-    return evaluate_counted(program, cv)[0]
+    return make_policy(program)(cv)
+
+
+def _compile(node: Node) -> Policy:
+    if isinstance(node, Action):
+        heuristic = node.heuristic
+        return lambda cv: heuristic
+    then_branch, else_branch = _compile(node.then_branch), _compile(node.else_branch)
+    w0, w1, w2, w3, w4, w5 = node.condition.weights
+
+    def route(cv: ConceptVector) -> Heuristic:
+        # the sum of Condition.value, term for term in the same order
+        if w0 + w1 * cv.ld + w2 * cv.am + w3 * cv.ao + w4 * cv.jd + w5 * cv.st > 0.0:
+            return then_branch(cv)
+        return else_branch(cv)
+
+    return route
 
 
 def make_policy(program: Program) -> Policy:
-    """Wrap a program as a simulator policy: route the concepts to a rule."""
-    return lambda cv: evaluate(program, cv)
+    """Compile the program into a simulator policy that routes the concepts
+    to a rule: one closure per node, its weights bound as locals."""
+    return _compile(program.root)
 
 
-def random_weights(rng: random.Random, n: int) -> list[float]:
-    """n uniform draws from the weight box; the same stream as n calls of
-    `rng.uniform(WEIGHT_LOW, WEIGHT_HIGH)`."""
-    r = rng.random
-    span = WEIGHT_HIGH - WEIGHT_LOW
-    return [WEIGHT_LOW + span * r() for _ in range(n)]
+def random_weights(rng: random.Random, n: int) -> np.ndarray:
+    """n uniform draws from the weight box: the same values, and the same end
+    state of `rng`, as n calls of `rng.uniform(WEIGHT_LOW, WEIGHT_HIGH)`.
+
+    `rng.random()` reads two 32-bit twister words a, b and returns
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53. `rng.getrandbits(64 * n)` reads
+    the same 2n words and packs them little-endian, so its 64-bit word i is
+    b << 32 | a for the i-th pair, and the doubles are rebuilt exactly.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u8")
+    mantissa = ((words & 0xFFFFFFFF) >> 5 << 26) | (words >> 38)
+    return WEIGHT_LOW + (WEIGHT_HIGH - WEIGHT_LOW) * (mantissa * 2.0**-53)
 
 
 def _random_condition(rng: random.Random) -> Condition:
-    return Condition(tuple(random_weights(rng, WEIGHTS_LEN)))
+    return Condition(tuple(random_weights(rng, WEIGHTS_LEN).tolist()))
 
 
 def _random_node(rng: random.Random, depth_budget: int, token_budget: int) -> Node:
@@ -218,20 +248,6 @@ def mutate(
         token_budget = max_tokens - (node_tokens(program.root) - node_tokens(target))
         new_node = _random_node(rng, depth_budget, token_budget)
     return Program(_replace(program.root, path, new_node))
-
-
-def get_params(program: Program) -> tuple[float, ...]:
-    """All condition weights flattened in pre-order."""
-    values: list[float] = []
-
-    def walk(node: Node):
-        if isinstance(node, If):
-            values.extend(node.condition.weights)
-            walk(node.then_branch)
-            walk(node.else_branch)
-
-    walk(program.root)
-    return tuple(values)
 
 
 def set_params(program: Program, params: tuple[float, ...]) -> Program:

@@ -1,4 +1,5 @@
-"""Shared fixtures: tiny instances, random-instance generation, brute-force oracles."""
+"""Shared fixtures: tiny instances, random-instance generation, brute-force
+oracles, and one-query helpers over the library."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from prorl.bo import GpModel, posterior_batch
+from prorl.dsl import If, Node, Program
 from prorl.instance import Instance, Operation, parse_standard
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -149,3 +152,23 @@ def reference_concepts(state, instance: Instance) -> tuple[float, float, float, 
     jd = spread(max(job_work), min(job_work)) if len(job_work) > 1 else 0.0
     st = spread(dur_max, dur_min)
     return (ld, am, ao, jd, st)
+
+
+def posterior(model: GpModel, query: tuple[float, ...]) -> tuple[float, float]:
+    """Predictive mean and stddev at one raw query."""
+    mean, std = posterior_batch(model, [query])
+    return float(mean[0]), float(std[0])
+
+
+def get_params(program: Program) -> tuple[float, ...]:
+    """All condition weights flattened in pre-order, the order `set_params` reads."""
+    values: list[float] = []
+
+    def walk(node: Node):
+        if isinstance(node, If):
+            values.extend(node.condition.weights)
+            walk(node.then_branch)
+            walk(node.else_branch)
+
+    walk(program.root)
+    return tuple(values)

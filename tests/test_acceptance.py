@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from conftest import INSTANCE_DIR, random_instance
+from conftest import INSTANCE_DIR, posterior, random_instance
 from prorl import sim
 from prorl.bo import BoConfig
 from prorl.concepts import ConceptVector
@@ -213,7 +213,7 @@ def test_criterion_6b_round_trips_1k():
 
 
 def test_criterion_6c_gp_oracle_equivalence_50():
-    from prorl.bo import fit, posterior
+    from prorl.bo import fit
 
     for xs, ys, queries in oracle_comparison_cases(50, seed=62):
         model = fit(dataset_from(zip(xs, ys)))

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import get_params, posterior
 from prorl.bo import (
     BoConfig,
     BoDataset,
@@ -15,11 +16,10 @@ from prorl.bo import (
     EpisodeMeter,
     fit,
     optimize_params,
-    posterior,
     posterior_batch,
     propose,
 )
-from prorl.dsl import Action, Condition, If, Program, get_params, if_count
+from prorl.dsl import Action, Condition, If, Program, if_count
 from prorl.instance import parse_standard
 from prorl.pdr import Heuristic
 from prorl.sim import EpisodeTrie
@@ -168,8 +168,12 @@ def test_propose_is_ucb_argmax():
         replay = random.Random(11)
         candidates = np.array([[replay.uniform(-2.0, 2.0) for _ in range(2)] for _ in range(64)])
         mean, std = posterior_batch(model, candidates)
-        expected = tuple(candidates[int(np.argmax(mean + beta * std))])
-        assert propose(model, 2, beta, random.Random(11), 64) == expected
+        expected = tuple(candidates[int(np.argmax(mean + beta * std))].tolist())
+        rng = random.Random(11)
+        got = propose(model, 2, beta, rng, 64)
+        assert got == expected
+        assert all(type(w) is float for w in got)
+        assert rng.getstate() == replay.getstate()
         picks.add(expected)
     assert len(picks) > 1  # the exploration weight changes the choice
     # at a training point the band collapses onto the observation
@@ -179,17 +183,26 @@ def test_propose_is_ucb_argmax():
 
 def test_propose_degenerate_cases():
     rng = random.Random(44)
+    state = rng.getstate()
     assert propose(None, 0, 2.0, rng, 256) == ()
+    assert rng.getstate() == state  # nothing to tune, nothing drawn
     model = fit(dataset_from([((0.0,), -1.0)]))
     single = propose(model, 1, 2.0, random.Random(7), 1)
     expected = random.Random(7).uniform(-2.0, 2.0)
     assert single == (expected,)
+    assert type(single[0]) is float
+    # without a model the first candidate row is returned
+    replay = random.Random(7)
+    assert propose(None, 3, 2.0, random.Random(7), 5) == tuple(
+        replay.uniform(-2.0, 2.0) for _ in range(3)
+    )
 
 
 def test_propose_concentrates_near_high_observation():
     model = fit(dataset_from([((-1.0,), 0.0), ((1.0,), 10.0)]))
     for seed in range(5):
         (x,) = propose(model, 1, 0.0, random.Random(seed), 1024)
+        assert type(x) is float
         assert x > 0.5  # posterior mean peaks near the +1 observation
 
 
@@ -254,6 +267,7 @@ def test_optimize_returns_observed_value(inst, trie):
     program, value = optimize_params(tunable_program(), trie, meter, random.Random(1), BoConfig())
     assert -run_episode(inst, make_policy(program)).makespan == value
     assert if_count(program) == 1 and len(get_params(program)) == 6
+    assert all(type(w) is float for w in get_params(program))
 
 
 def test_optimize_best_is_max_of_observations(trie, monkeypatch):

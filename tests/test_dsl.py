@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import all_nondelay_makespans, random_instance
+from conftest import all_nondelay_makespans, get_params, random_instance
 from prorl import sim
 from prorl.concepts import ConceptVector
 from prorl.dsl import (
@@ -21,7 +21,6 @@ from prorl.dsl import (
     deserialize,
     evaluate,
     evaluate_counted,
-    get_params,
     if_count,
     make_policy,
     mutate,
@@ -144,11 +143,66 @@ def test_random_program_golden_seeds():
 
 
 def test_random_weights_match_the_uniform_stream():
-    # the batched draw must leave the random stream exactly as n uniform calls
-    for n in (0, 6, 256 * 42):
+    # the one-call draw gives the values of n uniform calls and leaves the
+    # random stream where they leave it; 312 doubles use the 624 words of one
+    # twister block, so the n cover the block boundaries
+    for n in (0, 1, 311, 312, 313, 624, 256 * 42):
         batched, looped = random.Random(n), random.Random(n)
-        assert random_weights(batched, n) == [looped.uniform(-2.0, 2.0) for _ in range(n)]
+        values = random_weights(batched, n)
+        assert values.shape == (n,)
+        assert values.tolist() == [looped.uniform(-2.0, 2.0) for _ in range(n)]
         assert batched.getstate() == looped.getstate()
+
+
+def test_random_weights_interleave_with_other_draws():
+    batched, looped = random.Random(99), random.Random(99)
+    for n in (1, 311, 2, 313, 0, 624, 5):
+        assert batched.random() == looped.random()
+        assert batched.choice(HEURISTICS) is looped.choice(HEURISTICS)
+        assert random_weights(batched, n).tolist() == [looped.uniform(-2.0, 2.0) for _ in range(n)]
+    assert batched.getstate() == looped.getstate()
+
+
+def _zero_condition_for(point: ConceptVector, rng: random.Random) -> Condition:
+    """Weights whose condition value at `point` is exactly 0.0: every weight
+    and concept is a multiple of 1/8, so each product and partial sum is exact."""
+    while True:
+        slopes = [rng.randint(-16, 16) / 8 for _ in range(5)]
+        bias = -sum(w * x for w, x in zip(slopes, point.as_tuple()))
+        if -2.0 <= bias <= 2.0:
+            return Condition((bias, *slopes))
+
+
+def _route_values(program: Program, point: ConceptVector) -> list[float]:
+    """The condition values met on the way from the root to the leaf."""
+    node, values = program.root, []
+    while isinstance(node, If):
+        values.append(node.condition.value(point))
+        node = node.then_branch if values[-1] > 0.0 else node.else_branch
+    return values
+
+
+def test_compiled_policy_routes_like_the_tree_walk():
+    # make_policy compiles the tree; evaluate_counted walks it node by node
+    rng = random.Random(18)
+    zero_hits = 0
+    for _ in range(400):
+        program = random_program(rng)
+        point = ConceptVector(*(rng.randint(0, 8) / 8 for _ in range(5)))
+        # about half the conditions sit exactly on the boundary at `point`
+        params = []
+        for _ in range(if_count(program)):
+            if rng.random() < 0.5:
+                params.extend(_zero_condition_for(point, rng).weights)
+            else:
+                params.extend(random_weights(rng, 6).tolist())
+        program = set_params(program, tuple(params))
+        policy = make_policy(program)
+        for probe in (point, random_cv(rng), random_cv(rng)):
+            assert policy(probe) is evaluate_counted(program, probe)[0]
+            assert evaluate(program, probe) is evaluate_counted(program, probe)[0]
+        zero_hits += _route_values(program, point).count(0.0)
+    assert zero_hits > 100  # the else-on-zero rule is exercised, not just present
 
 
 def test_random_program_invariants_and_leaf_coverage():

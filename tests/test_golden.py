@@ -15,7 +15,7 @@ import hashlib
 
 import pytest
 
-from conftest import DATA_DIR, INSTANCE_DIR
+from conftest import DATA_DIR, INSTANCE_DIR, get_params
 from prorl import dsl, search, sim
 from prorl.cli import main
 from prorl.instance import load_instance_file
@@ -65,6 +65,11 @@ TRAIN_1000_GOLDEN = {
         1000,
     ),
 }
+
+
+# train(ft10, budget=300, seed=0): sha256 of serialize(program); its learned
+# weights come from the acquisition step
+FT10_TRAIN_300_PROGRAM = "96bbda3fb6c721ff8c4266ac58a805fb739e100376123ff12ae2a214d7a98831"
 
 
 def _sha(text: str) -> str:
@@ -149,3 +154,13 @@ def test_budget_1000_training_matches_golden(name):
 @pytest.mark.parametrize("seed", sorted(FT06_TRAIN_1000_GOLDEN))
 def test_ft06_budget_1000_training_matches_golden(seed):
     assert _training_fingerprint("ft06", seed) == FT06_TRAIN_1000_GOLDEN[seed]
+
+
+def test_trained_weights_are_python_floats():
+    # acquisition picks rows of a numpy candidate matrix; they must reach the
+    # program as Python floats, with the serialized text unchanged
+    program, _ = search.train(_load("ft10"), search.SearchConfig(episode_budget=300, seed=0))
+    weights = get_params(program)
+    assert len(weights) == 18
+    assert all(type(w) is float for w in weights)
+    assert _sha(dsl.serialize(program)) == FT10_TRAIN_300_PROGRAM
