@@ -6,7 +6,9 @@ the concepts or the rules must reproduce them exactly. The budget-1000
 training hashes on ft10 and ta01 were frozen from training that simulated
 every episode in full, before it gained its episode cache; those on ft06,
 seeds 0-3, from training that drew weights with one `rng.random()` call
-each and interpreted programs node by node.
+each and interpreted programs node by node. The episode-cache counts
+(`TRIE_COUNTS_1000`) were frozen from the trie whose nodes all stored a
+concept vector and a pick map, forced decisions included.
 """
 
 from __future__ import annotations
@@ -136,24 +138,41 @@ FT06_TRAIN_1000_GOLDEN = {
 }
 
 
+# train(instance, budget=1000, seed): (state.distinct_episodes, state.trie_nodes),
+# the episodes the trie had to simulate and the decision nodes it kept
+TRIE_COUNTS_1000 = {
+    ("ft06", 0): (161, 2699),
+    ("ft06", 1): (93, 1541),
+    ("ft06", 2): (5, 162),
+    ("ft06", 3): (170, 2699),
+    ("ft10", 0): (262, 15401),
+    ("ta01", 0): (243, 33433),
+}
+
+
 def _training_fingerprint(name: str, seed: int):
     program, state = search.train(_load(name), search.SearchConfig(episode_budget=1000, seed=seed))
-    return (
+    fingerprint = (
         _sha(dsl.serialize(program)),
         _sha(search.training_log_csv(state)),
         _sha(repr(state.history)),
         state.episodes_used,
     )
+    return fingerprint, (state.distinct_episodes, state.trie_nodes)
 
 
 @pytest.mark.parametrize("name", sorted(TRAIN_1000_GOLDEN))
 def test_budget_1000_training_matches_golden(name):
-    assert _training_fingerprint(name, 0) == TRAIN_1000_GOLDEN[name]
+    fingerprint, trie_counts = _training_fingerprint(name, 0)
+    assert fingerprint == TRAIN_1000_GOLDEN[name]
+    assert trie_counts == TRIE_COUNTS_1000[(name, 0)]
 
 
 @pytest.mark.parametrize("seed", sorted(FT06_TRAIN_1000_GOLDEN))
 def test_ft06_budget_1000_training_matches_golden(seed):
-    assert _training_fingerprint("ft06", seed) == FT06_TRAIN_1000_GOLDEN[seed]
+    fingerprint, trie_counts = _training_fingerprint("ft06", seed)
+    assert fingerprint == FT06_TRAIN_1000_GOLDEN[seed]
+    assert trie_counts == TRIE_COUNTS_1000[("ft06", seed)]
 
 
 def test_trained_weights_are_python_floats():
