@@ -34,6 +34,7 @@ from .dsl import (
 from .sim import EpisodeTrie
 
 _JITTER_CEILING = 1e-2
+_KERNEL_BLOCK_ROWS = 64  # candidate rows per block of kernel differences
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -128,8 +129,17 @@ def _scale_inputs(x: np.ndarray) -> np.ndarray:
 
 def _kernel(a: np.ndarray, b: np.ndarray, length_scale: float, signal_var: float) -> np.ndarray:
     # difference form, not the expanded |a|^2 + |b|^2 - 2ab: the matrices here
-    # are tiny and the oracle tests hold the kernel to 1e-8
-    sq = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    # are tiny and the oracle tests hold the kernel to 1e-8. The (rows, n, d)
+    # differences are squared in place and summed over d one block of rows at
+    # a time, so no (len(a), n, d) array is ever held; each output is summed
+    # over its own d values exactly as in one pass
+    sq = np.empty((len(a), len(b)))
+    for start in range(0, len(a), _KERNEL_BLOCK_ROWS):
+        rows = slice(start, start + _KERNEL_BLOCK_ROWS)
+        diff = a[rows, None, :] - b[None, :, :]
+        np.square(diff, out=diff)
+        np.sum(diff, axis=-1, out=sq[rows])
+        del diff
     return signal_var * np.exp(-0.5 * sq / (length_scale**2))
 
 

@@ -30,7 +30,7 @@ if TYPE_CHECKING:
 CONCEPT_NAMES = ("LD", "AM", "AO", "JD", "ST")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConceptVector:
     ld: float
     am: float

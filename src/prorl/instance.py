@@ -208,24 +208,6 @@ def parse_taillard(text: str, name: str = "unnamed") -> Instance:
     return Instance(name, n, m, tuple(jobs))
 
 
-def to_standard(instance: Instance) -> str:
-    """Render an instance in the standard format; inverse of parse_standard."""
-    out = [f"{instance.num_jobs} {instance.num_machines}"]
-    for job in instance.jobs:
-        out.append(" ".join(f"{op.machine} {op.duration}" for op in job))
-    return "\n".join(out) + "\n"
-
-
-def to_taillard(instance: Instance) -> str:
-    """Render an instance in Taillard's format (machines written 1-based)."""
-    out = [f"{instance.num_jobs} {instance.num_machines}"]
-    for job in instance.jobs:
-        out.append(" ".join(str(op.duration) for op in job))
-    for job in instance.jobs:
-        out.append(" ".join(str(op.machine + 1) for op in job))
-    return "\n".join(out) + "\n"
-
-
 def load_bks(text: str) -> BksTable:
     """Parse a CSV of "name,makespan" lines into a BksTable."""
     entries: dict[str, int] = {}

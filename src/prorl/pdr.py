@@ -28,6 +28,10 @@ class Heuristic(enum.Enum):
     MWR = "MWR"
     LOR = "LOR"
 
+    # members are singletons, so identity is equality; object's C-level hash
+    # keeps the trie's per-node pick lookups out of Enum.__hash__
+    __hash__ = object.__hash__
+
     @classmethod
     def parse(cls, text: str) -> "Heuristic":
         try:

@@ -16,15 +16,17 @@ min and max. `reset` seeds them from the instance's cached tables and
 machines: one `ready_set` pass, the concept read-out, and one pass in
 `step` that both looks for a startable operation and finds the next event.
 
-A policy only picks a dispatching rule from the concept vector;
-`run_episode` applies that rule to the ready set and records its name in
-the decision trace.
+A policy only picks a dispatching rule from the concept vector, and is a
+pure function of it; `run_episode` applies that rule to the ready set and
+records its name in the decision trace.
 
 Training asks for makespans only, and most of its episodes repeat an
 earlier dispatch sequence. `EpisodeTrie` caches the decisions of every
 episode it runs and answers a repeat by walking them, re-simulating only
 from the first new decision on; it holds at most `TRIE_MAX_NODES` nodes.
 Both it and `run_episode` simulate through the one loop in `_decisions`.
+A decision with a single ready op is forced: every rule picks that op, so
+the trie neither reads its concepts nor calls the policy there.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ class ScheduleResult:
 
 
 # A policy maps the concepts at a decision to the dispatching rule to apply.
+# It must be a pure function of the concept vector: the episode trie calls it
+# only where it has not yet seen the answer, and not at forced decisions.
 Policy = Callable[[ConceptVector], pdr.Heuristic]
 
 
@@ -158,15 +162,21 @@ def step(state: SimState, instance: Instance, pick: ReadyOp) -> SimState:
     return state
 
 
-def _decisions(state: SimState, instance: Instance, policy: Policy):
+def _decisions(state: SimState, instance: Instance, policy: Policy, trace: bool):
     """The simulation loop: drive `state` to the end of its episode under
     `policy`, yielding (ready, cv, rule, pick) for each decision once `pick`
-    has been stepped."""
+    has been stepped. Without `trace`, a forced decision (one ready op) takes
+    that op without reading the concepts or calling the policy, and yields
+    None for both."""
     for _ in range(instance.total_operations - state.scheduled_count):
         ready = ready_set(state, instance)
-        cv = extract(state, instance, ready)
-        rule = policy(cv)
-        pick = pdr.apply(rule, ready, instance)
+        if trace or len(ready) > 1:
+            cv = extract(state, instance, ready)
+            rule = policy(cv)
+            pick = pdr.apply(rule, ready, instance)
+        else:
+            cv = rule = None
+            pick = ready[0]
         step(state, instance, pick)
         yield ready, cv, rule, pick
 
@@ -174,7 +184,7 @@ def _decisions(state: SimState, instance: Instance, policy: Policy):
 def run_episode(instance: Instance, policy: Policy) -> ScheduleResult:
     """Run one full episode; the episode return is -makespan (reward at the end)."""
     state = reset(instance)
-    decisions = [(cv, rule.value) for _, cv, rule, _ in _decisions(state, instance, policy)]
+    decisions = [(cv, rule.value) for _, cv, rule, _ in _decisions(state, instance, policy, True)]
     # machines run their operations in dispatch order, so the last one ends last
     return ScheduleResult(
         makespan=max(state.machine_free_at),
@@ -188,73 +198,103 @@ def run_pdr(instance: Instance, rule: pdr.Heuristic) -> ScheduleResult:
     return run_episode(instance, lambda cv: rule)
 
 
-# Node cap of an EpisodeTrie. A node holds about 1 kB on ft06 and ta01
-# (mostly its ready set and concept vector), so a full trie holds about
-# 50 MB there. A budget-1000 training needs up to 34k nodes on ta01.
+# Node cap of an EpisodeTrie. tracemalloc puts the trie of a budget-1000
+# training at 410-450 B per node on ft06, ft10 and ta01: about 160 B for a
+# forced decision, about 850 B for one with a choice (ready set, concepts,
+# edges). A full trie thus holds about 22 MB; ta01 needs 33k nodes.
 TRIE_MAX_NODES = 50_000
 
 
-class _TrieNode:
-    """A decision point: its ready set and concepts, the op each rule has
-    picked here so far, and the child reached through each picked job (a
-    child is a node, or the makespan when the pick ends the episode)."""
+class _Branch:
+    """A decision with a choice: its ready set and concepts, and one dict of
+    edges from each rule tried here to the op it picks and from each picked
+    job to the child it leads to (a node, or the makespan when the pick ends
+    the episode). Rules and job numbers never compare equal, and one dict
+    costs half what two do; almost every such node sees one rule and one
+    child."""
 
-    __slots__ = ("ready", "cv", "picks", "children")
+    __slots__ = ("ready", "cv", "edges")
 
     def __init__(self, ready: list[ReadyOp], cv: ConceptVector, rule: pdr.Heuristic, pick: ReadyOp):
         self.ready = ready
         self.cv = cv
-        self.picks = {rule: pick}
-        self.children: dict[int, _TrieNode | int] = {}
+        self.edges: dict = {rule: pick}
+
+    def put(self, job: int, child: _Branch | _Forced | int) -> None:
+        self.edges[job] = child
+
+
+class _Forced:
+    """A decision with one ready op, which every rule picks: that op and the
+    one child it leads to (None until an episode has gone past it)."""
+
+    __slots__ = ("pick", "child")
+
+    def __init__(self, pick: ReadyOp | None):
+        self.pick = pick
+        self.child: _Branch | _Forced | int | None = None
+
+    def put(self, job: int | None, child: _Branch | _Forced | int) -> None:
+        self.child = child
 
 
 class EpisodeTrie:
     """Makespans of policies on one instance, cached as a trie of decisions.
 
     Episodes are deterministic: the state at a decision is a function of the
-    ops dispatched before it. A policy therefore walks the trie from the
-    root, evaluating only its own rule choices, down to a leaf (a cached
-    makespan) or to the first edge no earlier episode took. There the state
-    is rebuilt by stepping along the known picks from `reset`, and the rest
-    of the episode runs through the same loop as `run_episode`, adding one
-    node per decision. Once the trie holds `TRIE_MAX_NODES` nodes it stops
-    growing, and the rest of each miss is simulated without being stored.
+    ops dispatched before it, and a policy is a pure function of the concept
+    vector. A policy therefore walks the trie from the root, evaluating only
+    its own rule choices at decisions with a choice and taking the lone op at
+    forced ones, down to a leaf (a cached makespan) or to the first edge no
+    earlier episode took. There the state is rebuilt by stepping along the
+    known picks from `reset`, and the rest of the episode runs through the
+    same loop as `run_episode`, adding one node per decision. Once the trie
+    holds `TRIE_MAX_NODES` nodes it stops growing, and the rest of each miss
+    is simulated without being stored.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self._top: dict[None, _TrieNode] = {}  # the root, under the key None
+        self._top = _Forced(None)  # its child is the root
         self.nodes = 0
         self.misses = 0  # evaluations that had to simulate
 
     def makespan(self, policy: Policy) -> int:
         """The makespan of `run_episode(instance, policy)`."""
         instance = self.instance
-        children, key, path = self._top, None, []
-        while (node := children.get(key)) is not None:
-            if node.__class__ is int:
+        parent, key, path = self._top, None, []
+        node = parent.child
+        while node is not None:
+            cls = node.__class__
+            if cls is _Forced:
+                pick = node.pick
+                child = node.child
+            elif cls is int:
                 return node
-            rule = policy(node.cv)
-            pick = node.picks.get(rule)
-            if pick is None:
-                pick = node.picks[rule] = pdr.apply(rule, node.ready, instance)
+            else:
+                rule, edges = policy(node.cv), node.edges
+                pick = edges.get(rule)
+                if pick is None:
+                    pick = edges[rule] = pdr.apply(rule, node.ready, instance)
+                child = edges.get(pick.job)
             path.append(pick)
-            children, key = node.children, pick.job
+            parent, key, node = node, pick.job, child
 
         self.misses += 1
         state = reset(instance)
         for pick in path:
             step(state, instance, pick)
-        for ready, cv, rule, pick in _decisions(state, instance, policy):
-            if children is None or self.nodes >= TRIE_MAX_NODES:
-                children = None
+        for ready, cv, rule, pick in _decisions(state, instance, policy, False):
+            if parent is None or self.nodes >= TRIE_MAX_NODES:
+                parent = None
                 continue
-            node = children[key] = _TrieNode(ready, cv, rule, pick)
+            node = _Forced(pick) if cv is None else _Branch(ready, cv, rule, pick)
+            parent.put(key, node)
             self.nodes += 1
-            children, key = node.children, pick.job
+            parent, key = node, pick.job
         makespan = max(state.machine_free_at)
-        if children is not None:
-            children[key] = makespan
+        if parent is not None:
+            parent.put(key, makespan)
         return makespan
 
 

@@ -1,5 +1,6 @@
-"""Shared fixtures: tiny instances, random-instance generation, brute-force
-oracles, and one-query helpers over the library."""
+"""Shared fixtures: tiny instances, random-instance generation, instance
+writers for the parser round trips, brute-force oracles, and one-query
+helpers over the library."""
 
 from __future__ import annotations
 
@@ -50,6 +51,24 @@ def random_instance(rng: random.Random, max_jobs: int = 4, max_machines: int = 4
             machines = machines[: rng.randint(1, m)]
         jobs.append(tuple(Operation(mach, rng.randint(1, max_duration)) for mach in machines))
     return Instance(f"rand{n}x{m}", n, m, tuple(jobs))
+
+
+def to_standard(instance: Instance) -> str:
+    """Render an instance in the standard format; inverse of parse_standard."""
+    out = [f"{instance.num_jobs} {instance.num_machines}"]
+    for job in instance.jobs:
+        out.append(" ".join(f"{op.machine} {op.duration}" for op in job))
+    return "\n".join(out) + "\n"
+
+
+def to_taillard(instance: Instance) -> str:
+    """Render an instance in Taillard's format (machines written 1-based)."""
+    out = [f"{instance.num_jobs} {instance.num_machines}"]
+    for job in instance.jobs:
+        out.append(" ".join(str(op.duration) for op in job))
+    for job in instance.jobs:
+        out.append(" ".join(str(op.machine + 1) for op in job))
+    return "\n".join(out) + "\n"
 
 
 def all_nondelay_makespans(instance: Instance) -> set[int]:

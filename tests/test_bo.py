@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from prorl.bo import (
     BoDataset,
     BudgetExhaustedError,
     EpisodeMeter,
+    _kernel,
     fit,
     optimize_params,
     posterior_batch,
@@ -158,6 +160,40 @@ def test_permutation_symmetry():
         q = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         assert posterior(a, q)[0] == pytest.approx(posterior(b, q)[0], rel=1e-10, abs=1e-10)
         assert posterior(a, q)[1] == pytest.approx(posterior(b, q)[1], rel=1e-10, abs=1e-10)
+
+
+def _uniform_matrix(rng: random.Random, rows: int, cols: int) -> np.ndarray:
+    return np.array([[rng.uniform(-1.0, 1.0) for _ in range(cols)] for _ in range(rows)])
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 256, 300])
+@pytest.mark.parametrize("d", [1, 6, 18, 42])
+@pytest.mark.parametrize("n", [1, 30])
+def test_kernel_blocks_equal_the_one_shot_form(rows, d, n):
+    rng = random.Random(rows * 1000 + d * 10 + n)
+    a, b = _uniform_matrix(rng, rows, d), _uniform_matrix(rng, n, d)
+    length_scale, signal_var = 0.7, 1.3
+    sq = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    one_shot = signal_var * np.exp(-0.5 * sq / (length_scale**2))
+    got = _kernel(a, b, length_scale, signal_var)
+    assert got.shape == (rows, n)
+    assert np.array_equal(got, one_shot)
+
+
+def test_posterior_batch_holds_no_full_difference_array():
+    # the one-shot (256, 30, 42) float64 difference array alone is 2.6 MB
+    rng = random.Random(17)
+    xs = [tuple(rng.uniform(-2.0, 2.0) for _ in range(42)) for _ in range(30)]
+    model = fit(dataset_from([(x, -float(i)) for i, x in enumerate(xs)]))
+    queries = 2.0 * _uniform_matrix(rng, 256, 42)
+    tracemalloc.start()
+    try:
+        mean, std = posterior_batch(model, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mean.shape == std.shape == (256,)
+    assert peak < 1_000_000
 
 
 def test_propose_is_ucb_argmax():

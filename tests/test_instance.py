@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import INSTANCE_DIR, TINY_2X2, random_instance
+from conftest import INSTANCE_DIR, TINY_2X2, random_instance, to_standard, to_taillard
 from prorl.instance import (
     Instance,
     Operation,
@@ -15,8 +15,6 @@ from prorl.instance import (
     load_instance_file,
     parse_standard,
     parse_taillard,
-    to_standard,
-    to_taillard,
 )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -23,6 +24,23 @@ def test_parse_round_trip_case_insensitive():
         assert Heuristic.parse(rule.value) is rule
     with pytest.raises(ValueError):
         Heuristic.parse("xyz")
+
+
+def test_rules_key_dicts_by_identity():
+    # rules hash by identity at C speed; every way of naming a rule must
+    # still find the entry, in a dict that also holds job numbers (the
+    # episode trie's edges)
+    assert Heuristic.__hash__ is object.__hash__
+    table = {rule: index for index, rule in enumerate(Heuristic)}
+    table.update({index: rule for index, rule in enumerate(Heuristic)})
+    assert len(table) == 2 * len(Heuristic)
+    for index, rule in enumerate(Heuristic):
+        for same in (rule, Heuristic(rule.value), Heuristic[rule.name],
+                     Heuristic.parse(rule.value.lower()), pickle.loads(pickle.dumps(rule))):
+            assert same is rule and hash(same) == hash(rule)
+            assert table[same] == index and table.get(same) == index
+        assert table[index] is rule
+    assert len({rule: None for rule in list(Heuristic) * 2}) == len(Heuristic)
 
 
 def test_spt_picks_shorter(inst_2x2):

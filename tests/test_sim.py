@@ -9,6 +9,7 @@ import pytest
 from conftest import all_nondelay_makespans, random_instance
 from prorl import sim
 from prorl.dsl import make_policy, random_program
+from prorl.concepts import extract
 from prorl.pdr import HEURISTICS, Heuristic, apply, random_rule_policy
 from prorl.sim import run_pdr
 
@@ -217,3 +218,38 @@ def test_trie_past_its_node_cap_simulates_plainly(monkeypatch, cap):
         assert trie.nodes <= cap
         if cap == 0:
             assert trie.misses == len(queries)
+
+
+def _choices(inst, policy) -> tuple[int, int]:
+    """Decisions of `run_episode(inst, policy)` with more than one ready op,
+    and those with exactly one."""
+    state, choices = sim.reset(inst), 0
+    for _ in range(inst.total_operations):
+        ready = sim.ready_set(state, inst)
+        choices += len(ready) > 1
+        sim.step(state, inst, apply(policy(extract(state, inst, ready)), ready, inst))
+    return choices, inst.total_operations - choices
+
+
+@pytest.mark.parametrize("cap", [sim.TRIE_MAX_NODES, 0])
+def test_trie_calls_the_policy_once_per_choice(monkeypatch, cap):
+    # a forced decision (one ready op) never reaches the policy, walked or
+    # simulated; every decision with a choice reaches it exactly once
+    monkeypatch.setattr(sim, "TRIE_MAX_NODES", cap)
+    forced_seen = 0
+    for inst, policies, _ in _trie_queries(random.Random(82)):
+        trie = sim.EpisodeTrie(inst)
+        for policy in policies:
+            calls = []
+
+            def counting(cv, policy=policy):
+                calls.append(cv)
+                return policy(cv)
+
+            choices, forced = _choices(inst, policy)
+            forced_seen += forced
+            for _ in range(2):  # the first query may simulate; the repeat walks
+                calls.clear()
+                assert trie.makespan(counting) == sim.run_episode(inst, policy).makespan
+                assert len(calls) == choices
+    assert forced_seen > 0
