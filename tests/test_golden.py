@@ -183,3 +183,22 @@ def test_trained_weights_are_python_floats():
     assert len(weights) == 18
     assert all(type(w) is float for w in weights)
     assert _sha(dsl.serialize(program)) == FT10_TRAIN_300_PROGRAM
+
+
+# sha256 of the CSV that `prorl bench` writes for the bench-ft06 benchmark job:
+# ft06 alone, the five rules plus prorl at seeds 0-3, budget 1000
+BENCH_FT06_CSV = "4fd05e9176872bd75b90c244afa6d5cdd42a4779614243b1b55b3db659d1fd4b"
+
+
+def test_bench_command_csv_matches_golden(tmp_path, capsys):
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    (inst_dir / "ft06.txt").write_text((INSTANCE_DIR / "ft06.txt").read_text())
+    csv = tmp_path / "bench.csv"
+    code = main([
+        "bench", "--dir", str(inst_dir), "--methods", "fifo,spt,mor,mwr,lor,prorl",
+        "--seeds", "0,1,2,3", "--budget", "1000",
+        "--bks", str(DATA_DIR / "bks.csv"), "--csv", str(csv),
+    ])
+    assert code == 0
+    assert _sha(csv.read_text()) == BENCH_FT06_CSV
