@@ -7,6 +7,11 @@ Commands
     eval    evaluate a saved policy file on an instance
     bench   sweep a directory of instances with several methods
 
+`bench` runs each (instance, method, seed) task in a process pool with one
+worker per CPU this process may use, capped at the number of tasks; results
+are reported in task order, so its output matches a run one task at a time.
+Every other command runs in one process.
+
 Exit codes: 0 success, 2 usage error, 3 I/O or parse error, 4 internal error.
 """
 
@@ -15,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import random
 import sys
 import time
@@ -234,6 +240,7 @@ def cmd_eval(args) -> int:
 
 def _bench_single(instance: Instance, method: str, seed: int, budget: int,
                   table: BksTable | None, set_pairs: list[str] | None) -> RunReport:
+    """One bench task; it runs in a pool worker, so it and its arguments must pickle."""
     started = time.perf_counter()
     if method in PDR_METHODS:
         rule = pdr.Heuristic.parse(method)
@@ -275,6 +282,9 @@ def cmd_bench(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0]
     except ValueError:
         raise UsageError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from None
+    for flag, raw, values in (("--methods", args.methods, methods), ("--seeds", args.seeds, seeds)):
+        if len(set(values)) < len(values):  # a repeat reruns identical work
+            raise UsageError(f"{flag} names an entry twice: {raw!r}")
     if "prorl" in methods:  # reject a bad budget or --set before any task runs
         _search_config(args.budget, seeds[0], args.set)
     table = _load_bks_table(args.bks)
@@ -287,14 +297,28 @@ def cmd_bench(args) -> int:
         except Exception as exc:  # reported, then skipped
             failures.append((path.name, str(exc), IO_ERROR))
 
+    tasks = [
+        (instance, method, seed)
+        for instance in instances
+        for method in methods
+        for seed in (seeds if method in ("prorl", "random") else seeds[:1])
+    ]
     reports = []
-    for instance in instances:
-        for method in methods:
-            for seed in seeds if method in ("prorl", "random") else [seeds[0]]:
+    if tasks:  # a pool needs at least one worker
+        from concurrent.futures import ProcessPoolExecutor  # kept out of `import prorl.cli`
+
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        with ProcessPoolExecutor(max_workers=min(cpus, len(tasks))) as pool:
+            futures = [
+                pool.submit(_bench_single, instance, method, seed, args.budget, table, args.set)
+                for instance, method, seed in tasks
+            ]
+            for (instance, method, seed), future in zip(tasks, futures):
                 try:
-                    reports.append(
-                        _bench_single(instance, method, seed, args.budget, table, args.set)
-                    )
+                    reports.append(future.result())
                 except Exception as exc:
                     failures.append((f"{instance.name}/{method}/s{seed}", str(exc), INTERNAL_ERROR))
 

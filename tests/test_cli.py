@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
+
 import pytest
 
 from conftest import INSTANCE_DIR, TINY_2X2
 from prorl import cli, dsl, search
 from prorl.cli import build_parser, main
+from prorl.instance import load_instance_file
 
 FT06 = str(INSTANCE_DIR / "ft06.txt")
 
@@ -147,13 +151,25 @@ def test_negative_budget_is_usage_error(tmp_path, capsys, monkeypatch, tiny_path
     assert work == []  # rejected before any instance is loaded or trained on
 
 
-def test_train_ignores_prorl_workers(monkeypatch, capsys, tiny_path):
+def test_train_ignores_prorl_workers(tmp_path, monkeypatch, capsys, tiny_path):
     monkeypatch.setenv("PRORL_WORKERS", "abc")
     code = main([
         "train", "--instance", tiny_path, "--budget", "4",
         "--set", "search.lambda=2", "--set", "bo.init_points=2",
     ])
     assert code == 0
+    # bench sizes its pool from the CPUs alone, so the variable changes nothing
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    (inst_dir / "tiny.txt").write_text(TINY_2X2 + "\n")
+    argv = [
+        "bench", "--dir", str(inst_dir), "--methods", "spt,prorl", "--seeds", "0,1",
+        "--budget", "4", "--set", "search.lambda=2", "--set", "bo.init_points=2",
+    ]
+    assert main(argv + ["--csv", str(tmp_path / "with.csv")]) == 0
+    monkeypatch.delenv("PRORL_WORKERS")
+    assert main(argv + ["--csv", str(tmp_path / "without.csv")]) == 0
+    assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch, tiny_path):
@@ -239,6 +255,10 @@ def test_bench_deterministic_csv(tmp_path, capsys):
     ("--seeds", "a"),
     ("--seeds", "0,,1"),
     ("--methods", ","),
+    ("--seeds", "0,0"),
+    ("--seeds", "1,01"),
+    ("--methods", "spt,SPT"),
+    ("--methods", "random,prorl,random"),
 ])
 def test_bench_bad_seeds_or_methods_is_usage_error(tmp_path, capsys, monkeypatch, flag, value):
     inst_dir = tmp_path / "instances"
@@ -267,3 +287,62 @@ def test_bench_skips_bad_instance_nonzero_exit(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "FAILED broken" in captured.err
     assert "tiny" in captured.out  # good instance still ran
+
+
+_real_bench_single = cli._bench_single
+
+
+def _bench_single_failing_prorl_s1(instance, method, seed, *rest):
+    # module-level, so a pool worker can unpickle it by name
+    if (method, seed) == ("prorl", 1):
+        raise RuntimeError(f"task raised in process {os.getpid()}")
+    return _real_bench_single(instance, method, seed, *rest)
+
+
+def test_bench_pool_matches_in_process_tasks(tmp_path, capsys, monkeypatch, bks_path):
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    (inst_dir / "tiny.txt").write_text(TINY_2X2 + "\n")
+    sets = ["search.lambda=2", "bo.init_points=2", "bo.iterations=1", "bo.candidates=16"]
+    argv = [
+        "bench", "--dir", str(inst_dir), "--methods", "fifo,spt,random,prorl",
+        "--seeds", "0,1", "--budget", "6", "--bks", bks_path,
+    ] + [arg for pair in sets for arg in ("--set", pair)]
+    tasks = [("fifo", 0), ("spt", 0), ("random", 0), ("random", 1), ("prorl", 0), ("prorl", 1)]
+    instance = load_instance_file(str(inst_dir / "tiny.txt"), "standard")
+    table = cli._load_bks_table(bks_path)
+    reports = [_real_bench_single(instance, method, seed, 6, table, sets) for method, seed in tasks]
+    expected = [report.csv_row() for report in reports]
+
+    def untimed(row: str) -> list[str]:
+        return row.split()[:5] + row.split()[6:]  # the time column varies
+
+    csv = tmp_path / "bench.csv"
+    capsys.readouterr()
+    assert main(argv + ["--csv", str(csv)]) == 0
+    assert csv.read_text().splitlines() == [cli.RunReport.CSV_HEADER] + expected
+    rows = capsys.readouterr().out.splitlines()[1:len(tasks) + 1]
+    assert [untimed(r) for r in rows] == [untimed(r.table_row()) for r in reports]
+
+    # one task raises in its worker: it is reported, every other row still prints in order
+    monkeypatch.setattr(cli, "_bench_single", _bench_single_failing_prorl_s1)
+    assert main(argv + ["--csv", str(csv)]) == 4
+    captured = capsys.readouterr()
+    failed = [line for line in captured.err.splitlines() if line.startswith("FAILED")]
+    assert len(failed) == 1 and failed[0].startswith("FAILED tiny/prorl/s1: task raised in process ")
+    assert int(failed[0].rsplit(" ", 1)[1]) != os.getpid()
+    assert csv.read_text().splitlines() == [cli.RunReport.CSV_HEADER] + expected[:-1]
+    rows = captured.out.splitlines()[1:len(tasks)]
+    assert [untimed(r) for r in rows] == [untimed(r.table_row()) for r in reports[:-1]]
+    assert captured.out.splitlines()[len(tasks)] == ""  # then the summary table
+
+
+def test_bench_with_nothing_to_run_starts_no_pool(tmp_path, capsys, monkeypatch):
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    (inst_dir / "broken.txt").write_text("2 2\n0 x\n")
+    pools = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *a, **k: pools.append(k))
+    assert main(["bench", "--dir", str(inst_dir), "--methods", "spt,prorl"]) == 3
+    assert "FAILED broken.txt" in capsys.readouterr().err
+    assert pools == []
