@@ -105,7 +105,7 @@ def test_cli_import_leaves_numpy_random_unloaded():
     # weights are drawn from `random.Random`; loading numpy.random would
     # only raise peak memory after this import from 28.9 to 34.5 MB. The
     # bench process pool is imported when a sweep starts: at import time it
-    # would add about 20 ms to every command's start-up.
+    # would add 25-35 ms to every command's start-up.
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     modules = ("numpy", "numpy.random", "multiprocessing", "concurrent.futures")
     code = f"import sys, prorl.cli; print(*(m in sys.modules for m in {modules!r}))"
