@@ -2,7 +2,7 @@
 
 from .instance import BksTable, Instance, Operation, ParseError, load_bks, parse_standard, parse_taillard
 from .pdr import Heuristic
-from .dsl import Program, deserialize, evaluate, pretty_print, serialize
+from .dsl import Program, deserialize, make_policy, pretty_print, serialize
 from .search import SearchConfig, train
 
 __all__ = [
@@ -14,8 +14,8 @@ __all__ = [
     "Program",
     "SearchConfig",
     "deserialize",
-    "evaluate",
     "load_bks",
+    "make_policy",
     "parse_standard",
     "parse_taillard",
     "pretty_print",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,29 +81,6 @@ class BoConfig:
 
 
 @dataclass
-class BoDataset:
-    """Observed (parameter vector, episode return) pairs."""
-
-    points: list[tuple[tuple[float, ...], float]] = field(default_factory=list)
-
-    def add(self, params: tuple[float, ...], value: float) -> None:
-        if not math.isfinite(value):
-            raise ValueError("episode return must be finite")
-        if self.points and len(params) != len(self.points[0][0]):
-            raise ValueError("inconsistent parameter dimension")
-        self.points.append((params, value))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def xs(self) -> np.ndarray:
-        return np.array([p for p, _ in self.points], dtype=float)
-
-    def ys(self) -> np.ndarray:
-        return np.array([v for _, v in self.points], dtype=float)
-
-
-@dataclass
 class GpModel:
     """Fitted GP state: standardized training data plus a cached factorization."""
 
@@ -143,14 +120,13 @@ def _kernel(a: np.ndarray, b: np.ndarray, length_scale: float, signal_var: float
     return signal_var * np.exp(-0.5 * sq / (length_scale**2))
 
 
-def fit(dataset: BoDataset, config: BoConfig | None = None) -> GpModel:
-    """Fit the surrogate; jitter escalates tenfold on factorization failure."""
-    if config is None:
-        config = BoConfig()
-    if len(dataset) == 0:
+def fit(points: list[tuple[tuple[float, ...], float]], config: BoConfig) -> GpModel:
+    """Fit the surrogate to observed (parameter vector, episode return)
+    pairs; jitter escalates tenfold on factorization failure."""
+    if not points:
         raise ValueError("cannot fit a GP on an empty dataset")
-    x_raw = dataset.xs()
-    y_raw = dataset.ys()
+    x_raw = np.array([params for params, _ in points], dtype=float)
+    y_raw = np.array([value for _, value in points], dtype=float)
     if not (np.all(np.isfinite(x_raw)) and np.all(np.isfinite(y_raw))):
         raise ValueError("non-finite training data")
 
@@ -199,26 +175,13 @@ def posterior_batch(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np
     return mean, std
 
 
-def propose(
-    model: GpModel | None,
-    dim: int,
-    beta: float,
-    rng: random.Random,
-    n_candidates: int,
-) -> tuple[float, ...]:
-    """Acquisition argmax over uniform candidates in the weight box.
-
-    A zero-dimensional program has nothing to tune: the empty vector is
-    returned without consulting the surrogate.
-    """
-    if dim == 0:
-        return ()
+def propose(model: GpModel, beta: float, rng: random.Random, n_candidates: int) -> tuple[float, ...]:
+    """Acquisition argmax over uniform candidates in the weight box."""
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
+    dim = model.dim
     # one row-major draw: row i holds the i-th candidate, as a nested loop would
     candidates = random_weights(rng, n_candidates * dim).reshape(n_candidates, dim)
-    if model is None:
-        return tuple(candidates[0].tolist())
     mean, std = posterior_batch(model, candidates)
     scores = mean + beta * std
     best = int(np.argmax(scores))  # ties resolve to the first occurrence
@@ -230,57 +193,43 @@ def optimize_params(
     trie: EpisodeTrie,
     meter: EpisodeMeter,
     rng: random.Random,
-    config: BoConfig | None = None,
+    config: BoConfig,
 ) -> tuple[Program, float]:
     """Tune the program's condition weights within the episode budget.
 
     Evaluates `init_points` uniform parameter vectors, then runs up to
     `iterations` rounds of fit / propose / evaluate. Every evaluation costs
     one metered episode; the loop stops early when the meter runs dry. The
-    best observed pair is returned, never a surrogate prediction.
-    Parameter-free programs are evaluated once.
+    best observed pair is returned, never a surrogate prediction; on a tie
+    the first pair to reach the best return wins. Parameter-free programs
+    are evaluated once.
     """
-    if config is None:
-        config = BoConfig()
-    dim = WEIGHTS_LEN * if_count(program)
+    if meter.remaining <= 0:
+        raise BudgetExhaustedError("episode budget exhausted before evaluation")
 
     def episode_return(candidate: Program) -> float:
+        meter.try_charge()  # every caller has checked that the meter can pay
         return -float(trie.makespan(make_policy(candidate)))
 
+    dim = WEIGHTS_LEN * if_count(program)
     if dim == 0:
-        if not meter.try_charge():
-            raise BudgetExhaustedError("episode budget exhausted before evaluation")
         return program, episode_return(program)
 
-    dataset = BoDataset()
-    best_params: tuple[float, ...] | None = None
-    best_value = -math.inf
+    points: list[tuple[tuple[float, ...], float]] = []
 
-    def evaluate_point(params: tuple[float, ...]) -> bool:
-        nonlocal best_params, best_value
-        if not meter.try_charge():
-            return False
-        value = episode_return(set_params(program, params))
-        dataset.add(params, value)
-        if value > best_value:
-            best_params, best_value = params, value
-        return True
+    def evaluate_point(params: tuple[float, ...]) -> None:
+        points.append((params, episode_return(set_params(program, params))))
 
-    # one draw for every init point; the rng is not read again once the
-    # meter runs dry, so the points it did not need change nothing
-    init_points = random_weights(rng, config.init_points * dim).reshape(config.init_points, dim)
-    for params in init_points.tolist():
-        if not evaluate_point(tuple(params)):
+    # one draw for the init points the meter can pay for: the first k rows
+    # of a larger draw equal a k-row draw, and the rng is not read again
+    # once the meter runs dry, so the rows left out change nothing
+    n_init = min(config.init_points, meter.remaining)
+    for params in random_weights(rng, n_init * dim).reshape(n_init, dim).tolist():
+        evaluate_point(tuple(params))
+    for _ in range(config.iterations):
+        if meter.remaining <= 0:
             break
-    if best_params is not None:
-        for _ in range(config.iterations):
-            if meter.remaining <= 0:
-                break
-            model = fit(dataset, config)
-            params = propose(model, dim, config.beta, rng, config.candidates)
-            if not evaluate_point(params):
-                break
+        evaluate_point(propose(fit(points, config), config.beta, rng, config.candidates))
 
-    if best_params is None:
-        raise BudgetExhaustedError("episode budget exhausted before evaluation")
+    best_params, best_value = max(points, key=lambda point: point[1])
     return set_params(program, best_params), best_value

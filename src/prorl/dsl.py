@@ -137,10 +137,6 @@ def evaluate_counted(program: Program, cv: ConceptVector) -> tuple[Heuristic, in
     return node.heuristic, conditions
 
 
-def evaluate(program: Program, cv: ConceptVector) -> Heuristic:
-    return make_policy(program)(cv)
-
-
 def _compile(node: Node) -> Policy:
     if isinstance(node, Action):
         heuristic = node.heuristic

@@ -216,7 +216,7 @@ def test_criterion_6c_gp_oracle_equivalence_50():
     from prorl.bo import fit
 
     for xs, ys, queries in oracle_comparison_cases(50, seed=62):
-        model = fit(dataset_from(zip(xs, ys)))
+        model = fit(dataset_from(zip(xs, ys)), BoConfig())
         for q in queries:
             mean, std = posterior(model, q)
             oracle_mean, oracle_std = dense_oracle(xs, ys, q)

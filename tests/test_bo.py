@@ -12,7 +12,6 @@ import pytest
 from conftest import get_params, posterior
 from prorl.bo import (
     BoConfig,
-    BoDataset,
     BudgetExhaustedError,
     EpisodeMeter,
     _kernel,
@@ -27,11 +26,8 @@ from prorl.pdr import Heuristic
 from prorl.sim import EpisodeTrie
 
 
-def dataset_from(pairs) -> BoDataset:
-    ds = BoDataset()
-    for x, y in pairs:
-        ds.add(tuple(x), float(y))
-    return ds
+def dataset_from(pairs) -> list[tuple[tuple[float, ...], float]]:
+    return [(tuple(x), float(y)) for x, y in pairs]
 
 
 def dense_oracle(xs, ys, query, length_scale=1.0, signal_var=1.0, jitter=1e-6):
@@ -59,7 +55,7 @@ def dense_oracle(xs, ys, query, length_scale=1.0, signal_var=1.0, jitter=1e-6):
 
 
 def test_fit_single_point_interpolates():
-    model = fit(dataset_from([((0.0, 0.0), -100.0)]))
+    model = fit(dataset_from([((0.0, 0.0), -100.0)]), BoConfig())
     mean, std = posterior(model, (0.0, 0.0))
     assert mean == pytest.approx(-100.0, abs=1e-6)
     assert std <= 1e-2
@@ -67,13 +63,13 @@ def test_fit_single_point_interpolates():
 
 def test_fit_empty_dataset_rejected():
     with pytest.raises(ValueError, match="empty"):
-        fit(BoDataset())
+        fit([], BoConfig())
 
 
 def test_duplicate_inputs_different_targets():
     # the jitter makes the Gram system solvable; the posterior mean at the
     # duplicated input lands between the two observations
-    model = fit(dataset_from([((1.0,), 0.0), ((1.0,), 10.0)]))
+    model = fit(dataset_from([((1.0,), 0.0), ((1.0,), 10.0)]), BoConfig())
     mean, _ = posterior(model, (1.0,))
     assert 0.0 < mean < 10.0
     assert mean == pytest.approx(5.0, abs=1e-3)  # symmetric closed form
@@ -82,7 +78,7 @@ def test_duplicate_inputs_different_targets():
 def test_two_point_closed_form_oracle():
     # dataset {(0,0),(1,1)}, query 0.5: frozen values from the 2x2 solve
     # computed with the dense oracle before the model implementation ran
-    mean, std = posterior(fit(dataset_from([((0.0,), 0.0), ((1.0,), 1.0)])), (0.5,))
+    mean, std = posterior(fit(dataset_from([((0.0,), 0.0), ((1.0,), 1.0)]), BoConfig()), (0.5,))
     oracle_mean, oracle_std = dense_oracle([(0.0,), (1.0,)], [0.0, 1.0], (0.5,))
     assert oracle_mean == pytest.approx(0.5, abs=1e-12)
     assert oracle_std == pytest.approx(0.02208212682648543, abs=1e-12)
@@ -115,7 +111,7 @@ def oracle_comparison_cases(count: int, seed: int = 41):
 
 def test_posterior_matches_dense_oracle_bulk():
     for xs, ys, queries in oracle_comparison_cases(50):
-        model = fit(dataset_from(zip(xs, ys)))
+        model = fit(dataset_from(zip(xs, ys)), BoConfig())
         for q in queries:
             mean, std = posterior(model, q)
             oracle_mean, oracle_std = dense_oracle(xs, ys, q)
@@ -134,7 +130,7 @@ def test_posterior_interpolation_and_variance_reduction():
             n = rng.randint(2, 30)
             xs = [tuple(rng.uniform(-2, 2) for _ in range(dim)) for _ in range(n)]
             ys = [rng.uniform(-2400.0, -1600.0) for _ in range(n)]
-            model = fit(dataset_from(zip(xs, ys)))
+            model = fit(dataset_from(zip(xs, ys)), BoConfig())
             prior_std = math.sqrt(model.signal_var) * model.y_std
             for x, y in zip(xs, ys):
                 mean, std = posterior(model, x)
@@ -144,7 +140,7 @@ def test_posterior_interpolation_and_variance_reduction():
 
 def test_far_query_recovers_prior():
     ys = [-120.0, -80.0]
-    model = fit(dataset_from([((0.0,), ys[0]), ((1.0,), ys[1])]))
+    model = fit(dataset_from([((0.0,), ys[0]), ((1.0,), ys[1])]), BoConfig())
     mean, std = posterior(model, (50.0,))  # 25 length-scales away, scaled
     assert mean == pytest.approx(sum(ys) / 2, abs=1e-6)
     assert std == pytest.approx(math.sqrt(model.signal_var) * model.y_std, rel=1e-6)
@@ -155,7 +151,7 @@ def test_permutation_symmetry():
     pairs = [((rng.uniform(-2, 2), rng.uniform(-2, 2)), rng.uniform(-50, 0)) for _ in range(8)]
     shuffled = list(pairs)
     rng.shuffle(shuffled)
-    a, b = fit(dataset_from(pairs)), fit(dataset_from(shuffled))
+    a, b = fit(dataset_from(pairs), BoConfig()), fit(dataset_from(shuffled), BoConfig())
     for _ in range(10):
         q = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         assert posterior(a, q)[0] == pytest.approx(posterior(b, q)[0], rel=1e-10, abs=1e-10)
@@ -184,7 +180,7 @@ def test_posterior_batch_holds_no_full_difference_array():
     # the one-shot (256, 30, 42) float64 difference array alone is 2.6 MB
     rng = random.Random(17)
     xs = [tuple(rng.uniform(-2.0, 2.0) for _ in range(42)) for _ in range(30)]
-    model = fit(dataset_from([(x, -float(i)) for i, x in enumerate(xs)]))
+    model = fit(dataset_from([(x, -float(i)) for i, x in enumerate(xs)]), BoConfig())
     queries = 2.0 * _uniform_matrix(rng, 256, 42)
     tracemalloc.start()
     try:
@@ -197,7 +193,7 @@ def test_posterior_batch_holds_no_full_difference_array():
 
 
 def test_propose_is_ucb_argmax():
-    model = fit(dataset_from([((0.0, 0.0), 0.0), ((1.0, -1.0), 1.0), ((-1.5, 0.5), -2.0)]))
+    model = fit(dataset_from([((0.0, 0.0), 0.0), ((1.0, -1.0), 1.0), ((-1.5, 0.5), -2.0)]), BoConfig())
     picks = set()
     for beta in (0.0, 1.0, 5.0):
         # replay the candidate draws from the same seed and score them by UCB
@@ -206,38 +202,29 @@ def test_propose_is_ucb_argmax():
         mean, std = posterior_batch(model, candidates)
         expected = tuple(candidates[int(np.argmax(mean + beta * std))].tolist())
         rng = random.Random(11)
-        got = propose(model, 2, beta, rng, 64)
+        got = propose(model, beta, rng, 64)
         assert got == expected
         assert all(type(w) is float for w in got)
         assert rng.getstate() == replay.getstate()
         picks.add(expected)
     assert len(picks) > 1  # the exploration weight changes the choice
     # at a training point the band collapses onto the observation
-    mean, std = posterior(fit(dataset_from([((0.0,), 0.0), ((1.0,), 1.0)])), (1.0,))
+    mean, std = posterior(fit(dataset_from([((0.0,), 0.0), ((1.0,), 1.0)]), BoConfig()), (1.0,))
     assert mean + 5.0 * std == pytest.approx(1.0, abs=1e-2)
 
 
 def test_propose_degenerate_cases():
-    rng = random.Random(44)
-    state = rng.getstate()
-    assert propose(None, 0, 2.0, rng, 256) == ()
-    assert rng.getstate() == state  # nothing to tune, nothing drawn
-    model = fit(dataset_from([((0.0,), -1.0)]))
-    single = propose(model, 1, 2.0, random.Random(7), 1)
+    model = fit(dataset_from([((0.0,), -1.0)]), BoConfig())
+    single = propose(model, 2.0, random.Random(7), 1)
     expected = random.Random(7).uniform(-2.0, 2.0)
     assert single == (expected,)
     assert type(single[0]) is float
-    # without a model the first candidate row is returned
-    replay = random.Random(7)
-    assert propose(None, 3, 2.0, random.Random(7), 5) == tuple(
-        replay.uniform(-2.0, 2.0) for _ in range(3)
-    )
 
 
 def test_propose_concentrates_near_high_observation():
-    model = fit(dataset_from([((-1.0,), 0.0), ((1.0,), 10.0)]))
+    model = fit(dataset_from([((-1.0,), 0.0), ((1.0,), 10.0)]), BoConfig())
     for seed in range(5):
-        (x,) = propose(model, 1, 0.0, random.Random(seed), 1024)
+        (x,) = propose(model, 0.0, random.Random(seed), 1024)
         assert type(x) is float
         assert x > 0.5  # posterior mean peaks near the +1 observation
 
@@ -260,7 +247,7 @@ def trie(inst):
 
 def test_optimize_parameter_free_charges_one(trie):
     meter = EpisodeMeter(10)
-    program, value = optimize_params(Program(Action(Heuristic.SPT)), trie, meter, random.Random(0))
+    program, value = optimize_params(Program(Action(Heuristic.SPT)), trie, meter, random.Random(0), BoConfig())
     assert meter.used == 1
     assert value == -7.0
     assert program == Program(Action(Heuristic.SPT))
@@ -289,9 +276,9 @@ def test_optimize_respects_partial_budget(trie):
 
 def test_optimize_exhausted_budget_raises(trie):
     with pytest.raises(BudgetExhaustedError):
-        optimize_params(tunable_program(), trie, EpisodeMeter(0), random.Random(0))
+        optimize_params(tunable_program(), trie, EpisodeMeter(0), random.Random(0), BoConfig())
     with pytest.raises(BudgetExhaustedError):
-        optimize_params(Program(Action(Heuristic.SPT)), trie, EpisodeMeter(0), random.Random(0))
+        optimize_params(Program(Action(Heuristic.SPT)), trie, EpisodeMeter(0), random.Random(0), BoConfig())
 
 
 def test_optimize_returns_observed_value(inst, trie):
@@ -324,6 +311,18 @@ def test_optimize_best_is_max_of_observations(trie, monkeypatch):
     assert value == max(observed)
     running_best = [max(observed[: i + 1]) for i in range(len(observed))]
     assert running_best == sorted(running_best)
+
+
+def test_optimize_tie_returns_first_init_point(trie, monkeypatch):
+    # every episode returns the same makespan, so all pairs tie: the first
+    # pair to reach the best return, the first init point, must win
+    monkeypatch.setattr(trie, "makespan", lambda policy: 9)
+    meter = EpisodeMeter(30)
+    program, value = optimize_params(tunable_program(), trie, meter, random.Random(5), BoConfig())
+    assert meter.used == 30
+    assert value == -9.0
+    replay = random.Random(5)
+    assert get_params(program) == tuple(replay.uniform(-2.0, 2.0) for _ in range(6))
 
 
 def test_meter_charges_down_to_zero():

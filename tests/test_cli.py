@@ -8,7 +8,7 @@ import os
 import pytest
 
 from conftest import INSTANCE_DIR, TINY_2X2
-from prorl import cli, dsl, search
+from prorl import bo, cli, dsl, search
 from prorl.cli import build_parser, main
 from prorl.instance import load_instance_file
 
@@ -149,6 +149,26 @@ def test_negative_budget_is_usage_error(tmp_path, capsys, monkeypatch, tiny_path
     assert main(argv + ["--budget", "-1"]) == 2
     assert "--budget must be >= 0" in capsys.readouterr().err
     assert work == []  # rejected before any instance is loaded or trained on
+
+
+def test_train_draws_no_more_init_points_than_the_budget(tmp_path, capsys, monkeypatch):
+    # the guard fails before anything is allocated, so a draw sized to
+    # init_points rather than to the episodes left fails safely
+    real = bo.random_weights
+
+    def guarded(rng, n):
+        if n > 10**6:
+            raise AssertionError(f"asked for {n} weights")
+        return real(rng, n)
+
+    monkeypatch.setattr(bo, "random_weights", guarded)
+    csv = tmp_path / "row.csv"
+    code = main([
+        "train", "--instance", FT06, "--budget", "5",
+        "--set", "bo.init_points=1000000000000", "--csv", str(csv),
+    ])
+    assert code == 0
+    assert csv.read_text().splitlines()[1].split(",")[-1] == "5"
 
 
 def test_train_ignores_prorl_workers(tmp_path, monkeypatch, capsys, tiny_path):

@@ -19,7 +19,6 @@ from prorl.dsl import (
     Program,
     depth,
     deserialize,
-    evaluate,
     evaluate_counted,
     if_count,
     make_policy,
@@ -56,15 +55,15 @@ def example_policy() -> Program:
 
 def test_evaluate_leaf():
     program = Program(Action(Heuristic.SPT))
-    assert evaluate(program, cv()) is Heuristic.SPT
-    assert evaluate(program, cv(1, 1, 1, 1, 1)) is Heuristic.SPT
+    assert make_policy(program)(cv()) is Heuristic.SPT
+    assert make_policy(program)(cv(1, 1, 1, 1, 1)) is Heuristic.SPT
 
 
 def test_evaluate_constant_true_condition():
     program = Program(
         If(Condition((1.0, 0, 0, 0, 0, 0)), Action(Heuristic.MWR), Action(Heuristic.SPT))
     )
-    assert evaluate(program, cv()) is Heuristic.MWR
+    assert make_policy(program)(cv()) is Heuristic.MWR
 
 
 def test_evaluate_zero_routes_to_else():
@@ -72,7 +71,7 @@ def test_evaluate_zero_routes_to_else():
     program = Program(
         If(Condition((0.0, 0, 0, 0, 0, 0)), Action(Heuristic.MWR), Action(Heuristic.SPT))
     )
-    assert evaluate(program, cv()) is Heuristic.SPT
+    assert make_policy(program)(cv()) is Heuristic.SPT
 
 
 def test_example_policy_routing_hand_evaluated():
@@ -200,7 +199,6 @@ def test_compiled_policy_routes_like_the_tree_walk():
         policy = make_policy(program)
         for probe in (point, random_cv(rng), random_cv(rng)):
             assert policy(probe) is evaluate_counted(program, probe)[0]
-            assert evaluate(program, probe) is evaluate_counted(program, probe)[0]
         zero_hits += _route_values(program, point).count(0.0)
     assert zero_hits > 100  # the else-on-zero rule is exercised, not just present
 
@@ -313,7 +311,7 @@ def test_serialize_round_trip_bulk():
         assert again == program
         for _ in range(5):
             point = random_cv(rng)
-            assert evaluate(again, point) is evaluate(program, point)
+            assert make_policy(again)(point) is make_policy(program)(point)
 
 
 def test_deserialize_rejects_bad_arity():
@@ -370,7 +368,7 @@ def test_set_params_preserves_behavior_round_trip():
         rebuilt = set_params(program, get_params(program))
         assert rebuilt == program
         point = random_cv(rng)
-        assert evaluate(rebuilt, point) is evaluate(program, point)
+        assert make_policy(rebuilt)(point) is make_policy(program)(point)
 
 
 def _leaves_with_constraints(node, constraints):
@@ -397,7 +395,7 @@ def test_partition_property():
                 if all((condition.value(point) > 0) is positive for condition, positive in constraints)
             ]
             assert len(matching) == 1
-            assert matching[0].heuristic is evaluate(program, point)
+            assert matching[0].heuristic is make_policy(program)(point)
 
 
 def test_condition_evaluation_bound():
