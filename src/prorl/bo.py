@@ -9,8 +9,9 @@ standardized data: inputs are scaled from the weight box [-2, 2] to
 approximated by scoring uniform random candidates.
 
 Episodes are evaluated through the training run's `sim.EpisodeTrie`, which
-answers repeated dispatch sequences without simulating them. Each
-evaluation still charges one episode to the meter, cached or not.
+answers repeated dispatch sequences without simulating them. The caller
+grants each tuning a number of episodes; the loop evaluates exactly that
+many, cached or not.
 """
 
 from __future__ import annotations
@@ -35,28 +36,6 @@ from .sim import EpisodeTrie
 
 _JITTER_CEILING = 1e-2
 _KERNEL_BLOCK_ROWS = 64  # candidate rows per block of kernel differences
-
-
-class BudgetExhaustedError(RuntimeError):
-    """No episodes left on the meter before any evaluation could run."""
-
-
-class EpisodeMeter:
-    """Countdown of simulator episodes allowed during training."""
-
-    def __init__(self, budget: int):
-        if budget < 0:
-            raise ValueError("budget must be >= 0")
-        self.remaining = budget
-        self.used = 0
-
-    def try_charge(self) -> bool:
-        """Charge one episode; False when the budget is exhausted."""
-        if self.remaining <= 0:
-            return False
-        self.remaining -= 1
-        self.used += 1
-        return True
 
 
 @dataclass
@@ -191,44 +170,32 @@ def propose(model: GpModel, beta: float, rng: random.Random, n_candidates: int) 
 def optimize_params(
     program: Program,
     trie: EpisodeTrie,
-    meter: EpisodeMeter,
+    episodes: int,
     rng: random.Random,
     config: BoConfig,
 ) -> tuple[Program, float]:
-    """Tune the program's condition weights within the episode budget.
+    """Tune the program's condition weights with exactly `episodes` evaluations.
 
-    Evaluates `init_points` uniform parameter vectors, then runs up to
-    `iterations` rounds of fit / propose / evaluate. Every evaluation costs
-    one metered episode; the loop stops early when the meter runs dry. The
+    Evaluates min(`init_points`, episodes) uniform parameter vectors, then
+    runs fit / propose / evaluate rounds for the rest of the episodes. The
     best observed pair is returned, never a surrogate prediction; on a tie
-    the first pair to reach the best return wins. Parameter-free programs
-    are evaluated once.
+    the first pair to reach the best return wins. A parameter-free program
+    takes the same path: its parameter vectors are empty, so one episode
+    evaluates it.
     """
-    if meter.remaining <= 0:
-        raise BudgetExhaustedError("episode budget exhausted before evaluation")
-
-    def episode_return(candidate: Program) -> float:
-        meter.try_charge()  # every caller has checked that the meter can pay
-        return -float(trie.makespan(make_policy(candidate)))
-
+    if episodes < 1:
+        raise ValueError("optimize_params needs at least one episode")
     dim = WEIGHTS_LEN * if_count(program)
-    if dim == 0:
-        return program, episode_return(program)
-
     points: list[tuple[tuple[float, ...], float]] = []
 
     def evaluate_point(params: tuple[float, ...]) -> None:
-        points.append((params, episode_return(set_params(program, params))))
+        policy = make_policy(set_params(program, params))
+        points.append((params, -float(trie.makespan(policy))))
 
-    # one draw for the init points the meter can pay for: the first k rows
-    # of a larger draw equal a k-row draw, and the rng is not read again
-    # once the meter runs dry, so the rows left out change nothing
-    n_init = min(config.init_points, meter.remaining)
+    n_init = min(config.init_points, episodes)
     for params in random_weights(rng, n_init * dim).reshape(n_init, dim).tolist():
         evaluate_point(tuple(params))
-    for _ in range(config.iterations):
-        if meter.remaining <= 0:
-            break
+    for _ in range(episodes - n_init):
         evaluate_point(propose(fit(points, config), config.beta, rng, config.candidates))
 
     best_params, best_value = max(points, key=lambda point: point[1])

@@ -33,7 +33,7 @@ USAGE_ERROR = 2
 IO_ERROR = 3
 INTERNAL_ERROR = 4
 
-PDR_METHODS = ("fifo", "spt", "mor", "mwr", "lor")
+PDR_METHODS = tuple(h.value.lower() for h in pdr.HEURISTICS)
 
 
 class UsageError(ValueError):
@@ -250,12 +250,10 @@ def _bench_single(instance: Instance, method: str, seed: int, budget: int,
         rng = random.Random(seed)
         makespan = float(sim.run_episode(instance, pdr.random_rule_policy(rng)).makespan)
         episodes, report_seed = 1, seed
-    elif method == "prorl":
+    else:  # "prorl"; cmd_bench has rejected unknown methods
         program, state = search.train(instance, _search_config(budget, seed, set_pairs))
         makespan = float(search.evaluate_policy(program, instance))
         episodes, report_seed = state.episodes_used, seed
-    else:
-        raise UsageError(f"unknown method {method!r}")
     return RunReport(
         instance=instance.name,
         method=method,

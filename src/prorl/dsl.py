@@ -308,7 +308,10 @@ def serialize(program: Program) -> str:
 _NODE_KEYS = {"action": {"kind", "heuristic"}, "if": {"kind", "weights", "then", "else"}}
 
 
-def _node_from_obj(obj) -> Node:
+def _node_from_obj(obj, level: int = 1) -> Node:
+    # bounds the recursion on hostile input; Program re-checks the result
+    if level > MAX_DEPTH:
+        raise PolicyFormatError(f"program depth exceeds {MAX_DEPTH}")
     if not isinstance(obj, dict):
         raise PolicyFormatError(f"expected an object node, got {type(obj).__name__}")
     kind = obj.get("kind")
@@ -325,20 +328,19 @@ def _node_from_obj(obj) -> Node:
         except ValueError as exc:
             raise PolicyFormatError(str(exc)) from None
     weights = obj.get("weights")
-    if not isinstance(weights, list) or len(weights) != WEIGHTS_LEN:
-        raise PolicyFormatError(
-            f"condition needs {WEIGHTS_LEN} weights, got "
-            f"{len(weights) if isinstance(weights, list) else weights!r}"
-        )
-    if any(isinstance(w, bool) or not isinstance(w, (int, float)) for w in weights):
-        raise PolicyFormatError(f"condition weights must be JSON numbers, got {weights!r}")
+    # Condition checks the count; JSON booleans and strings pass float()
+    if not isinstance(weights, list) or any(
+        isinstance(w, bool) or not isinstance(w, (int, float)) for w in weights
+    ):
+        raise PolicyFormatError(f"condition weights must be a list of JSON numbers, got {weights!r}")
     if "then" not in obj or "else" not in obj:
         raise PolicyFormatError("if-node needs 'then' and 'else' branches")
     try:
         condition = Condition(tuple(float(w) for w in weights))
     except ValueError as exc:
         raise PolicyFormatError(str(exc)) from None
-    return If(condition, _node_from_obj(obj["then"]), _node_from_obj(obj["else"]))
+    then_branch, else_branch = (_node_from_obj(obj[key], level + 1) for key in ("then", "else"))
+    return If(condition, then_branch, else_branch)
 
 
 def deserialize(text: str) -> Program:
@@ -347,6 +349,8 @@ def deserialize(text: str) -> Program:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PolicyFormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:  # nesting too deep for the JSON parser itself
+        raise PolicyFormatError(f"program depth exceeds {MAX_DEPTH}") from None
     root = _node_from_obj(obj)
     try:
         return Program(root)

@@ -10,10 +10,8 @@ initial program untrained.
 Reproducibility: the neighborhood and every candidate's inner loop draw
 from random sources seeded deterministically from (seed, generation,
 candidate index). Candidates run one after another, in neighborhood order,
-on one shared episode meter. A candidate with d tunable weights takes
-min(init_points + iterations, remaining) episodes when d > 0 and one
-episode when d = 0; a candidate reached with the meter empty is skipped
-and charged nothing.
+each on the episodes `train` grants it (the rule is stated where `train`
+applies it).
 
 Episode cache: one `sim.EpisodeTrie` serves every evaluation of a `train`
 call and answers the repeated ones (at budget 1000, seeds 0-2: 84-99.5% of
@@ -28,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .bo import BoConfig, EpisodeMeter, optimize_params
+from .bo import BoConfig, optimize_params
 from .dsl import (
     MAX_DEPTH,
     MAX_TOKENS,
@@ -122,16 +120,14 @@ def train(instance: Instance, config: SearchConfig) -> tuple[Program, SearchStat
     init_rng = _derived_rng(config.seed, "init")
     incumbent = random_program(init_rng, config.max_depth, config.max_tokens)
     state = SearchState(generation=0, incumbent=incumbent, incumbent_return=None, episodes_used=0)
-    if config.episode_budget == 0:
-        return incumbent, state
-
-    meter = EpisodeMeter(config.episode_budget)
     trie = EpisodeTrie(instance)
+    budget = config.episode_budget
+    per_candidate = config.bo.init_points + config.bo.iterations
 
-    while meter.remaining > 0:
+    while state.episodes_used < budget:
         gen = state.generation + 1
         neighborhood = make_neighborhood(
-            incumbent,
+            state.incumbent,
             config.lam,
             config.mutation_rate,
             _derived_rng(config.seed, "gen", gen, "mut"),
@@ -141,38 +137,37 @@ def train(instance: Instance, config: SearchConfig) -> tuple[Program, SearchStat
 
         # Selection over optimized candidates plus the incumbent; ties keep
         # the incumbent, then the earlier candidate.
-        best_program = incumbent
-        best_return = state.incumbent_return
         dims, charges = [], []
         for idx, candidate in enumerate(neighborhood):
-            dims.append(WEIGHTS_LEN * if_count(candidate))
-            used_before = meter.used
-            if meter.remaining > 0:
+            dim = WEIGHTS_LEN * if_count(candidate)
+            # the charge rule: init_points + iterations episodes for a tunable
+            # candidate, one for a parameter-free one, cut to what is left of
+            # the budget; a candidate reached with none left is charged 0
+            charge = min(per_candidate if dim else 1, budget - state.episodes_used)
+            dims.append(dim)
+            charges.append(charge)
+            if charge:
                 cand_rng = _derived_rng(config.seed, "gen", gen, "cand", idx)
-                program, value = optimize_params(candidate, trie, meter, cand_rng, config.bo)
-                if best_return is None or value > best_return:
-                    best_program, best_return = program, value
-            charges.append(meter.used - used_before)
+                program, value = optimize_params(candidate, trie, charge, cand_rng, config.bo)
+                state.episodes_used += charge
+                if state.incumbent_return is None or value > state.incumbent_return:
+                    state.incumbent, state.incumbent_return = program, value
 
-        incumbent = best_program
-        state.incumbent = best_program
-        state.incumbent_return = best_return
         state.generation = gen
-        state.episodes_used = meter.used
         state.distinct_episodes = trie.misses
         state.trie_nodes = trie.nodes
         state.history.append(
             GenerationRecord(
                 generation=gen,
-                episodes_used=meter.used,
-                best_return=best_return if best_return is not None else float("-inf"),
-                incumbent_tokens=token_count(incumbent),
-                incumbent_depth=incumbent.depth,
+                episodes_used=state.episodes_used,
+                best_return=state.incumbent_return,
+                incumbent_tokens=token_count(state.incumbent),
+                incumbent_depth=state.incumbent.depth,
                 candidate_dims=tuple(dims),
                 candidate_charges=tuple(charges),
             )
         )
-    return incumbent, state
+    return state.incumbent, state
 
 
 def evaluate_policy(program: Program, instance: Instance) -> int:

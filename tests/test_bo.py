@@ -12,8 +12,6 @@ import pytest
 from conftest import get_params, posterior
 from prorl.bo import (
     BoConfig,
-    BudgetExhaustedError,
-    EpisodeMeter,
     _kernel,
     fit,
     optimize_params,
@@ -245,57 +243,8 @@ def trie(inst):
     return EpisodeTrie(inst)
 
 
-def test_optimize_parameter_free_charges_one(trie):
-    meter = EpisodeMeter(10)
-    program, value = optimize_params(Program(Action(Heuristic.SPT)), trie, meter, random.Random(0), BoConfig())
-    assert meter.used == 1
-    assert value == -7.0
-    assert program == Program(Action(Heuristic.SPT))
-
-
-def test_optimize_no_bo_rounds_charges_n_init(trie):
-    meter = EpisodeMeter(100)
-    config = BoConfig(init_points=10, iterations=0)
-    optimize_params(tunable_program(), trie, meter, random.Random(0), config)
-    assert meter.used == 10
-
-
-def test_optimize_defaults_charge_thirty(trie):
-    meter = EpisodeMeter(100)
-    optimize_params(tunable_program(), trie, meter, random.Random(0), BoConfig())
-    assert meter.used == 30
-
-
-def test_optimize_respects_partial_budget(trie):
-    meter = EpisodeMeter(7)
-    program, value = optimize_params(tunable_program(), trie, meter, random.Random(0), BoConfig())
-    assert meter.used == 7
-    assert meter.remaining == 0
-    assert value == -7.0
-
-
-def test_optimize_exhausted_budget_raises(trie):
-    with pytest.raises(BudgetExhaustedError):
-        optimize_params(tunable_program(), trie, EpisodeMeter(0), random.Random(0), BoConfig())
-    with pytest.raises(BudgetExhaustedError):
-        optimize_params(Program(Action(Heuristic.SPT)), trie, EpisodeMeter(0), random.Random(0), BoConfig())
-
-
-def test_optimize_returns_observed_value(inst, trie):
-    # the reported value is achieved by the returned program, not predicted
-    from prorl.sim import run_episode
-    from prorl.dsl import make_policy
-
-    meter = EpisodeMeter(50)
-    program, value = optimize_params(tunable_program(), trie, meter, random.Random(1), BoConfig())
-    assert -run_episode(inst, make_policy(program)).makespan == value
-    assert if_count(program) == 1 and len(get_params(program)) == 6
-    assert all(type(w) is float for w in get_params(program))
-
-
-def test_optimize_best_is_max_of_observations(trie, monkeypatch):
-    # instrument the trie: the reported value must equal the best return
-    # actually observed, and one evaluation must run per charge
+def counting(trie, monkeypatch) -> list[float]:
+    """Record the return of every episode the trie is asked for."""
     observed = []
     real_makespan = trie.makespan
 
@@ -305,9 +254,62 @@ def test_optimize_best_is_max_of_observations(trie, monkeypatch):
         return makespan
 
     monkeypatch.setattr(trie, "makespan", recording_makespan)
-    meter = EpisodeMeter(25)
-    _, value = optimize_params(tunable_program(), trie, meter, random.Random(3), BoConfig())
-    assert len(observed) == meter.used == 25
+    return observed
+
+
+def test_optimize_parameter_free_charges_one(trie, monkeypatch):
+    observed = counting(trie, monkeypatch)
+    rng = random.Random(0)
+    program, value = optimize_params(Program(Action(Heuristic.SPT)), trie, 1, rng, BoConfig())
+    assert observed == [-7.0]
+    assert value == -7.0
+    assert program == Program(Action(Heuristic.SPT))
+    assert rng.getstate() == random.Random(0).getstate()  # nothing to draw
+
+
+def test_optimize_no_bo_rounds_charges_n_init(trie, monkeypatch):
+    observed = counting(trie, monkeypatch)
+    optimize_params(tunable_program(), trie, 10, random.Random(0), BoConfig(init_points=10))
+    assert len(observed) == 10
+
+
+def test_optimize_defaults_charge_thirty(trie, monkeypatch):
+    observed = counting(trie, monkeypatch)
+    optimize_params(tunable_program(), trie, 30, random.Random(0), BoConfig())
+    assert len(observed) == 30
+
+
+def test_optimize_respects_partial_budget(trie, monkeypatch):
+    observed = counting(trie, monkeypatch)
+    program, value = optimize_params(tunable_program(), trie, 7, random.Random(0), BoConfig())
+    assert len(observed) == 7
+    assert value == -7.0
+
+
+def test_optimize_exhausted_budget_raises(trie):
+    with pytest.raises(ValueError):
+        optimize_params(tunable_program(), trie, 0, random.Random(0), BoConfig())
+    with pytest.raises(ValueError):
+        optimize_params(Program(Action(Heuristic.SPT)), trie, 0, random.Random(0), BoConfig())
+
+
+def test_optimize_returns_observed_value(inst, trie):
+    # the reported value is achieved by the returned program, not predicted
+    from prorl.sim import run_episode
+    from prorl.dsl import make_policy
+
+    program, value = optimize_params(tunable_program(), trie, 50, random.Random(1), BoConfig())
+    assert -run_episode(inst, make_policy(program)).makespan == value
+    assert if_count(program) == 1 and len(get_params(program)) == 6
+    assert all(type(w) is float for w in get_params(program))
+
+
+def test_optimize_best_is_max_of_observations(trie, monkeypatch):
+    # the reported value must equal the best return actually observed, and
+    # one evaluation must run per granted episode
+    observed = counting(trie, monkeypatch)
+    _, value = optimize_params(tunable_program(), trie, 25, random.Random(3), BoConfig())
+    assert len(observed) == 25
     assert value == max(observed)
     running_best = [max(observed[: i + 1]) for i in range(len(observed))]
     assert running_best == sorted(running_best)
@@ -316,21 +318,10 @@ def test_optimize_best_is_max_of_observations(trie, monkeypatch):
 def test_optimize_tie_returns_first_init_point(trie, monkeypatch):
     # every episode returns the same makespan, so all pairs tie: the first
     # pair to reach the best return, the first init point, must win
-    monkeypatch.setattr(trie, "makespan", lambda policy: 9)
-    meter = EpisodeMeter(30)
-    program, value = optimize_params(tunable_program(), trie, meter, random.Random(5), BoConfig())
-    assert meter.used == 30
+    calls = []
+    monkeypatch.setattr(trie, "makespan", lambda policy: calls.append(policy) or 9)
+    program, value = optimize_params(tunable_program(), trie, 30, random.Random(5), BoConfig())
+    assert len(calls) == 30
     assert value == -9.0
     replay = random.Random(5)
     assert get_params(program) == tuple(replay.uniform(-2.0, 2.0) for _ in range(6))
-
-
-def test_meter_charges_down_to_zero():
-    meter = EpisodeMeter(3)
-    for used in (1, 2, 3):
-        assert meter.try_charge()
-        assert (meter.used, meter.remaining) == (used, 3 - used)
-    assert not meter.try_charge()
-    assert (meter.used, meter.remaining) == (3, 0)
-    with pytest.raises(ValueError):
-        EpisodeMeter(-1)

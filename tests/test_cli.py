@@ -237,6 +237,31 @@ def test_eval_corrupt_policy_io_error(tmp_path, capsys, tiny_path):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+SPT_LEAF = '{"kind": "action", "heuristic": "SPT"}'
+LEAVES = f'"then": {SPT_LEAF}, "else": {SPT_LEAF}'
+
+
+def nested_policy(levels: int) -> str:
+    doc = SPT_LEAF
+    for _ in range(levels):
+        doc = f'{{"kind": "if", "weights": [1, 0, 0, 0, 0, 0], "then": {doc}, "else": {SPT_LEAF}}}'
+    return doc
+
+
+@pytest.mark.parametrize("doc, fragment", [
+    # deeper than json.loads can recurse: still a format error, not internal
+    (nested_policy(1_200), "depth exceeds 4"),
+    ('{"kind": "if", "weights": 3, ' + LEAVES + "}", "list of JSON numbers"),
+    ('{"kind": "if", ' + LEAVES + "}", "list of JSON numbers"),
+], ids=["nested-1200", "scalar-weights", "missing-weights"])
+def test_eval_malformed_policy_io_error(tmp_path, capsys, tiny_path, doc, fragment):
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    assert main(["eval", "--instance", tiny_path, "--policy", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert fragment in err and "internal error" not in err
+
+
 def test_bench_table_and_csv(tmp_path, capsys, bks_path):
     inst_dir = tmp_path / "instances"
     inst_dir.mkdir()

@@ -333,7 +333,10 @@ def test_deserialize_rejects_unknown_heuristic():
     ('{"kind": "action", "heuristic": "SPT", "rule": "MOR"}', "unknown key"),
     ('{"kind": "if", "weights": [1, 0, 0, 0, 0, 0], "then": {"kind": "action", "heuristic": "SPT"}, "else": {"kind": "action", "heuristic": "MOR"}, "comment": "x"}', "unknown key"),
     ('{"kind": ["if"]}', "unknown node kind"),
-], ids=["bool-weight", "string-weight", "action-extra-key", "if-extra-key", "list-kind"])
+    ('{"kind": "if", "weights": 3, "then": {"kind": "action", "heuristic": "SPT"}, "else": {"kind": "action", "heuristic": "MOR"}}', "list of JSON numbers"),
+    ('{"kind": "if", "then": {"kind": "action", "heuristic": "SPT"}, "else": {"kind": "action", "heuristic": "MOR"}}', "list of JSON numbers"),
+], ids=["bool-weight", "string-weight", "action-extra-key", "if-extra-key", "list-kind",
+        "scalar-weights", "missing-weights"])
 def test_deserialize_is_strict(doc, fragment):
     with pytest.raises(PolicyFormatError, match=fragment):
         deserialize(doc)
@@ -345,6 +348,7 @@ def test_deserialize_rejects_depth_violation():
         obj = f'{{"kind": "if", "weights": [1, 0, 0, 0, 0, 0], "then": {obj}, "else": {obj}}}'
     with pytest.raises(PolicyFormatError, match="depth"):
         deserialize(obj)
+
 
 
 def test_get_set_params():

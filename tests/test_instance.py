@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -61,6 +63,14 @@ def test_parse_error_carries_line_number():
 def test_parse_taillard_matches_standard():
     taillard = "2 2\n3 2\n2 4\n1 2\n2 1"
     assert parse_taillard(taillard, "tiny") == parse_standard(TINY_2X2, "tiny")
+
+
+def test_make_taillard_regenerates_ta01_byte_for_byte():
+    script = INSTANCE_DIR.parent.parent / "scripts" / "make_taillard.py"
+    out = subprocess.run(
+        [sys.executable, str(script), "ta01"], capture_output=True, check=True
+    ).stdout
+    assert out == (INSTANCE_DIR / "ta01.txt").read_bytes()
 
 
 def test_parse_taillard_rejects_zero_machine():

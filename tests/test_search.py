@@ -17,6 +17,7 @@ from prorl.search import (
     train,
     training_log_csv,
 )
+from prorl.sim import EpisodeTrie
 
 
 @pytest.fixture
@@ -112,6 +113,37 @@ def test_budget_accounting_closed_form(inst):
             sum(sum(rec.candidate_charges) for rec in state.history),
         )
         assert state.episodes_used <= config.episode_budget
+
+
+def test_episodes_used_counts_every_evaluation(ft06, monkeypatch):
+    # the charges are computed, not counted, so count the episodes the
+    # inner loop actually asks the trie for over whole trainings
+    calls = []
+    real_makespan = EpisodeTrie.makespan
+
+    def counting_makespan(self, policy):
+        calls.append(1)
+        return real_makespan(self, policy)
+
+    monkeypatch.setattr(EpisodeTrie, "makespan", counting_makespan)
+    per_candidate = 5
+    partial_final = parameter_free = False
+    for budget in (1, 7, 31, 200):
+        calls.clear()
+        _, state = train(ft06, small_config(budget, seed=1, lam=3, init_points=3, iterations=2))
+        charges = [c for rec in state.history for c in rec.candidate_charges]
+        assert len(calls) == state.episodes_used == sum(charges) == budget
+        last = state.history[-1]
+        partial_final |= any(
+            charge < (per_candidate if dim else 1)
+            for dim, charge in zip(last.candidate_dims, last.candidate_charges)
+        )
+        parameter_free |= any(
+            dim == 0 and charge == 1
+            for rec in state.history
+            for dim, charge in zip(rec.candidate_dims, rec.candidate_charges)
+        )
+    assert partial_final and parameter_free
 
 
 def test_per_candidate_charges_match_rules(inst):
