@@ -1,12 +1,11 @@
 """Learning human-readable dispatching programs for job-shop scheduling."""
 
-from .instance import BksTable, Instance, Operation, ParseError, load_bks, parse_standard, parse_taillard
+from .instance import Instance, Operation, ParseError, load_bks, parse_standard, parse_taillard
 from .pdr import Heuristic
 from .dsl import Program, deserialize, make_policy, pretty_print, serialize
 from .search import SearchConfig, train
 
 __all__ = [
-    "BksTable",
     "Heuristic",
     "Instance",
     "Operation",

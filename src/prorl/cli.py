@@ -27,7 +27,7 @@ import time
 from pathlib import Path
 
 from . import bo, dsl, pdr, search, sim
-from .instance import BksTable, Instance, load_bks, load_instance_file
+from .instance import Instance, load_bks, load_instance_file
 
 USAGE_ERROR = 2
 IO_ERROR = 3
@@ -54,16 +54,22 @@ class RunReport:
     # byte-identical files; the table output still shows it
     CSV_HEADER = "instance,method,makespan,gap_percent,seed,episodes"
 
+    def _makespan_text(self) -> str:
+        # :g alone would print 1234567 as 1.23457e+06; below 10**6 the two agree
+        if float(self.makespan).is_integer():
+            return str(int(self.makespan))
+        return f"{self.makespan:g}"
+
     def csv_row(self) -> str:
         gap = f"{100 * self.gap:.2f}" if self.gap is not None else ""
         seed = "" if self.seed is None else str(self.seed)
-        return f"{self.instance},{self.method},{self.makespan:g},{gap},{seed},{self.episodes}"
+        return f"{self.instance},{self.method},{self._makespan_text()},{gap},{seed},{self.episodes}"
 
     def table_row(self) -> str:
         gap = f"{100 * self.gap:.2f}%" if self.gap is not None else "-"
         seed = "-" if self.seed is None else str(self.seed)
         return (
-            f"{self.instance:<12} {self.method:<8} {self.makespan:>10g} "
+            f"{self.instance:<12} {self.method:<8} {self._makespan_text():>10} "
             f"{gap:>8} {seed:>4} {self.seconds:>8.3f}s {self.episodes:>8}"
         )
 
@@ -75,17 +81,17 @@ class RunReport:
         )
 
 
-def _load_bks_table(path: str | None) -> BksTable | None:
+def _load_bks_table(path: str | None) -> dict[str, int] | None:
     if path is None:
         return None
     with open(path, "r", encoding="utf-8") as fh:
         return load_bks(fh.read())
 
 
-def _gap_for(table: BksTable | None, instance: Instance, makespan: float) -> float | None:
+def _gap_for(table: dict[str, int] | None, instance: Instance, makespan: float) -> float | None:
     if table is None or instance.name not in table:
         return None
-    bks = table.lookup(instance.name)
+    bks = table[instance.name]
     return (makespan - bks) / bks
 
 
@@ -239,7 +245,7 @@ def cmd_eval(args) -> int:
 
 
 def _bench_single(instance: Instance, method: str, seed: int, budget: int,
-                  table: BksTable | None, set_pairs: list[str] | None) -> RunReport:
+                  table: dict[str, int] | None, set_pairs: list[str] | None) -> RunReport:
     """One bench task; it runs in a pool worker, so it and its arguments must pickle."""
     started = time.perf_counter()
     if method in PDR_METHODS:

@@ -8,8 +8,7 @@ state concepts,
 
 routing evaluation to the then-branch on a strictly positive value and to
 the else-branch otherwise. `make_policy` compiles a program into nested
-closures that route a concept vector; `evaluate_counted` walks the tree
-node by node and is the reference they are tested against.
+closures that route a concept vector.
 
 Programs are immutable values; generation and mutation take an explicit
 random source and respect the structural limits (depth at most 4, at most
@@ -49,10 +48,18 @@ class PolicyFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class Condition:
-    """Linear guard; weights are (bias, LD, AM, AO, JD, ST) within the box."""
+class Action:
+    heuristic: Heuristic
+
+
+@dataclass(frozen=True)
+class If:
+    """An if/else node; its condition weights are (bias, LD, AM, AO, JD, ST)
+    within the box."""
 
     weights: tuple[float, ...]
+    then_branch: "Node"
+    else_branch: "Node"
 
     def __post_init__(self):
         if len(self.weights) != WEIGHTS_LEN:
@@ -62,23 +69,6 @@ class Condition:
                 raise ValueError("condition weight is not finite")
             if not WEIGHT_LOW <= w <= WEIGHT_HIGH:
                 raise ValueError(f"weight {w} outside [{WEIGHT_LOW}, {WEIGHT_HIGH}]")
-
-    def value(self, cv: ConceptVector) -> float:
-        w = self.weights
-        ld, am, ao, jd, st = cv.as_tuple()
-        return w[0] + w[1] * ld + w[2] * am + w[3] * ao + w[4] * jd + w[5] * st
-
-
-@dataclass(frozen=True)
-class Action:
-    heuristic: Heuristic
-
-
-@dataclass(frozen=True)
-class If:
-    condition: Condition
-    then_branch: "Node"
-    else_branch: "Node"
 
 
 Node = Union[Action, If]
@@ -126,26 +116,15 @@ def if_count(program: Program) -> int:
     return count(program.root)
 
 
-def evaluate_counted(program: Program, cv: ConceptVector) -> tuple[Heuristic, int]:
-    """Route the concept vector to a leaf by walking the tree; also count
-    condition evaluations. The reference for the compiled `make_policy`."""
-    node = program.root
-    conditions = 0
-    while isinstance(node, If):
-        conditions += 1
-        node = node.then_branch if node.condition.value(cv) > 0.0 else node.else_branch
-    return node.heuristic, conditions
-
-
 def _compile(node: Node) -> Policy:
     if isinstance(node, Action):
         heuristic = node.heuristic
         return lambda cv: heuristic
     then_branch, else_branch = _compile(node.then_branch), _compile(node.else_branch)
-    w0, w1, w2, w3, w4, w5 = node.condition.weights
+    w0, w1, w2, w3, w4, w5 = node.weights
 
     def route(cv: ConceptVector) -> Heuristic:
-        # the sum of Condition.value, term for term in the same order
+        # the terms in the order of the module docstring; float sums depend on it
         if w0 + w1 * cv.ld + w2 * cv.am + w3 * cv.ao + w4 * cv.jd + w5 * cv.st > 0.0:
             return then_branch(cv)
         return else_branch(cv)
@@ -173,20 +152,16 @@ def random_weights(rng: random.Random, n: int) -> np.ndarray:
     return WEIGHT_LOW + (WEIGHT_HIGH - WEIGHT_LOW) * (mantissa * 2.0**-53)
 
 
-def _random_condition(rng: random.Random) -> Condition:
-    return Condition(tuple(random_weights(rng, WEIGHTS_LEN).tolist()))
-
-
 def _random_node(rng: random.Random, depth_budget: int, token_budget: int) -> Node:
     """Grammar-driven expansion; if/action each with probability 0.5 when both fit."""
     can_branch = depth_budget >= 2 and token_budget >= _IF_MIN_TOKENS
     if can_branch and rng.random() < 0.5:
-        condition = _random_condition(rng)
+        weights = tuple(random_weights(rng, WEIGHTS_LEN).tolist())  # drawn before the branches
         then_budget = token_budget - 9 - 1  # reserve one token for the else leaf
         then_branch = _random_node(rng, depth_budget - 1, then_budget)
         else_budget = token_budget - 9 - node_tokens(then_branch)
         else_branch = _random_node(rng, depth_budget - 1, else_budget)
-        return If(condition, then_branch, else_branch)
+        return If(weights, then_branch, else_branch)
     return Action(rng.choice(HEURISTICS))
 
 
@@ -197,19 +172,13 @@ def random_program(
     return Program(_random_node(rng, max_depth, max_tokens))
 
 
-def _paths(node: Node, prefix: tuple[str, ...] = ()) -> list[tuple[str, ...]]:
-    """Pre-order list of node paths; 't'/'e' select then/else branches."""
-    out = [prefix]
+def _nodes(node: Node, path: tuple[str, ...] = ()) -> list[tuple[tuple[str, ...], Node]]:
+    """Pre-order list of (path, node) pairs; 't'/'e' select then/else branches."""
+    out = [(path, node)]
     if isinstance(node, If):
-        out.extend(_paths(node.then_branch, prefix + ("t",)))
-        out.extend(_paths(node.else_branch, prefix + ("e",)))
+        out.extend(_nodes(node.then_branch, path + ("t",)))
+        out.extend(_nodes(node.else_branch, path + ("e",)))
     return out
-
-
-def _subtree(node: Node, path: tuple[str, ...]) -> Node:
-    for branch in path:
-        node = node.then_branch if branch == "t" else node.else_branch
-    return node
 
 
 def _replace(node: Node, path: tuple[str, ...], new: Node) -> Node:
@@ -217,8 +186,8 @@ def _replace(node: Node, path: tuple[str, ...], new: Node) -> Node:
         return new
     head, rest = path[0], path[1:]
     if head == "t":
-        return If(node.condition, _replace(node.then_branch, rest, new), node.else_branch)
-    return If(node.condition, node.then_branch, _replace(node.else_branch, rest, new))
+        return If(node.weights, _replace(node.then_branch, rest, new), node.else_branch)
+    return If(node.weights, node.then_branch, _replace(node.else_branch, rest, new))
 
 
 def mutate(
@@ -233,9 +202,8 @@ def mutate(
     (fresh weights, within the depth and token budget remaining at its
     position); an action leaf swaps its rule for a different one.
     """
-    paths = _paths(program.root)
-    path = paths[rng.randrange(len(paths))]
-    target = _subtree(program.root, path)
+    nodes = _nodes(program.root)
+    path, target = nodes[rng.randrange(len(nodes))]
     if isinstance(target, Action):
         options = [h for h in HEURISTICS if h is not target.heuristic]
         new_node: Node = Action(options[rng.randrange(len(options))])
@@ -257,15 +225,15 @@ def set_params(program: Program, params: tuple[float, ...]) -> Program:
         if isinstance(node, Action):
             return node
         offset = next(it)
-        condition = Condition(tuple(params[offset:offset + WEIGHTS_LEN]))
-        return If(condition, walk(node.then_branch), walk(node.else_branch))
+        weights = tuple(params[offset:offset + WEIGHTS_LEN])
+        return If(weights, walk(node.then_branch), walk(node.else_branch))
 
     return Program(walk(program.root))
 
 
-def _format_condition(condition: Condition) -> str:
-    parts = [f"{condition.weights[0]:.2f}"]
-    for name, w in zip(CONCEPT_NAMES, condition.weights[1:]):
+def _format_condition(weights: tuple[float, ...]) -> str:
+    parts = [f"{weights[0]:.2f}"]
+    for name, w in zip(CONCEPT_NAMES, weights[1:]):
         if w == 0.0:
             continue
         sign = "+" if w > 0 else "-"
@@ -278,7 +246,7 @@ def _pretty(node: Node, indent: int) -> str:
         return node.heuristic.value
     pad = "    " * (indent + 1)
     return (
-        f"if ({_format_condition(node.condition)} > 0):\n"
+        f"if ({_format_condition(node.weights)} > 0):\n"
         f"{pad}then {_pretty(node.then_branch, indent + 1)}\n"
         f"{pad}else {_pretty(node.else_branch, indent + 1)}"
     )
@@ -294,7 +262,7 @@ def _node_to_obj(node: Node):
         return {"kind": "action", "heuristic": node.heuristic.value}
     return {
         "kind": "if",
-        "weights": list(node.condition.weights),
+        "weights": list(node.weights),
         "then": _node_to_obj(node.then_branch),
         "else": _node_to_obj(node.else_branch),
     }
@@ -328,19 +296,18 @@ def _node_from_obj(obj, level: int = 1) -> Node:
         except ValueError as exc:
             raise PolicyFormatError(str(exc)) from None
     weights = obj.get("weights")
-    # Condition checks the count; JSON booleans and strings pass float()
+    # If checks the count; JSON booleans and strings pass float()
     if not isinstance(weights, list) or any(
         isinstance(w, bool) or not isinstance(w, (int, float)) for w in weights
     ):
         raise PolicyFormatError(f"condition weights must be a list of JSON numbers, got {weights!r}")
     if "then" not in obj or "else" not in obj:
         raise PolicyFormatError("if-node needs 'then' and 'else' branches")
+    then_branch, else_branch = (_node_from_obj(obj[key], level + 1) for key in ("then", "else"))
     try:
-        condition = Condition(tuple(float(w) for w in weights))
+        return If(tuple(float(w) for w in weights), then_branch, else_branch)
     except ValueError as exc:
         raise PolicyFormatError(str(exc)) from None
-    then_branch, else_branch = (_node_from_obj(obj[key], level + 1) for key in ("then", "else"))
-    return If(condition, then_branch, else_branch)
 
 
 def deserialize(text: str) -> Program:

@@ -89,21 +89,6 @@ class Instance:
         return tuple(sorted(Counter(op.duration for job in self.jobs for op in job).items()))
 
 
-@dataclass(frozen=True)
-class BksTable:
-    """Best-known makespans by instance name. Lookups never fall back to defaults."""
-
-    entries: dict[str, int]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
-
-    def lookup(self, name: str) -> int:
-        if name not in self.entries:
-            raise KeyError(f"no best-known solution recorded for {name!r}")
-        return self.entries[name]
-
-
 def _data_lines(text: str):
     """Yield (line_no, tokens) for non-blank, non-comment lines."""
     for i, raw in enumerate(text.splitlines(), start=1):
@@ -170,21 +155,21 @@ def parse_taillard(text: str, name: str = "unnamed") -> Instance:
     lines = _data_lines(text)
     line_no, n, m = _header(lines)
 
-    def read_matrix(label: str) -> list[list[int]]:
+    def read_matrix(label: str) -> list[tuple[int, list[int]]]:
+        """The matrix's n rows, each with its own line number."""
         rows = []
         nonlocal line_no
         for _ in range(n):
             try:
-                row_no, tokens = next(lines)
+                line_no, tokens = next(lines)
             except StopIteration:
                 raise ParseError(
                     line_no, f"{label} matrix has {len(rows)} rows, expected {n}"
                 ) from None
-            line_no = row_no
-            row = _ints(row_no, tokens)
+            row = _ints(line_no, tokens)
             if len(row) != m:
-                raise ParseError(row_no, f"{label} row has {len(row)} values, expected {m}")
-            rows.append(row)
+                raise ParseError(line_no, f"{label} row has {len(row)} values, expected {m}")
+            rows.append((line_no, row))
         return rows
 
     times = read_matrix("times")
@@ -193,23 +178,23 @@ def parse_taillard(text: str, name: str = "unnamed") -> Instance:
         raise ParseError(extra_no, "trailing content after machines matrix")
 
     jobs = []
-    for i in range(n):
+    for i, ((times_no, durations), (machines_no, row)) in enumerate(zip(times, machines)):
         ops = []
-        for j in range(m):
-            machine = machines[i][j]
+        for machine, duration in zip(row, durations):
             if machine == 0:
-                raise ParseError(line_no, f"machine index 0 in 1-based matrix (job {i})")
+                raise ParseError(machines_no, f"machine index 0 in 1-based matrix (job {i})")
             if not 1 <= machine <= m:
-                raise ParseError(line_no, f"machine index {machine} out of range 1..{m}")
-            if times[i][j] < 1:
-                raise ParseError(line_no, f"duration {times[i][j]} must be >= 1")
-            ops.append(Operation(machine - 1, times[i][j]))
+                raise ParseError(machines_no, f"machine index {machine} out of range 1..{m}")
+            if duration < 1:
+                raise ParseError(times_no, f"duration {duration} must be >= 1")
+            ops.append(Operation(machine - 1, duration))
         jobs.append(tuple(ops))
     return Instance(name, n, m, tuple(jobs))
 
 
-def load_bks(text: str) -> BksTable:
-    """Parse a CSV of "name,makespan" lines into a BksTable."""
+def load_bks(text: str) -> dict[str, int]:
+    """Parse a CSV of "name,makespan" lines into best-known makespans by
+    instance name; a name with no entry raises KeyError, never a default."""
     entries: dict[str, int] = {}
     for line_no, tokens in _data_lines(text):
         parts = " ".join(tokens).split(",")
@@ -227,7 +212,7 @@ def load_bks(text: str) -> BksTable:
         if name in entries:
             raise ParseError(line_no, f"duplicate entry for {name!r}")
         entries[name] = makespan
-    return BksTable(entries)
+    return entries
 
 
 def load_instance_file(path: str, fmt: str, name: str | None = None) -> Instance:

@@ -298,29 +298,6 @@ class EpisodeTrie:
         return makespan
 
 
-def verify_feasible(result: ScheduleResult, instance: Instance) -> bool:
-    """Check job precedence, machine exclusivity, and the recorded makespan."""
-    by_machine: dict[int, list[tuple[int, int]]] = {}
-    makespan = 0
-    for job_idx, (job, starts) in enumerate(zip(instance.jobs, result.start_times)):
-        if len(starts) != len(job):
-            return False
-        prev_end = 0
-        for op, start in zip(job, starts):
-            if start is None or start < prev_end:
-                return False
-            end = start + op.duration
-            prev_end = end
-            makespan = max(makespan, end)
-            by_machine.setdefault(op.machine, []).append((start, end))
-    for intervals in by_machine.values():
-        intervals.sort()
-        for (_, end_a), (start_b, _) in zip(intervals, intervals[1:]):
-            if start_b < end_a:
-                return False
-    return makespan == result.makespan
-
-
 def schedule_csv(result: ScheduleResult, instance: Instance) -> str:
     """Schedule dump as CSV rows "job,op,machine,start,end" sorted by start."""
     rows = sorted(  # (start, job, op) is unique, so machine and end never decide

@@ -1,5 +1,6 @@
 """Shared fixtures: tiny instances, random-instance generation, instance
-writers for the parser round trips, brute-force oracles, and one-query
+writers for the parser round trips, brute-force and reference oracles (a
+tree-walking program router, a schedule feasibility check), and one-query
 helpers over the library."""
 
 from __future__ import annotations
@@ -10,8 +11,11 @@ from pathlib import Path
 import pytest
 
 from prorl.bo import GpModel, posterior_batch
+from prorl.concepts import ConceptVector
 from prorl.dsl import If, Node, Program
 from prorl.instance import Instance, Operation, parse_standard
+from prorl.pdr import Heuristic
+from prorl.sim import ScheduleResult
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 INSTANCE_DIR = DATA_DIR / "instances"
@@ -185,9 +189,51 @@ def get_params(program: Program) -> tuple[float, ...]:
 
     def walk(node: Node):
         if isinstance(node, If):
-            values.extend(node.condition.weights)
+            values.extend(node.weights)
             walk(node.then_branch)
             walk(node.else_branch)
 
     walk(program.root)
     return tuple(values)
+
+
+def condition_value(weights: tuple[float, ...], cv: ConceptVector) -> float:
+    """The value of an if-node's linear condition at `cv`, summed term for
+    term in the order the compiled policy sums it."""
+    w = weights
+    ld, am, ao, jd, st = cv.as_tuple()
+    return w[0] + w[1] * ld + w[2] * am + w[3] * ao + w[4] * jd + w[5] * st
+
+
+def evaluate_counted(program: Program, cv: ConceptVector) -> tuple[Heuristic, int]:
+    """Route the concept vector to a leaf by walking the tree; also count
+    condition evaluations. The reference for the compiled `make_policy`."""
+    node = program.root
+    conditions = 0
+    while isinstance(node, If):
+        conditions += 1
+        node = node.then_branch if condition_value(node.weights, cv) > 0.0 else node.else_branch
+    return node.heuristic, conditions
+
+
+def verify_feasible(result: ScheduleResult, instance: Instance) -> bool:
+    """Check job precedence, machine exclusivity, and the recorded makespan."""
+    by_machine: dict[int, list[tuple[int, int]]] = {}
+    makespan = 0
+    for job, starts in zip(instance.jobs, result.start_times):
+        if len(starts) != len(job):
+            return False
+        prev_end = 0
+        for op, start in zip(job, starts):
+            if start is None or start < prev_end:
+                return False
+            end = start + op.duration
+            prev_end = end
+            makespan = max(makespan, end)
+            by_machine.setdefault(op.machine, []).append((start, end))
+    for intervals in by_machine.values():
+        intervals.sort()
+        for (_, end_a), (start_b, _) in zip(intervals, intervals[1:]):
+            if start_b < end_a:
+                return False
+    return makespan == result.makespan

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from conftest import INSTANCE_DIR, posterior, random_instance
+from conftest import INSTANCE_DIR, evaluate_counted, posterior, random_instance, verify_feasible
 from prorl import sim
 from prorl.bo import BoConfig
 from prorl.concepts import ConceptVector
@@ -21,7 +21,6 @@ from prorl.dsl import (
     MAX_DEPTH,
     MAX_TOKENS,
     deserialize,
-    evaluate_counted,
     make_policy,
     mutate,
     pretty_print,
@@ -189,7 +188,7 @@ def test_criterion_6a_feasibility_bounds_concepts_10k():
         inst = random_instance(rng, max_jobs=4, max_machines=3, max_duration=9)
         program = random_program(rng)
         result = sim.run_episode(inst, make_policy(program))
-        assert sim.verify_feasible(result, inst)
+        assert verify_feasible(result, inst)
         ops = [op for job in inst.jobs for op in job]
         machine_bound = max(sum(op.duration for op in ops if op.machine == m) for m in range(inst.num_machines))
         job_bound = max(sum(op.duration for op in job) for job in inst.jobs)

@@ -18,7 +18,7 @@ from prorl.bo import (
     posterior_batch,
     propose,
 )
-from prorl.dsl import Action, Condition, If, Program, if_count
+from prorl.dsl import Action, If, Program, if_count
 from prorl.instance import parse_standard
 from prorl.pdr import Heuristic
 from prorl.sim import EpisodeTrie
@@ -229,7 +229,7 @@ def test_propose_concentrates_near_high_observation():
 
 def tunable_program() -> Program:
     return Program(
-        If(Condition((0.5, 0, 0, 0, 0, 0)), Action(Heuristic.SPT), Action(Heuristic.MWR))
+        If((0.5, 0, 0, 0, 0, 0), Action(Heuristic.SPT), Action(Heuristic.MWR))
     )
 
 

@@ -280,6 +280,24 @@ def test_bench_table_and_csv(tmp_path, capsys, bks_path):
     assert all(len(r.split(",")) == len(rows[0].split(",")) for r in rows)
 
 
+def test_reports_print_large_makespans_in_full(tmp_path, capsys):
+    # :g would round 1234567 to 1.23457e+06 in the table and the CSV
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    big = inst_dir / "big.txt"
+    big.write_text("1 1\n0 1234567\n")
+    pdr_csv, bench_csv = tmp_path / "pdr.csv", tmp_path / "bench.csv"
+    assert main(["pdr", "--instance", str(big), "--rule", "spt", "--csv", str(pdr_csv)]) == 0
+    assert pdr_csv.read_text().splitlines()[1] == "big,SPT,1234567,,,1"
+    assert main(["bench", "--dir", str(inst_dir), "--methods", "spt", "--csv", str(bench_csv)]) == 0
+    assert bench_csv.read_text().splitlines()[1] == "big,spt,1234567,,,1"
+    table = capsys.readouterr().out
+    assert table.count(" 1234567 ") == 2 and "e+06" not in table
+    # a non-integral mean of the random agent keeps its short form
+    mean = cli.RunReport("big", "random", 1234567.5, None, 0, 0.0, 2)
+    assert mean.csv_row() == "big,random,1.23457e+06,,0,2"
+
+
 def test_bench_deterministic_csv(tmp_path, capsys):
     inst_dir = tmp_path / "instances"
     inst_dir.mkdir()

@@ -6,20 +6,25 @@ import random
 
 import pytest
 
-from conftest import all_nondelay_makespans, get_params, random_instance
+from conftest import (
+    all_nondelay_makespans,
+    condition_value,
+    evaluate_counted,
+    get_params,
+    random_instance,
+    verify_feasible,
+)
 from prorl import sim
 from prorl.concepts import ConceptVector
 from prorl.dsl import (
     MAX_DEPTH,
     MAX_TOKENS,
     Action,
-    Condition,
     If,
     PolicyFormatError,
     Program,
     depth,
     deserialize,
-    evaluate_counted,
     if_count,
     make_policy,
     mutate,
@@ -44,12 +49,12 @@ def random_cv(rng: random.Random) -> ConceptVector:
 def example_policy() -> Program:
     """The example policy: MWR / LOR / SPT behind two linear conditions."""
     inner = If(
-        Condition((-1.11, -0.24, 1.66, 1.35, -1.98, 1.46)),
+        (-1.11, -0.24, 1.66, 1.35, -1.98, 1.46),
         Action(Heuristic.LOR),
         Action(Heuristic.SPT),
     )
     return Program(
-        If(Condition((1.00, 0.79, -0.84, 1.20, -0.84, -1.84)), Action(Heuristic.MWR), inner)
+        If((1.00, 0.79, -0.84, 1.20, -0.84, -1.84), Action(Heuristic.MWR), inner)
     )
 
 
@@ -61,7 +66,7 @@ def test_evaluate_leaf():
 
 def test_evaluate_constant_true_condition():
     program = Program(
-        If(Condition((1.0, 0, 0, 0, 0, 0)), Action(Heuristic.MWR), Action(Heuristic.SPT))
+        If((1.0, 0, 0, 0, 0, 0), Action(Heuristic.MWR), Action(Heuristic.SPT))
     )
     assert make_policy(program)(cv()) is Heuristic.MWR
 
@@ -69,7 +74,7 @@ def test_evaluate_constant_true_condition():
 def test_evaluate_zero_routes_to_else():
     # strict inequality: a condition value of exactly 0 takes the else branch
     program = Program(
-        If(Condition((0.0, 0, 0, 0, 0, 0)), Action(Heuristic.MWR), Action(Heuristic.SPT))
+        If((0.0, 0, 0, 0, 0, 0), Action(Heuristic.MWR), Action(Heuristic.SPT))
     )
     assert make_policy(program)(cv()) is Heuristic.SPT
 
@@ -91,7 +96,7 @@ def test_policy_on_2x2(inst_2x2):
 
 def test_example_policy_runs_on_benchmark(ft06):
     result = sim.run_episode(ft06, make_policy(example_policy()))
-    assert sim.verify_feasible(result, ft06)
+    assert verify_feasible(result, ft06)
 
 
 def test_equal_programs_give_identical_results(ft06):
@@ -103,7 +108,7 @@ def test_equal_programs_give_identical_results(ft06):
 def test_token_count_examples():
     assert token_count(Program(Action(Heuristic.SPT))) == 1
     two_leaf = Program(
-        If(Condition((1, 0, 0, 0, 0, 0)), Action(Heuristic.SPT), Action(Heuristic.MOR))
+        If((1, 0, 0, 0, 0, 0), Action(Heuristic.SPT), Action(Heuristic.MOR))
     )
     assert token_count(two_leaf) == 10
 
@@ -112,7 +117,7 @@ def full_tree(levels: int) -> Program:
     def build(level):
         if level == 1:
             return Action(Heuristic.SPT)
-        return If(Condition((0.5, 0, 0, 0, 0, 0)), build(level - 1), build(level - 1))
+        return If((0.5, 0, 0, 0, 0, 0), build(level - 1), build(level - 1))
 
     return Program(build(levels))
 
@@ -162,21 +167,21 @@ def test_random_weights_interleave_with_other_draws():
     assert batched.getstate() == looped.getstate()
 
 
-def _zero_condition_for(point: ConceptVector, rng: random.Random) -> Condition:
+def _zero_weights_for(point: ConceptVector, rng: random.Random) -> tuple[float, ...]:
     """Weights whose condition value at `point` is exactly 0.0: every weight
     and concept is a multiple of 1/8, so each product and partial sum is exact."""
     while True:
         slopes = [rng.randint(-16, 16) / 8 for _ in range(5)]
         bias = -sum(w * x for w, x in zip(slopes, point.as_tuple()))
         if -2.0 <= bias <= 2.0:
-            return Condition((bias, *slopes))
+            return (bias, *slopes)
 
 
 def _route_values(program: Program, point: ConceptVector) -> list[float]:
     """The condition values met on the way from the root to the leaf."""
     node, values = program.root, []
     while isinstance(node, If):
-        values.append(node.condition.value(point))
+        values.append(condition_value(node.weights, point))
         node = node.then_branch if values[-1] > 0.0 else node.else_branch
     return values
 
@@ -192,7 +197,7 @@ def test_compiled_policy_routes_like_the_tree_walk():
         params = []
         for _ in range(if_count(program)):
             if rng.random() < 0.5:
-                params.extend(_zero_condition_for(point, rng).weights)
+                params.extend(_zero_weights_for(point, rng))
             else:
                 params.extend(random_weights(rng, 6).tolist())
         program = set_params(program, tuple(params))
@@ -263,8 +268,8 @@ def test_grammar_closure():
         if isinstance(node, Action):
             return node.heuristic in HEURISTICS
         if isinstance(node, If):
-            weights_ok = len(node.condition.weights) == 6 and all(
-                -2.0 <= w <= 2.0 for w in node.condition.weights
+            weights_ok = len(node.weights) == 6 and all(
+                -2.0 <= w <= 2.0 for w in node.weights
             )
             return weights_ok and derivable(node.then_branch) and derivable(node.else_branch)
         return False
@@ -282,7 +287,7 @@ def test_pretty_print_leaf():
 
 def test_pretty_print_omits_zero_terms():
     program = Program(
-        If(Condition((1.0, 0, 0, 0, 0, 0)), Action(Heuristic.MWR), Action(Heuristic.SPT))
+        If((1.0, 0, 0, 0, 0, 0), Action(Heuristic.MWR), Action(Heuristic.SPT))
     )
     text = " ".join(pretty_print(program).split())
     assert text == "if (1.00 > 0): then MWR else SPT"
@@ -378,8 +383,8 @@ def test_set_params_preserves_behavior_round_trip():
 def _leaves_with_constraints(node, constraints):
     if isinstance(node, Action):
         return [(node, list(constraints))]
-    out = _leaves_with_constraints(node.then_branch, constraints + [(node.condition, True)])
-    out += _leaves_with_constraints(node.else_branch, constraints + [(node.condition, False)])
+    out = _leaves_with_constraints(node.then_branch, constraints + [(node.weights, True)])
+    out += _leaves_with_constraints(node.else_branch, constraints + [(node.weights, False)])
     return out
 
 
@@ -396,7 +401,7 @@ def test_partition_property():
             matching = [
                 leaf
                 for leaf, constraints in leaves
-                if all((condition.value(point) > 0) is positive for condition, positive in constraints)
+                if all((condition_value(weights, point) > 0) is positive for weights, positive in constraints)
             ]
             assert len(matching) == 1
             assert matching[0].heuristic is make_policy(program)(point)
@@ -411,7 +416,8 @@ def test_condition_evaluation_bound():
 
 
 def test_condition_weight_box_enforced():
+    leaf = Action(Heuristic.SPT)
     with pytest.raises(ValueError, match="outside"):
-        Condition((2.5, 0, 0, 0, 0, 0))
+        If((2.5, 0, 0, 0, 0, 0), leaf, leaf)
     with pytest.raises(ValueError, match="6 weights"):
-        Condition((1.0, 0.0))
+        If((1.0, 0.0), leaf, leaf)

@@ -1,5 +1,6 @@
-"""Module layering: the runtime imports inside `prorl` form no cycle, and
-the command line loads no heavier dependency than it needs."""
+"""Module layering: the runtime imports inside `prorl` form no cycle, the
+command line loads no heavier dependency than it needs, and the package
+holds no code that only the tests call."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import prorl
@@ -111,3 +113,45 @@ def test_cli_import_leaves_numpy_random_unloaded():
     code = f"import sys, prorl.cli; print(*(m in sys.modules for m in {modules!r}))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["True", "False", "False", "False"]
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Names a tree refers to: bare names, attribute names and imported names."""
+    found: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def unreferenced_definitions(package_dir: Path) -> list[str]:
+    """Module-level functions and classes that no code in the package refers
+    to outside their own definition: code only the tests run."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in package_dir.glob("*.py")}
+    total: Counter = Counter()
+    for tree in trees.values():
+        total += _references(tree)
+    unused = []
+    for module, tree in sorted(trees.items()):
+        if module == "__init__":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if total[node.name] == _references(node)[node.name]:
+                    unused.append(f"{module}.{node.name}")
+    return unused
+
+
+def test_unreferenced_definitions_sees_self_reference(tmp_path):
+    (tmp_path / "a.py").write_text("def used():\n    pass\n\ndef walk(n):\n    return walk(n - 1)\n")
+    (tmp_path / "b.py").write_text("from .a import used\n")
+    assert unreferenced_definitions(tmp_path) == ["a.walk"]
+
+
+def test_package_holds_no_test_only_code():
+    # a reference oracle belongs in tests/conftest.py, next to its tests
+    assert unreferenced_definitions(PACKAGE_DIR) == []

@@ -85,6 +85,18 @@ def test_parse_taillard_dimension_error():
     assert "times row" in str(err.value)
 
 
+@pytest.mark.parametrize("text, line_no, fragment", [
+    ("2 2\n5 0\n3 4\n1 2\n2 1", 2, "duration 0"),  # a times row
+    ("2 2\n5 3\n3 4\n9 2\n2 1", 4, "machine index 9"),  # a machines row
+    ("# comment\n2 2\n3 2\n2 4\n0 2\n2 1", 5, "machine index 0"),  # lines count comments
+], ids=["times-row", "machines-row", "leading-comment"])
+def test_parse_taillard_names_the_line_of_the_bad_value(text, line_no, fragment):
+    with pytest.raises(ParseError) as err:
+        parse_taillard(text)
+    assert err.value.line_no == line_no
+    assert fragment in str(err.value)
+
+
 def test_parse_taillard_missing_matrix_rows():
     with pytest.raises(ParseError):
         parse_taillard("2 2\n3 2\n2 4\n1 2")
@@ -147,11 +159,10 @@ def test_instance_rejects_repeated_machine_visit():
 
 def test_load_bks():
     table = load_bks("ta21,1642\nft06,55\n")
-    assert table.lookup("ta21") == 1642
-    assert table.lookup("ft06") == 55
+    assert table == {"ta21": 1642, "ft06": 55}
     assert "nope" not in table
     with pytest.raises(KeyError):
-        table.lookup("nope")
+        table["nope"]
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import all_nondelay_makespans, random_instance
+from conftest import all_nondelay_makespans, random_instance, verify_feasible
 from prorl import sim
 from prorl.dsl import make_policy, random_program
 from prorl.concepts import extract
@@ -117,25 +117,25 @@ def test_random_rule_policy_labels_follow_the_seeded_draws(inst_2x2):
 
 def test_verify_feasible_on_episode_output(inst_2x2):
     result = run_pdr(inst_2x2, Heuristic.LOR)
-    assert sim.verify_feasible(result, inst_2x2)
+    assert verify_feasible(result, inst_2x2)
 
 
 def test_verify_rejects_machine_overlap(inst_2x2):
     # J0-op0 and J1-op1 share M0; forcing both to start at 0 overlaps
     bad = sim.ScheduleResult(makespan=7, start_times=((0, 3), (0, 0)), decisions=())
-    assert not sim.verify_feasible(bad, inst_2x2)
+    assert not verify_feasible(bad, inst_2x2)
 
 
 def test_verify_rejects_precedence_violation(inst_2x2):
     # J0-op1 starting at 1 begins before J0-op0 (start 0, duration 3) ends
     bad = sim.ScheduleResult(makespan=7, start_times=((0, 1), (0, 3)), decisions=())
-    assert not sim.verify_feasible(bad, inst_2x2)
+    assert not verify_feasible(bad, inst_2x2)
 
 
 def test_verify_rejects_wrong_makespan(inst_2x2):
     good = run_pdr(inst_2x2, Heuristic.SPT)
     bad = sim.ScheduleResult(makespan=good.makespan + 1, start_times=good.start_times, decisions=())
-    assert not sim.verify_feasible(bad, inst_2x2)
+    assert not verify_feasible(bad, inst_2x2)
 
 
 def test_feasibility_and_lower_bound_random_policies():
@@ -144,7 +144,7 @@ def test_feasibility_and_lower_bound_random_policies():
         inst = random_instance(rng)
         rule = rng.choice(list(Heuristic))
         result = run_pdr(inst, rule)
-        assert sim.verify_feasible(result, inst)
+        assert verify_feasible(result, inst)
         ops = [op for job in inst.jobs for op in job]
         machine_bound = max(sum(op.duration for op in ops if op.machine == m) for m in range(inst.num_machines))
         job_bound = max(sum(op.duration for op in job) for job in inst.jobs)
