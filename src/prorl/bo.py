@@ -8,6 +8,12 @@ standardized data: inputs are scaled from the weight box [-2, 2] to
 [-1, 1], targets to zero mean and unit variance. The acquisition argmax is
 approximated by scoring uniform random candidates.
 
+Candidates are scored with matrix products: squared distances take the
+expanded form |a|^2 + |b|^2 - 2 a.b, and `fit` inverts the Cholesky factor
+once. Against a difference-and-solve form this changes a score by rounding
+only, and a pick is an exact row of the candidate draw, so outputs stay
+bit-identical unless two UCB scores tie that close.
+
 Episodes are evaluated through the training run's `sim.EpisodeTrie`, which
 answers repeated dispatch sequences without simulating them. The caller
 grants each tuning a number of episodes; the loop evaluates exactly that
@@ -35,7 +41,6 @@ from .dsl import (
 from .sim import EpisodeTrie
 
 _JITTER_CEILING = 1e-2
-_KERNEL_BLOCK_ROWS = 64  # candidate rows per block of kernel differences
 
 
 @dataclass
@@ -64,7 +69,7 @@ class GpModel:
     """Fitted GP state: standardized training data plus a cached factorization."""
 
     x: np.ndarray  # (n, d) inputs scaled to [-1, 1]
-    chol: np.ndarray  # lower Cholesky factor of K + jitter*I
+    chol_inv: np.ndarray  # inverse of the lower Cholesky factor of K + jitter*I
     alpha: np.ndarray  # (K + jitter*I)^-1 y_std
     y_mean: float
     y_std: float
@@ -84,18 +89,11 @@ def _scale_inputs(x: np.ndarray) -> np.ndarray:
 
 
 def _kernel(a: np.ndarray, b: np.ndarray, length_scale: float, signal_var: float) -> np.ndarray:
-    # difference form, not the expanded |a|^2 + |b|^2 - 2ab: the matrices here
-    # are tiny and the oracle tests hold the kernel to 1e-8. The (rows, n, d)
-    # differences are squared in place and summed over d one block of rows at
-    # a time, so no (len(a), n, d) array is ever held; each output is summed
-    # over its own d values exactly as in one pass
-    sq = np.empty((len(a), len(b)))
-    for start in range(0, len(a), _KERNEL_BLOCK_ROWS):
-        rows = slice(start, start + _KERNEL_BLOCK_ROWS)
-        diff = a[rows, None, :] - b[None, :, :]
-        np.square(diff, out=diff)
-        np.sum(diff, axis=-1, out=sq[rows])
-        del diff
+    # expanded form |a|^2 + |b|^2 - 2 a.b: one matmul, no (len(a), len(b), d)
+    # array; it differs from the difference form by rounding only (see the
+    # module docstring), and the clip undoes cancellation below 0
+    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1) - 2.0 * (a @ b.T)
+    np.maximum(sq, 0.0, out=sq)
     return signal_var * np.exp(-0.5 * sq / (length_scale**2))
 
 
@@ -126,10 +124,11 @@ def fit(points: list[tuple[tuple[float, ...], float]], config: BoConfig) -> GpMo
             jitter *= 10.0
             if jitter > _JITTER_CEILING:
                 raise RuntimeError("GP factorization failed at maximum jitter") from None
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y))
+    chol_inv = np.linalg.inv(chol)
+    alpha = chol_inv.T @ (chol_inv @ y)
     return GpModel(
         x=x,
-        chol=chol,
+        chol_inv=chol_inv,
         alpha=alpha,
         y_mean=y_mean,
         y_std=y_std,
@@ -146,8 +145,8 @@ def posterior_batch(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np
         raise ValueError(f"query dimension {q.shape} does not match model dim {model.dim}")
     k_star = _kernel(q, model.x, model.length_scale, model.signal_var)
     mean_std = k_star @ model.alpha
-    v = np.linalg.solve(model.chol, k_star.T)
-    var = model.signal_var - np.sum(v * v, axis=0)
+    v = k_star @ model.chol_inv.T
+    var = model.signal_var - np.sum(v * v, axis=1)
     np.maximum(var, 0.0, out=var)
     mean = mean_std * model.y_std + model.y_mean
     std = np.sqrt(var) * model.y_std

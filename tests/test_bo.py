@@ -11,6 +11,7 @@ import pytest
 
 from conftest import get_params, posterior
 from prorl.bo import (
+    _JITTER_CEILING,
     BoConfig,
     _kernel,
     fit,
@@ -28,12 +29,13 @@ def dataset_from(pairs) -> list[tuple[tuple[float, ...], float]]:
     return [(tuple(x), float(y)) for x, y in pairs]
 
 
-def dense_oracle(xs, ys, query, length_scale=1.0, signal_var=1.0, jitter=1e-6):
-    """Posterior by a direct dense solve; mirrors only the standardization
+def dense_oracle_batch(xs, ys, queries, length_scale=1.0, signal_var=1.0, jitter=1e-6):
+    """Posterior at each query row by direct dense solves, with squared
+    distances summed from differences; mirrors only the standardization
     conventions (inputs halved into [-1, 1], targets to zero mean, unit
     population variance, with a unit fallback when all targets are equal)."""
     x = np.asarray(xs, dtype=float) / 2.0
-    q = np.asarray(query, dtype=float) / 2.0
+    q = np.asarray(queries, dtype=float) / 2.0
     y = np.asarray(ys, dtype=float)
     y_mean, y_std = y.mean(), y.std()
     if y_std == 0.0:
@@ -41,15 +43,20 @@ def dense_oracle(xs, ys, query, length_scale=1.0, signal_var=1.0, jitter=1e-6):
     yz = (y - y_mean) / y_std
 
     def k(a, b):
-        return signal_var * math.exp(-0.5 * sum((u - v) ** 2 for u, v in zip(a, b)) / length_scale**2)
+        sq = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+        return signal_var * np.exp(-0.5 * sq / length_scale**2)
 
-    n = len(x)
-    gram = np.array([[k(x[i], x[j]) for j in range(n)] for i in range(n)])
-    gram += jitter * np.eye(n)
-    k_star = np.array([k(q, x[i]) for i in range(n)])
+    gram = k(x, x) + jitter * np.eye(len(x))
+    k_star = k(q, x)
     mean_z = k_star @ np.linalg.solve(gram, yz)
-    var_z = signal_var - k_star @ np.linalg.solve(gram, k_star)
-    return mean_z * y_std + y_mean, math.sqrt(max(var_z, 0.0)) * y_std
+    var_z = signal_var - np.sum(k_star * np.linalg.solve(gram, k_star.T).T, axis=1)
+    return mean_z * y_std + y_mean, np.sqrt(np.maximum(var_z, 0.0)) * y_std
+
+
+def dense_oracle(xs, ys, query, **kernel):
+    """`dense_oracle_batch` at one query, as floats."""
+    mean, std = dense_oracle_batch(xs, ys, [query], **kernel)
+    return float(mean[0]), float(std[0])
 
 
 def test_fit_single_point_interpolates():
@@ -164,6 +171,11 @@ def _uniform_matrix(rng: random.Random, rows: int, cols: int) -> np.ndarray:
 @pytest.mark.parametrize("d", [1, 6, 18, 42])
 @pytest.mark.parametrize("n", [1, 30])
 def test_kernel_blocks_equal_the_one_shot_form(rows, d, n):
+    # the kernel once filled 64-row blocks, hence the row counts around 64; the
+    # expanded |a|^2 + |b|^2 - 2ab form rounds apart from the one-shot summed
+    # squared differences, so this is a tolerance, not an exact pin; the largest
+    # gap over 200 random shapes in [-1, 1]^d at unit length scale and variance
+    # was 7.8e-16
     rng = random.Random(rows * 1000 + d * 10 + n)
     a, b = _uniform_matrix(rng, rows, d), _uniform_matrix(rng, n, d)
     length_scale, signal_var = 0.7, 1.3
@@ -171,7 +183,25 @@ def test_kernel_blocks_equal_the_one_shot_form(rows, d, n):
     one_shot = signal_var * np.exp(-0.5 * sq / (length_scale**2))
     got = _kernel(a, b, length_scale, signal_var)
     assert got.shape == (rows, n)
-    assert np.array_equal(got, one_shot)
+    assert np.max(np.abs(got - one_shot)) <= 1e-12
+    assert np.all((got >= 0.0) & (got <= signal_var))
+    diagonal = np.diag(_kernel(a, a, length_scale, signal_var))
+    assert np.max(np.abs(diagonal - signal_var)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [6, 18, 42])
+@pytest.mark.parametrize("n", [1, 10, 29])
+def test_posterior_batch_matches_dense_oracle_at_training_shapes(d, n):
+    # one acquisition step: 256 candidates against a fit of up to
+    # init_points + iterations - 1 points, d = 6 weights per condition
+    rng = random.Random(d * 100 + n)
+    xs = [tuple(rng.uniform(-2.0, 2.0) for _ in range(d)) for _ in range(n)]
+    ys = [rng.uniform(-200, -50) for _ in range(n)]
+    queries = 2.0 * _uniform_matrix(rng, 256, d)
+    mean, std = posterior_batch(fit(dataset_from(zip(xs, ys)), BoConfig()), queries)
+    oracle_mean, oracle_std = dense_oracle_batch(xs, ys, queries)
+    assert np.max(np.abs(mean - oracle_mean)) <= 1e-8
+    assert np.max(np.abs(std - oracle_std)) <= 1e-8
 
 
 def test_posterior_batch_holds_no_full_difference_array():
@@ -211,6 +241,37 @@ def test_propose_is_ucb_argmax():
     assert mean + 5.0 * std == pytest.approx(1.0, abs=1e-2)
 
 
+def test_propose_picks_the_oracle_ucb_argmax():
+    # training outputs survive rounding-level changes in the GP because a
+    # pick is an exact row of the draw: wherever the oracle's best UCB score
+    # clears the runner-up, propose must pick that same row
+    rng = random.Random(2024)
+    checked = 0
+    for case in range(200):
+        d = rng.choice((6, 12, 18, 42))
+        n = rng.randint(1, 29)
+        xs = [tuple(rng.uniform(-2.0, 2.0) for _ in range(d)) for _ in range(n)]
+        if case % 8 == 0:  # all returns equal: the unit y_std fallback
+            ys, beta = [-60.0] * n, 2.0
+        else:
+            ys, beta = [-float(rng.randint(55, 70)) for _ in range(n)], rng.choice((0.0, 0.5, 2.0))
+        seed = rng.getrandbits(32)
+        replay = random.Random(seed)
+        candidates = np.array([[replay.uniform(-2.0, 2.0) for _ in range(d)] for _ in range(256)])
+        oracle_mean, oracle_std = dense_oracle_batch(xs, ys, candidates)
+        scores = oracle_mean + beta * oracle_std
+        draw = random.Random(seed)
+        got = propose(fit(dataset_from(zip(xs, ys)), BoConfig()), beta, draw, 256)
+        assert draw.getstate() == replay.getstate()
+        runner_up, top = np.sort(scores)[-2:]
+        if top - runner_up > 1e-9 * abs(top):
+            assert got == tuple(candidates[int(np.argmax(scores))].tolist())
+            checked += 1
+    # the rest are ties: a flat mean (one point, or equal returns) with a
+    # prior-level std at d = 42, or with beta = 0 (14 of 200 with this seed)
+    assert checked >= 180
+
+
 def test_propose_degenerate_cases():
     model = fit(dataset_from([((0.0,), -1.0)]), BoConfig())
     single = propose(model, 2.0, random.Random(7), 1)
@@ -225,6 +286,43 @@ def test_propose_concentrates_near_high_observation():
         (x,) = propose(model, 0.0, random.Random(seed), 1024)
         assert type(x) is float
         assert x > 0.5  # posterior mean peaks near the +1 observation
+
+
+def test_jitter_escalates_tenfold_on_duplicate_inputs():
+    # five copies of one input make the Gram matrix singular, and a jitter of
+    # 1e-16 is lost against its unit diagonal, so the first factorization
+    # fails and the jitter grows tenfold until one succeeds
+    rng = random.Random(3)
+    xs = [tuple(rng.uniform(-2.0, 2.0) for _ in range(6)) for _ in range(6)]
+    ys = [-float(rng.randint(50, 70)) for _ in range(6)]
+    points = dataset_from(zip(xs + [xs[0]] * 5, ys + [ys[0]] * 5))
+    config = BoConfig(jitter=1e-16)
+    model = fit(points, config)
+    steps = round(math.log10(model.jitter / config.jitter))
+    assert steps >= 1
+    assert model.jitter == pytest.approx(config.jitter * 10.0**steps, rel=1e-12)
+    assert model.jitter <= _JITTER_CEILING
+    mean, std = posterior_batch(model, np.array([x for x, _ in points]))
+    assert np.all(np.isfinite(mean)) and np.all(np.isfinite(std))
+    assert np.max(np.abs(mean - np.array([y for _, y in points]))) <= 1e-6
+    assert np.max(std) <= 1e-3
+
+
+def test_jitter_past_the_ceiling_raises(monkeypatch):
+    # at signal_var 1e30 every jitter up to the ceiling vanishes against the
+    # kernel values, so copies of one input stay singular at each step
+    tried = []
+    real_cholesky = np.linalg.cholesky
+
+    def counting_cholesky(matrix):
+        tried.append(matrix)
+        return real_cholesky(matrix)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    points = dataset_from([((0.0,) * 6, -1.0), ((0.0,) * 6, -2.0), ((0.0,) * 6, -3.0)])
+    with pytest.raises(RuntimeError, match="maximum jitter"):
+        fit(points, BoConfig(signal_var=1e30))
+    assert len(tried) == 5  # 1e-6, 1e-5, 1e-4, 1e-3 and the ceiling, 1e-2
 
 
 def tunable_program() -> Program:

@@ -107,12 +107,13 @@ def test_cli_import_leaves_numpy_random_unloaded():
     # weights are drawn from `random.Random`; loading numpy.random would
     # only raise peak memory after this import from 28.9 to 34.5 MB. The
     # bench process pool is imported when a sweep starts: at import time it
-    # would add 25-35 ms to every command's start-up.
+    # would add 25-35 ms to every command's start-up. The GP needs only
+    # numpy's own linear algebra, so scipy is no dependency.
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
-    modules = ("numpy", "numpy.random", "multiprocessing", "concurrent.futures")
+    modules = ("numpy", "numpy.random", "multiprocessing", "concurrent.futures", "scipy")
     code = f"import sys, prorl.cli; print(*(m in sys.modules for m in {modules!r}))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["True", "False", "False", "False"]
+    assert out.stdout.split() == ["True", "False", "False", "False", "False"]
 
 
 def _references(tree: ast.AST) -> Counter:
