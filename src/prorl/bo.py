@@ -43,7 +43,7 @@ from .sim import EpisodeTrie
 _JITTER_CEILING = 1e-2
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoConfig:
     length_scale: float = 1.0
     signal_var: float = 1.0
@@ -122,7 +122,8 @@ def fit(points: list[tuple[tuple[float, ...], float]], config: BoConfig) -> GpMo
             break
         except np.linalg.LinAlgError:
             jitter *= 10.0
-            if jitter > _JITTER_CEILING:
+            # rounding: from 1e-16 the 14th step is 0.010000000000000005, the ceiling
+            if jitter > _JITTER_CEILING * (1 + 1e-9):
                 raise RuntimeError("GP factorization failed at maximum jitter") from None
     chol_inv = np.linalg.inv(chol)
     alpha = chol_inv.T @ (chol_inv @ y)

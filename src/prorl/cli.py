@@ -95,59 +95,17 @@ def _gap_for(table: dict[str, int] | None, instance: Instance, makespan: float) 
     return (makespan - bks) / bks
 
 
-def _apply_overrides(config: search.SearchConfig, pairs: list[str]) -> search.SearchConfig:
-    """Apply --set key=value overrides onto the search/BO configuration."""
-    bo_fields = {f.name for f in dataclasses.fields(bo.BoConfig)}
-    search_keys = {
-        "lambda": "lam",
-        "mutation_rate": "mutation_rate",
-        "max_depth": "max_depth",
-        "max_tokens": "max_tokens",
-    }
-    for pair in pairs:
-        if "=" not in pair:
-            raise UsageError(f"--set expects key=value, got {pair!r}")
-        key, raw = pair.split("=", 1)
-        key = key.strip()
-        if key.startswith("bo."):
-            name = key[3:]
-            if name not in bo_fields:
-                raise UsageError(f"unknown config key {key!r}")
-            target, attr = config.bo, name
-        elif key.startswith("search."):
-            name = key[7:]
-            if name not in search_keys:
-                raise UsageError(f"unknown config key {key!r}")
-            target, attr = config, search_keys[name]
-        else:
-            raise UsageError(f"unknown config key {key!r} (use bo.* or search.*)")
-        try:
-            value = float(raw)
-        except ValueError:
-            raise UsageError(f"invalid value {raw!r} for {key}") from None
-        if isinstance(getattr(target, attr), int):
-            if not value.is_integer():  # also false for NaN and infinities
-                raise UsageError(f"{key} needs an integer, got {raw!r}")
-            value = int(value)
-        setattr(target, attr, value)
-    # re-validate after mutation
-    try:
-        config.bo.__post_init__()
-        config.__post_init__()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return config
-
-
 def _write(path: str, content: str) -> None:
     Path(path).write_text(content, encoding="utf-8")
 
 
-def _emit_report(report: RunReport, csv_path: str | None) -> None:
+def _emit_reports(reports: list[RunReport], csv_path: str | None) -> None:
     print(RunReport.table_header())
-    print(report.table_row())
+    for report in reports:
+        print(report.table_row())
     if csv_path:
-        _write(csv_path, RunReport.CSV_HEADER + "\n" + report.csv_row() + "\n")
+        rows = [RunReport.CSV_HEADER] + [report.csv_row() for report in reports]
+        _write(csv_path, "\n".join(rows) + "\n")
 
 
 def _run_policy(args, policy: sim.Policy, method: str) -> int:
@@ -166,7 +124,7 @@ def _run_policy(args, policy: sim.Policy, method: str) -> int:
         seconds=elapsed,
         episodes=1,
     )
-    _emit_report(report, args.csv)
+    _emit_reports([report], args.csv)
     if args.trace:
         _write(args.trace, sim.trace_csv(result))
     if args.dump_schedule:
@@ -200,15 +158,50 @@ def cmd_random(args) -> int:
         seconds=elapsed,
         episodes=args.episodes,
     )
-    _emit_report(report, args.csv)
+    _emit_reports([report], args.csv)
     return 0
 
 
+_SEARCH_KEYS = {"lambda": "lam", "mutation_rate": "mutation_rate", "max_depth": "max_depth",
+                "max_tokens": "max_tokens"}
+
+
 def _search_config(budget: int, seed: int, set_pairs: list[str] | None) -> search.SearchConfig:
+    """The training configuration: defaults, then the --set key=value pairs in order."""
     if budget < 0:
         raise UsageError("--budget must be >= 0")
-    config = search.SearchConfig(episode_budget=budget, seed=seed)
-    return _apply_overrides(config, set_pairs or [])
+    defaults = search.SearchConfig(episode_budget=budget, seed=seed)
+    bo_fields = {f.name for f in dataclasses.fields(bo.BoConfig)}
+    bo_changes: dict[str, float] = {}
+    search_changes: dict[str, float] = {}
+    for pair in set_pairs or []:
+        if "=" not in pair:
+            raise UsageError(f"--set expects key=value, got {pair!r}")
+        key, raw = pair.split("=", 1)
+        key = key.strip()
+        section, _, name = key.partition(".")
+        if section == "bo" and name in bo_fields:
+            changes, default = bo_changes, getattr(defaults.bo, name)
+        elif section == "search" and name in _SEARCH_KEYS:
+            name = _SEARCH_KEYS[name]
+            changes, default = search_changes, getattr(defaults, name)
+        elif key.startswith(("bo.", "search.")):
+            raise UsageError(f"unknown config key {key!r}")
+        else:
+            raise UsageError(f"unknown config key {key!r} (use bo.* or search.*)")
+        try:
+            value = float(raw)
+        except ValueError:
+            raise UsageError(f"invalid value {raw!r} for {key}") from None
+        if isinstance(default, int):
+            if not value.is_integer():  # also false for NaN and infinities
+                raise UsageError(f"{key} needs an integer, got {raw!r}")
+            value = int(value)
+        changes[name] = value
+    try:
+        return dataclasses.replace(defaults, bo=bo.BoConfig(**bo_changes), **search_changes)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_train(args) -> int:
@@ -234,7 +227,7 @@ def cmd_train(args) -> int:
         seconds=elapsed,
         episodes=state.episodes_used,
     )
-    _emit_report(report, args.csv)
+    _emit_reports([report], args.csv)
     return 0
 
 
@@ -244,9 +237,11 @@ def cmd_eval(args) -> int:
     return _run_policy(args, dsl.make_policy(program), "prorl")
 
 
-def _bench_single(instance: Instance, method: str, seed: int, budget: int,
-                  table: dict[str, int] | None, set_pairs: list[str] | None) -> RunReport:
-    """One bench task; it runs in a pool worker, so it and its arguments must pickle."""
+def _bench_single(instance: Instance, method: str, seed: int,
+                  config: search.SearchConfig | None, table: dict[str, int] | None) -> RunReport:
+    """One bench task; it runs in a pool worker, so it and its arguments must
+    pickle. `config` is the validated training configuration (None when no
+    prorl task runs); a prorl task trains on it with its own seed."""
     started = time.perf_counter()
     if method in PDR_METHODS:
         rule = pdr.Heuristic.parse(method)
@@ -257,7 +252,7 @@ def _bench_single(instance: Instance, method: str, seed: int, budget: int,
         makespan = float(sim.run_episode(instance, pdr.random_rule_policy(rng)).makespan)
         episodes, report_seed = 1, seed
     else:  # "prorl"; cmd_bench has rejected unknown methods
-        program, state = search.train(instance, _search_config(budget, seed, set_pairs))
+        program, state = search.train(instance, dataclasses.replace(config, seed=seed))
         makespan = float(search.evaluate_policy(program, instance))
         episodes, report_seed = state.episodes_used, seed
     return RunReport(
@@ -273,6 +268,9 @@ def _bench_single(instance: Instance, method: str, seed: int, budget: int,
 
 def cmd_bench(args) -> int:
     directory = Path(args.dir)
+    if not directory.is_dir():  # an I/O error, like a missing --instance
+        error = NotADirectoryError if directory.exists() else FileNotFoundError
+        raise error(f"--dir {args.dir!r} is not a directory")
     paths = sorted(p for p in directory.glob("*") if p.is_file())
     if not paths:
         raise UsageError(f"no instance files in {args.dir!r}")
@@ -289,8 +287,8 @@ def cmd_bench(args) -> int:
     for flag, raw, values in (("--methods", args.methods, methods), ("--seeds", args.seeds, seeds)):
         if len(set(values)) < len(values):  # a repeat reruns identical work
             raise UsageError(f"{flag} names an entry twice: {raw!r}")
-    if "prorl" in methods:  # reject a bad budget or --set before any task runs
-        _search_config(args.budget, seeds[0], args.set)
+    # a bad budget or --set is rejected before any task runs
+    config = _search_config(args.budget, seeds[0], args.set) if "prorl" in methods else None
     table = _load_bks_table(args.bks)
 
     instances = []
@@ -317,7 +315,7 @@ def cmd_bench(args) -> int:
             cpus = os.cpu_count() or 1
         with ProcessPoolExecutor(max_workers=min(cpus, len(tasks))) as pool:
             futures = [
-                pool.submit(_bench_single, instance, method, seed, args.budget, table, args.set)
+                pool.submit(_bench_single, instance, method, seed, config, table)
                 for instance, method, seed in tasks
             ]
             for (instance, method, seed), future in zip(tasks, futures):
@@ -326,9 +324,7 @@ def cmd_bench(args) -> int:
                 except Exception as exc:
                     failures.append((f"{instance.name}/{method}/s{seed}", str(exc), INTERNAL_ERROR))
 
-    print(RunReport.table_header())
-    for report in reports:
-        print(report.table_row())
+    _emit_reports(reports, args.csv)
 
     # per-instance mean gaps by method, plus mPDR when all five rules ran
     print()
@@ -348,11 +344,6 @@ def cmd_bench(args) -> int:
             pdr_gaps = [sum(by_method[m]) / len(by_method[m]) for m in PDR_METHODS if m in by_method]
             cells.append(f"{100 * min(pdr_gaps):>7.2f}%" if pdr_gaps else f"{'-':>8}")
         print(f"{instance.name:<12} " + " ".join(cells))
-
-    if args.csv:
-        lines = [RunReport.CSV_HEADER]
-        lines.extend(report.csv_row() for report in reports)
-        _write(args.csv, "\n".join(lines) + "\n")
 
     if failures:
         for name, message, _ in failures:

@@ -15,13 +15,14 @@ perfectly balanced).
 
 `extract` reads remaining machine loads, job work and duration bounds from
 the running totals on `SimState`: O(n + m) per vector for n jobs and m
-machines, with no rescan of the jobs' unscheduled suffixes.
+machines, with no rescan of the jobs' unscheduled suffixes. It is the only
+source of `ConceptVector`s in the program, so the vector checks nothing when
+built; the property suites check the range of the vectors `extract` makes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .instance import Instance
@@ -30,21 +31,12 @@ if TYPE_CHECKING:
 CONCEPT_NAMES = ("LD", "AM", "AO", "JD", "ST")
 
 
-@dataclass(frozen=True, slots=True)
-class ConceptVector:
+class ConceptVector(NamedTuple):
     ld: float
     am: float
     ao: float
     jd: float
     st: float
-
-    def __post_init__(self):
-        for name, value in zip(CONCEPT_NAMES, self.as_tuple()):
-            if not 0.0 <= value <= 1.0:  # also rejects NaN
-                raise ValueError(f"concept {name} = {value} outside [0, 1]")
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.ld, self.am, self.ao, self.jd, self.st)
 
 
 def _spread(max_value: float, min_value: float) -> float:

@@ -44,7 +44,7 @@ from .sim import EpisodeTrie, run_episode
 _EXTRA_MUTATIONS_CAP = 5
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchConfig:
     episode_budget: int
     lam: int = 10  # neighborhood (population) size

@@ -314,6 +314,6 @@ def trace_csv(result: ScheduleResult) -> str:
     """Decision trace as CSV rows "t,ld,am,ao,jd,st,action"."""
     lines = ["t,ld,am,ao,jd,st,action"]
     for t, (cv, action) in enumerate(result.decisions):
-        ld, am, ao, jd, st = cv.as_tuple()
+        ld, am, ao, jd, st = cv
         lines.append(f"{t},{ld:.6f},{am:.6f},{ao:.6f},{jd:.6f},{st:.6f},{action}")
     return "\n".join(lines) + "\n"

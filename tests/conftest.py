@@ -201,7 +201,7 @@ def condition_value(weights: tuple[float, ...], cv: ConceptVector) -> float:
     """The value of an if-node's linear condition at `cv`, summed term for
     term in the order the compiled policy sums it."""
     w = weights
-    ld, am, ao, jd, st = cv.as_tuple()
+    ld, am, ao, jd, st = cv
     return w[0] + w[1] * ld + w[2] * am + w[3] * ao + w[4] * jd + w[5] * st
 
 

@@ -194,7 +194,7 @@ def test_criterion_6a_feasibility_bounds_concepts_10k():
         job_bound = max(sum(op.duration for op in job) for job in inst.jobs)
         assert result.makespan >= max(machine_bound, job_bound)
         for cv, _ in result.decisions:
-            for value in cv.as_tuple():
+            for value in cv:
                 assert 0.0 <= value <= 1.0
     report("6a", True, f"10,000 random (program, instance) episodes, {time.perf_counter() - started:.0f}s")
 

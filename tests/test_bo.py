@@ -325,6 +325,23 @@ def test_jitter_past_the_ceiling_raises(monkeypatch):
     assert len(tried) == 5  # 1e-6, 1e-5, 1e-4, 1e-3 and the ceiling, 1e-2
 
 
+def test_jitter_from_a_tiny_start_still_tries_the_ceiling(monkeypatch):
+    # tenfold steps from 1e-16 reach 0.010000000000000005 by rounding: that
+    # step is the ceiling and is tried, so there are 15 factorizations
+    tried = []
+    real_cholesky = np.linalg.cholesky
+
+    def counting_cholesky(matrix):
+        tried.append(matrix)
+        return real_cholesky(matrix)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    points = dataset_from([((0.0,) * 6, -1.0), ((0.0,) * 6, -2.0), ((0.0,) * 6, -3.0)])
+    with pytest.raises(RuntimeError, match="maximum jitter"):
+        fit(points, BoConfig(signal_var=1e30, jitter=1e-16))
+    assert len(tried) == 15  # 1e-16 up to 1e-2
+
+
 def tunable_program() -> Program:
     return Program(
         If((0.5, 0, 0, 0, 0, 0), Action(Heuristic.SPT), Action(Heuristic.MWR))

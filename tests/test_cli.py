@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +217,44 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch, 
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_repeated_set_key_takes_its_last_value(capsys, monkeypatch, tiny_path):
+    configs = []
+    real_train = search.train
+
+    def recording_train(instance, config):
+        configs.append(config)
+        return real_train(instance, config)
+
+    monkeypatch.setattr(search, "train", recording_train)
+    assert main([
+        "train", "--instance", tiny_path, "--budget", "0",
+        "--set", "bo.beta=0.5", "--set", "search.lambda=3", "--set", "bo.beta=1.5",
+        "--set", "search.lambda=2",
+    ]) == 0
+    assert configs == [search.SearchConfig(episode_budget=0, lam=2, bo=bo.BoConfig(beta=1.5))]
+
+
+def test_bench_prorl_rows_match_train(tmp_path, capsys):
+    # bench validates one config up front and trains each seed on it, so
+    # every row is the CSV row of `train --seed` with the same --set pairs;
+    # on ft06 seeds 0 and 3 end on different makespans (59 and 61)
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    (inst_dir / "ft06.txt").write_text(Path(FT06).read_text())
+    sets = ["--set", "search.lambda=2", "--set", "bo.init_points=2", "--set", "bo.iterations=1"]
+    bench_csv = tmp_path / "bench.csv"
+    assert main(["bench", "--dir", str(inst_dir), "--methods", "prorl", "--seeds", "0,3",
+                 "--budget", "8", "--csv", str(bench_csv)] + sets) == 0
+    rows = [cli.RunReport.CSV_HEADER]
+    for seed in ("0", "3"):
+        train_csv = tmp_path / f"train{seed}.csv"
+        assert main(["train", "--instance", FT06, "--seed", seed, "--budget", "8",
+                     "--csv", str(train_csv)] + sets) == 0
+        rows.append(train_csv.read_text().splitlines()[1])
+    assert bench_csv.read_text().splitlines() == rows
+    assert [row.split(",")[2] for row in rows[1:]] == ["59", "61"]
+
+
 def test_eval_reproduces_training_makespan(tmp_path, capsys, tiny_path):
     out = tmp_path / "policy.json"
     main([
@@ -340,6 +379,17 @@ def test_bench_empty_dir_usage_error(tmp_path, capsys):
     assert main(["bench", "--dir", str(empty)]) == 2
 
 
+@pytest.mark.parametrize("make", ["missing", "file"])
+def test_bench_dir_that_is_no_directory_is_io_error(tmp_path, capsys, make):
+    # like a missing --instance or --policy: exit 3, not "no instance files"
+    target = tmp_path / "instances"
+    if make == "file":
+        target.write_text(TINY_2X2 + "\n")
+    assert main(["bench", "--dir", str(target), "--methods", "spt"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is not a directory" in err
+
+
 def test_bench_skips_bad_instance_nonzero_exit(tmp_path, capsys):
     inst_dir = tmp_path / "instances"
     inst_dir.mkdir()
@@ -374,7 +424,8 @@ def test_bench_pool_matches_in_process_tasks(tmp_path, capsys, monkeypatch, bks_
     tasks = [("fifo", 0), ("spt", 0), ("random", 0), ("random", 1), ("prorl", 0), ("prorl", 1)]
     instance = load_instance_file(str(inst_dir / "tiny.txt"), "standard")
     table = cli._load_bks_table(bks_path)
-    reports = [_real_bench_single(instance, method, seed, 6, table, sets) for method, seed in tasks]
+    config = cli._search_config(6, 0, sets)
+    reports = [_real_bench_single(instance, method, seed, config, table) for method, seed in tasks]
     expected = [report.csv_row() for report in reports]
 
     def untimed(row: str) -> list[str]:

@@ -67,7 +67,7 @@ def test_ranges_and_am_exactness_along_episodes():
         for _ in range(inst.total_operations):
             ready = sim.ready_set(state, inst)
             cv = extract(state, inst, ready)
-            for value in cv.as_tuple():
+            for value in cv:
                 assert 0.0 <= value <= 1.0
             free = sum(1 for t in state.machine_free_at if t <= state.clock)
             assert cv.am * inst.num_machines == pytest.approx(free)
@@ -120,5 +120,5 @@ def test_incremental_concepts_match_from_scratch_oracle():
         for _ in range(inst.total_operations):
             expected = reference_concepts(state, inst)
             ready = sim.ready_set(state, inst)
-            assert extract(state, inst, ready).as_tuple() == expected
+            assert extract(state, inst, ready) == expected
             sim.step(state, inst, ready[rng.randrange(len(ready))])

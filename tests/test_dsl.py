@@ -172,7 +172,7 @@ def _zero_weights_for(point: ConceptVector, rng: random.Random) -> tuple[float, 
     and concept is a multiple of 1/8, so each product and partial sum is exact."""
     while True:
         slopes = [rng.randint(-16, 16) / 8 for _ in range(5)]
-        bias = -sum(w * x for w, x in zip(slopes, point.as_tuple()))
+        bias = -sum(w * x for w, x in zip(slopes, point))
         if -2.0 <= bias <= 2.0:
             return (bias, *slopes)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -230,3 +231,16 @@ def test_config_validation():
         SearchConfig(episode_budget=0, lam=0)
     with pytest.raises(ValueError):
         SearchConfig(episode_budget=0, mutation_rate=1.5)
+
+
+@pytest.mark.parametrize("owner, field", [("search", "lam"), ("search", "bo"), ("bo", "beta")])
+def test_configs_are_frozen(owner, field):
+    # a variant is derived with dataclasses.replace, which re-validates it
+    config = SearchConfig(episode_budget=10)
+    target = config if owner == "search" else config.bo
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(target, field, getattr(target, field))
+    variant = dataclasses.replace(config, bo=dataclasses.replace(config.bo, beta=0.5))
+    assert (variant.bo.beta, config.bo.beta) == (0.5, 2.0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(config.bo, beta=-1.0)
