@@ -1,19 +1,23 @@
-"""Time the GP surrogate's `fit` and `propose` at the shapes training uses.
+"""Time one BO round of the GP surrogate at the shapes training uses.
 
     PYTHONPATH=src python scripts/time_gp.py [--repeat R]
 
-For d in {6, 18, 42} weights (one, three and seven conditions) and n in
-{10, 29} observed points (the first and the last fit of a default tuning),
-it fits a model to n uniform parameter vectors with integer returns, then
-times `fit` on those points and `propose` over the default 256 candidates on
-the fitted model. Each figure is the best of R timeit repeats, in µs per
-call. The result is printed as one JSON object. Point PYTHONPATH at another
-checkout's `src/` to time that version on the same inputs.
+A round of a tuning is a `propose` over the default 256 candidates on a
+model of n points, then an `add` of the evaluated point, which grows the
+model's factor to n + 1 rows. For d in {6, 18, 42} weights (one, three and
+seven conditions) and n in {10, 29} (the first and the last round of a
+default tuning), it fits a model to n uniform parameter vectors with
+integer returns and times `propose` on it and `add` onto a fresh copy of
+it. Each figure is the best of R repeats, in µs per call; `round_us` is
+their sum. The result is printed as one JSON object. Point PYTHONPATH at
+another checkout's `src/` (one whose `GpModel` has `add`) to time that
+version on the same inputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import random
 import timeit
@@ -21,9 +25,8 @@ import timeit
 from prorl.bo import BoConfig, fit, propose
 
 
-def time_call(call, repeat: int) -> float:
-    timer = timeit.Timer(call)
-    number, _ = timer.autorange()
+def time_call(call, repeat: int, setup=None, number: int = 200) -> float:
+    timer = timeit.Timer(call, setup) if setup else timeit.Timer(call)
     return min(timer.repeat(repeat=repeat, number=number)) / number * 1e6
 
 
@@ -38,15 +41,22 @@ def main() -> None:
             rng = random.Random(d * 100 + n)
             points = [
                 (tuple(rng.uniform(-2.0, 2.0) for _ in range(d)), -float(rng.randint(55, 70)))
-                for _ in range(n)
+                for _ in range(n + 1)
             ]
-            model = fit(points, config)
+            model = fit(points[:n], config)
             draws = random.Random(0)
+            propose_us = time_call(lambda: propose(model, config.beta, draws, config.candidates), args.repeat)
+            # add mutates its model: each timed call grows its own copy
+            copies = []
+            add_us = time_call(
+                lambda: copies.pop().add(*points[n]),
+                args.repeat,
+                setup=lambda: copies.extend(copy.deepcopy(model) for _ in range(200)),
+            )
             results[f"d={d},n={n}"] = {
-                "fit_us": round(time_call(lambda: fit(points, config), args.repeat), 1),
-                "propose_us": round(
-                    time_call(lambda: propose(model, config.beta, draws, config.candidates), args.repeat), 1
-                ),
+                "add_us": round(add_us, 1),
+                "propose_us": round(propose_us, 1),
+                "round_us": round(add_us + propose_us, 1),
             }
     print(json.dumps(results, indent=1))
 

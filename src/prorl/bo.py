@@ -8,16 +8,26 @@ standardized data: inputs are scaled from the weight box [-2, 2] to
 [-1, 1], targets to zero mean and unit variance. The acquisition argmax is
 approximated by scoring uniform random candidates.
 
+One `GpModel` serves a whole tuning and grows with it, the incremental GP
+of Rasmussen & Williams (2006, sec. 2.2, Alg. 2.1). It keeps the inverse
+L^-1 of the lower Cholesky factor of K + jitter*I, and `add` appends one
+row in O(n^2): with r = L^-1 k and l = sqrt(k_nn + jitter - r.r), the new
+row of L^-1 is (-(r^T L^-1) / l, 1 / l). A non-positive pivot raises the
+jitter tenfold and regrows the factor from row 0. The jitter never drops
+within a tuning, so it is the one a refit from `BoConfig.jitter` reaches.
 Candidates are scored with matrix products: squared distances take the
-expanded form |a|^2 + |b|^2 - 2 a.b, and `fit` inverts the Cholesky factor
-once. Against a difference-and-solve form this changes a score by rounding
-only, and a pick is an exact row of the candidate draw, so outputs stay
-bit-identical unless two UCB scores tie that close.
+expanded form |a|^2 + |b|^2 - 2 a.b over stored squared norms, and
+alpha = L^-T (L^-1 y). Against refitting with LAPACK and solving, this
+changes a score by rounding only, and a pick is an exact row of the
+candidate draw, so outputs stay bit-identical unless two UCB scores tie
+that close.
 
 Episodes are evaluated through the training run's `sim.EpisodeTrie`, which
-answers repeated dispatch sequences without simulating them. The caller
-grants each tuning a number of episodes; the loop evaluates exactly that
-many, cached or not.
+answers repeated dispatch sequences without simulating them. Each
+evaluation compiles the program's structure with the parameter vector as
+its weights (`dsl.compile_policy`); only the returned program is built. The
+caller grants each tuning a number of episodes; the loop evaluates exactly
+that many, cached or not.
 """
 
 from __future__ import annotations
@@ -33,14 +43,15 @@ from .dsl import (
     WEIGHT_LOW,
     WEIGHTS_LEN,
     Program,
+    compile_policy,
     if_count,
-    make_policy,
     random_weights,
     set_params,
 )
 from .sim import EpisodeTrie
 
 _JITTER_CEILING = 1e-2
+_INITIAL_ROWS = 32  # a default tuning holds 30 points
 
 
 @dataclass(frozen=True)
@@ -64,79 +75,133 @@ class BoConfig:
             raise ValueError("bad acquisition/iteration settings")
 
 
-@dataclass
-class GpModel:
-    """Fitted GP state: standardized training data plus a cached factorization."""
-
-    x: np.ndarray  # (n, d) inputs scaled to [-1, 1]
-    chol_inv: np.ndarray  # inverse of the lower Cholesky factor of K + jitter*I
-    alpha: np.ndarray  # (K + jitter*I)^-1 y_std
-    y_mean: float
-    y_std: float
-    length_scale: float
-    signal_var: float
-    jitter: float
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
-
-
 def _scale_inputs(x: np.ndarray) -> np.ndarray:
     half = (WEIGHT_HIGH - WEIGHT_LOW) / 2.0
     mid = (WEIGHT_HIGH + WEIGHT_LOW) / 2.0
     return (x - mid) / half
 
 
-def _kernel(a: np.ndarray, b: np.ndarray, length_scale: float, signal_var: float) -> np.ndarray:
-    # expanded form |a|^2 + |b|^2 - 2 a.b: one matmul, no (len(a), len(b), d)
-    # array; it differs from the difference form by rounding only (see the
-    # module docstring), and the clip undoes cancellation below 0
-    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1) - 2.0 * (a @ b.T)
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    # np.sum's reduction over the last axis without its Python-level dispatch
+    return np.add.reduce(x * x, axis=-1)
+
+
+def _kernel(
+    a: np.ndarray, a_norms: np.ndarray, b: np.ndarray, b_norms: np.ndarray,
+    length_scale: float, signal_var: float,
+) -> np.ndarray:
+    # expanded form |a|^2 + |b|^2 - 2 a.b over the rows' squared norms: one
+    # matmul, no (len(a), len(b), d) array; it differs from the difference
+    # form by rounding only (see the module docstring), and the clip undoes
+    # cancellation below 0. The steps of signal_var * exp(-0.5 * sq / l^2)
+    # run in place, in that order.
+    sq = a_norms[:, None] + b_norms
+    sq -= 2.0 * (a @ b.T)
     np.maximum(sq, 0.0, out=sq)
-    return signal_var * np.exp(-0.5 * sq / (length_scale**2))
+    sq *= -0.5
+    sq /= length_scale**2
+    np.exp(sq, out=sq)
+    sq *= signal_var
+    return sq
+
+
+class GpModel:
+    """One tuning's GP: its observations and the inverse Cholesky factor of
+    K + jitter*I, grown by one row per `add`. The arrays live in buffers that
+    double when full; `x`, `sq_norms`, `y` and `chol_inv` are views of the
+    rows in use."""
+
+    def __init__(self, dim: int, config: BoConfig):
+        self.n = 0
+        self._x = np.empty((_INITIAL_ROWS, dim))  # inputs scaled to [-1, 1]
+        self._sq_norms = np.empty(_INITIAL_ROWS)  # |x_i|^2 of each input
+        self._y = np.empty(_INITIAL_ROWS)  # raw returns
+        self._chol_inv = np.zeros((_INITIAL_ROWS, _INITIAL_ROWS))  # lower triangular
+        self.length_scale = config.length_scale
+        self.signal_var = config.signal_var
+        self.jitter = config.jitter
+
+    x = property(lambda self: self._x[:self.n])
+    sq_norms = property(lambda self: self._sq_norms[:self.n])
+    y = property(lambda self: self._y[:self.n])
+    chol_inv = property(lambda self: self._chol_inv[:self.n, :self.n])
+
+    @property
+    def dim(self) -> int:
+        return self._x.shape[1]
+
+    def y_stats(self) -> tuple[float, float]:
+        """Mean and population stddev of the returns, the stddev 1 when they
+        are all equal: the sums numpy's mean() and std() take, without their
+        Python-level dispatch."""
+        y_mean = np.add.reduce(self.y) / self.n
+        dev = self.y - y_mean
+        return float(y_mean), math.sqrt(np.add.reduce(dev * dev) / self.n) or 1.0
+
+    def add(self, params: tuple[float, ...], value: float) -> None:
+        """Observe one (parameter vector, episode return) pair and grow the
+        factor by its row. A non-positive pivot raises the jitter tenfold and
+        regrows the factor from row 0; the jitter never goes back down, since
+        a matrix whose leading block needed jitter j cannot factor with less.
+        A rejected observation leaves the model as it was; after the
+        `RuntimeError` at the jitter ceiling the model is unusable."""
+        x_new = _scale_inputs(np.array(params, dtype=float))
+        if x_new.shape != (self.dim,):
+            raise ValueError(f"expected {self.dim} parameters, got {x_new.size}")
+        if not (np.isfinite(x_new).all() and math.isfinite(value)):
+            raise ValueError("non-finite training data")
+        n = self.n
+        if n == len(self._y):
+            self._double()
+        self._x[n] = x_new
+        self._sq_norms[n] = _sq_norms(x_new)
+        self._y[n] = value
+        self.n = n + 1
+        start = n
+        while not self._extend(start):
+            self.jitter *= 10.0
+            # rounding: from 1e-16 the 14th step is 0.010000000000000005, the ceiling
+            if self.jitter > _JITTER_CEILING * (1 + 1e-9):
+                raise RuntimeError("GP factorization failed at maximum jitter")
+            start = 0
+
+    def _double(self) -> None:
+        n = self.n
+        self._x = np.concatenate((self._x, np.empty_like(self._x)))
+        self._sq_norms = np.concatenate((self._sq_norms, np.empty(n)))
+        self._y = np.concatenate((self._y, np.empty(n)))
+        chol_inv = np.zeros((2 * n, 2 * n))
+        chol_inv[:n, :n] = self._chol_inv
+        self._chol_inv = chol_inv
+
+    def _extend(self, start: int) -> bool:
+        """Grow the factor from row `start` over every stored input at the
+        current jitter (the row formula is in the module docstring); False
+        on a non-positive pivot."""
+        x, sq_norms, chol_inv = self._x, self._sq_norms, self._chol_inv
+        for row in range(start, self.n):
+            k = _kernel(x[row:row + 1], sq_norms[row:row + 1], x[:row + 1], sq_norms[:row + 1],
+                        self.length_scale, self.signal_var)[0]
+            inv = chol_inv[:row, :row]
+            r = inv @ k[:row]
+            pivot = k[row] + self.jitter - r @ r
+            if not pivot > 0.0:  # NaN fails too, as in LAPACK's potrf
+                return False
+            ell = math.sqrt(pivot)
+            chol_inv[row, :row] = -(r @ inv) / ell
+            chol_inv[row, row] = 1.0 / ell
+        return True
 
 
 def fit(points: list[tuple[tuple[float, ...], float]], config: BoConfig) -> GpModel:
-    """Fit the surrogate to observed (parameter vector, episode return)
-    pairs; jitter escalates tenfold on factorization failure."""
+    """The surrogate of observed (parameter vector, episode return) pairs:
+    an empty model grown by one `add` per pair."""
     if not points:
         raise ValueError("cannot fit a GP on an empty dataset")
-    x_raw = np.array([params for params, _ in points], dtype=float)
-    y_raw = np.array([value for _, value in points], dtype=float)
-    if not (np.all(np.isfinite(x_raw)) and np.all(np.isfinite(y_raw))):
-        raise ValueError("non-finite training data")
-
-    x = _scale_inputs(x_raw)
-    y_mean = float(y_raw.mean())
-    y_std = float(y_raw.std())
-    if y_std == 0.0:
-        y_std = 1.0
-    y = (y_raw - y_mean) / y_std
-
-    gram = _kernel(x, x, config.length_scale, config.signal_var)
-    jitter = config.jitter
-    while True:
-        try:
-            chol = np.linalg.cholesky(gram + jitter * np.eye(len(y)))
-            break
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-            # rounding: from 1e-16 the 14th step is 0.010000000000000005, the ceiling
-            if jitter > _JITTER_CEILING * (1 + 1e-9):
-                raise RuntimeError("GP factorization failed at maximum jitter") from None
-    chol_inv = np.linalg.inv(chol)
-    alpha = chol_inv.T @ (chol_inv @ y)
-    return GpModel(
-        x=x,
-        chol_inv=chol_inv,
-        alpha=alpha,
-        y_mean=y_mean,
-        y_std=y_std,
-        length_scale=config.length_scale,
-        signal_var=config.signal_var,
-        jitter=jitter,
-    )
+    model = GpModel(len(points[0][0]), config)
+    for params, value in points:
+        model.add(params, value)
+    return model
 
 
 def posterior_batch(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,13 +209,17 @@ def posterior_batch(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np
     q = _scale_inputs(np.asarray(queries, dtype=float))
     if q.ndim != 2 or q.shape[1] != model.dim:
         raise ValueError(f"query dimension {q.shape} does not match model dim {model.dim}")
-    k_star = _kernel(q, model.x, model.length_scale, model.signal_var)
-    mean_std = k_star @ model.alpha
+    y_mean, y_std = model.y_stats()
+    y = (model.y - y_mean) / y_std
+    alpha = model.chol_inv.T @ (model.chol_inv @ y)
+    k_star = _kernel(q, _sq_norms(q), model.x, model.sq_norms,
+                     model.length_scale, model.signal_var)
+    mean_std = k_star @ alpha
     v = k_star @ model.chol_inv.T
-    var = model.signal_var - np.sum(v * v, axis=1)
+    var = model.signal_var - _sq_norms(v)
     np.maximum(var, 0.0, out=var)
-    mean = mean_std * model.y_std + model.y_mean
-    std = np.sqrt(var) * model.y_std
+    mean = mean_std * y_std + y_mean
+    std = np.sqrt(var) * y_std
     return mean, std
 
 
@@ -176,27 +245,33 @@ def optimize_params(
 ) -> tuple[Program, float]:
     """Tune the program's condition weights with exactly `episodes` evaluations.
 
-    Evaluates min(`init_points`, episodes) uniform parameter vectors, then
-    runs fit / propose / evaluate rounds for the rest of the episodes. The
-    best observed pair is returned, never a surrogate prediction; on a tie
-    the first pair to reach the best return wins. A parameter-free program
-    takes the same path: its parameter vectors are empty, so one episode
-    evaluates it.
+    Evaluates min(`init_points`, episodes) uniform parameter vectors and fits
+    the GP to them once; each further episode is a round of propose, evaluate
+    and `add`. An evaluation compiles the program's structure with the
+    parameter vector as its weights, so only the returned program is built.
+    The best observed pair is returned, never a surrogate prediction; on a
+    tie the first pair to reach the best return wins. A parameter-free
+    program takes the same path: its parameter vectors are empty, so one
+    episode evaluates it.
     """
     if episodes < 1:
         raise ValueError("optimize_params needs at least one episode")
     dim = WEIGHTS_LEN * if_count(program)
     points: list[tuple[tuple[float, ...], float]] = []
 
-    def evaluate_point(params: tuple[float, ...]) -> None:
-        policy = make_policy(set_params(program, params))
-        points.append((params, -float(trie.makespan(policy))))
+    def evaluate(params: tuple[float, ...]) -> float:
+        value = -float(trie.makespan(compile_policy(program, params)))
+        points.append((params, value))
+        return value
 
     n_init = min(config.init_points, episodes)
     for params in random_weights(rng, n_init * dim).reshape(n_init, dim).tolist():
-        evaluate_point(tuple(params))
-    for _ in range(episodes - n_init):
-        evaluate_point(propose(fit(points, config), config.beta, rng, config.candidates))
+        evaluate(tuple(params))
+    if episodes > n_init:
+        model = fit(points, config)
+        for _ in range(episodes - n_init):
+            params = propose(model, config.beta, rng, config.candidates)
+            model.add(params, evaluate(params))
 
     best_params, best_value = max(points, key=lambda point: point[1])
     return set_params(program, best_params), best_value

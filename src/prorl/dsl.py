@@ -7,8 +7,12 @@ state concepts,
     w0 + w1*LD + w2*AM + w3*AO + w4*JD + w5*ST > 0,
 
 routing evaluation to the then-branch on a strictly positive value and to
-the else-branch otherwise. `make_policy` compiles a program into nested
-closures that route a concept vector.
+the else-branch otherwise. A program compiles into nested closures that
+route a concept vector, one per node with its weights bound as locals.
+There is one compile walk: `compile_policy` reads the weights from a flat
+parameter vector in pre-order, so the Bayesian inner loop evaluates a
+weight vector without building a program, and `make_policy` reads them
+from the program's own nodes.
 
 Programs are immutable values; generation and mutation take an explicit
 random source and respect the structural limits (depth at most 4, at most
@@ -25,7 +29,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -116,12 +120,15 @@ def if_count(program: Program) -> int:
     return count(program.root)
 
 
-def _compile(node: Node) -> Policy:
+def _compile(node: Node, rows: Iterator[Sequence[float]]) -> Policy:
+    # `rows` yields one row of condition weights per if-node in pre-order: a
+    # node reads its row before its branches compile
     if isinstance(node, Action):
         heuristic = node.heuristic
         return lambda cv: heuristic
-    then_branch, else_branch = _compile(node.then_branch), _compile(node.else_branch)
-    w0, w1, w2, w3, w4, w5 = node.weights
+    w0, w1, w2, w3, w4, w5 = next(rows)
+    then_branch = _compile(node.then_branch, rows)
+    else_branch = _compile(node.else_branch, rows)
 
     def route(cv: ConceptVector) -> Heuristic:
         # the terms in the order of the module docstring; float sums depend on it
@@ -132,10 +139,27 @@ def _compile(node: Node) -> Policy:
     return route
 
 
+def _weight_rows(program: Program, params: Sequence[float]) -> Iterator[Sequence[float]]:
+    """The flat parameter vector cut into one row per if-node, in pre-order."""
+    expected = WEIGHTS_LEN * if_count(program)
+    if len(params) != expected:
+        raise ValueError(f"expected {expected} parameters, got {len(params)}")
+    return iter([params[i:i + WEIGHTS_LEN] for i in range(0, expected, WEIGHTS_LEN)])
+
+
+def compile_policy(program: Program, params: Sequence[float]) -> Policy:
+    """Compile the program's structure into a simulator policy that routes
+    the concepts to a rule, with `params` (pre-order flattened, the order
+    `set_params` reads) as its condition weights: one closure per node, its
+    weights bound as locals. The program's own weights are not read, and no
+    program is built."""
+    return _compile(program.root, _weight_rows(program, params))
+
+
 def make_policy(program: Program) -> Policy:
-    """Compile the program into a simulator policy that routes the concepts
-    to a rule: one closure per node, its weights bound as locals."""
-    return _compile(program.root)
+    """Compile the program with its own condition weights."""
+    rows = (node.weights for _, node in _nodes(program.root) if isinstance(node, If))
+    return _compile(program.root, rows)
 
 
 def random_weights(rng: random.Random, n: int) -> np.ndarray:
@@ -145,11 +169,17 @@ def random_weights(rng: random.Random, n: int) -> np.ndarray:
     `rng.random()` reads two 32-bit twister words a, b and returns
     ((a >> 5) * 2**26 + (b >> 6)) / 2**53. `rng.getrandbits(64 * n)` reads
     the same 2n words and packs them little-endian, so its 64-bit word i is
-    b << 32 | a for the i-th pair, and the doubles are rebuilt exactly.
+    b << 32 | a for the i-th pair, and the doubles are rebuilt exactly. The
+    integer mantissa m is below 2**53, so m * 2**-53 is exact and scaling it
+    by the box width rounds once, as m * (width * 2**-53) does.
     """
     words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u8")
-    mantissa = ((words & 0xFFFFFFFF) >> 5 << 26) | (words >> 38)
-    return WEIGHT_LOW + (WEIGHT_HIGH - WEIGHT_LOW) * (mantissa * 2.0**-53)
+    mantissa = words & 0xFFFFFFE0  # (a >> 5) << 26 is (a & ~31) << 21
+    mantissa <<= 21
+    mantissa |= words >> 38
+    weights = mantissa * ((WEIGHT_HIGH - WEIGHT_LOW) * 2.0**-53)
+    weights += WEIGHT_LOW
+    return weights
 
 
 def _random_node(rng: random.Random, depth_budget: int, token_budget: int) -> Node:
@@ -214,19 +244,14 @@ def mutate(
     return Program(_replace(program.root, path, new_node))
 
 
-def set_params(program: Program, params: tuple[float, ...]) -> Program:
+def set_params(program: Program, params: Sequence[float]) -> Program:
     """Rebuild the program with the given pre-order flattened weights."""
-    expected = WEIGHTS_LEN * if_count(program)
-    if len(params) != expected:
-        raise ValueError(f"expected {expected} parameters, got {len(params)}")
-    it = iter(range(0, expected, WEIGHTS_LEN))
+    rows = _weight_rows(program, params)
 
     def walk(node: Node) -> Node:
         if isinstance(node, Action):
             return node
-        offset = next(it)
-        weights = tuple(params[offset:offset + WEIGHTS_LEN])
-        return If(weights, walk(node.then_branch), walk(node.else_branch))
+        return If(tuple(next(rows)), walk(node.then_branch), walk(node.else_branch))
 
     return Program(walk(program.root))
 
@@ -306,6 +331,8 @@ def _node_from_obj(obj, level: int = 1) -> Node:
     then_branch, else_branch = (_node_from_obj(obj[key], level + 1) for key in ("then", "else"))
     try:
         return If(tuple(float(w) for w in weights), then_branch, else_branch)
+    except OverflowError:  # a JSON integer past the float range
+        raise PolicyFormatError(f"condition weight outside [{WEIGHT_LOW}, {WEIGHT_HIGH}]") from None
     except ValueError as exc:
         raise PolicyFormatError(str(exc)) from None
 

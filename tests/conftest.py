@@ -1,21 +1,30 @@
 """Shared fixtures: tiny instances, random-instance generation, instance
 writers for the parser round trips, brute-force and reference oracles (a
-tree-walking program router, a schedule feasibility check), and one-query
-helpers over the library."""
+tree-walking program router, a schedule feasibility check, a BO inner loop
+that refits its GP every round), and one-query helpers over the library."""
 
 from __future__ import annotations
 
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from prorl.bo import GpModel, posterior_batch
+from prorl.bo import BoConfig, GpModel, posterior_batch
 from prorl.concepts import ConceptVector
-from prorl.dsl import If, Node, Program
+from prorl.dsl import (
+    WEIGHTS_LEN,
+    If,
+    Node,
+    Program,
+    if_count,
+    random_weights,
+    set_params,
+)
 from prorl.instance import Instance, Operation, parse_standard
 from prorl.pdr import Heuristic
-from prorl.sim import ScheduleResult
+from prorl.sim import EpisodeTrie, ScheduleResult
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 INSTANCE_DIR = DATA_DIR / "instances"
@@ -237,3 +246,51 @@ def verify_feasible(result: ScheduleResult, instance: Instance) -> bool:
             if start_b < end_a:
                 return False
     return makespan == result.makespan
+
+
+def reference_optimize_params(
+    program: Program, trie: EpisodeTrie, episodes: int, rng: random.Random, config: BoConfig
+) -> tuple[list[tuple[float, ...]], Program, float]:
+    """The BO inner loop with its GP refit from scratch every round: the Gram
+    matrix of all points rebuilt and factored by LAPACK, the jitter
+    escalation restarting from `config.jitter`, the factor inverted by
+    LAPACK, and each evaluation routed by walking the tree that `set_params`
+    builds. Returns the evaluated parameter vectors in order, then the best
+    (program, return) as `optimize_params` does."""
+    dim = WEIGHTS_LEN * if_count(program)
+    points: list[tuple[tuple[float, ...], float]] = []
+
+    def kernel(a, b):
+        sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1) - 2.0 * (a @ b.T)
+        return config.signal_var * np.exp(-0.5 * np.maximum(sq, 0.0) / config.length_scale**2)
+
+    def evaluate(params: tuple[float, ...]) -> None:
+        tuned = set_params(program, params)
+        points.append((params, -float(trie.makespan(lambda cv: evaluate_counted(tuned, cv)[0]))))
+
+    n_init = min(config.init_points, episodes)
+    for params in random_weights(rng, n_init * dim).reshape(n_init, dim).tolist():
+        evaluate(tuple(params))
+    for _ in range(episodes - n_init):
+        x = np.array([params for params, _ in points]) / 2.0
+        y = np.array([value for _, value in points])
+        y_mean, y_std = y.mean(), y.std() or 1.0
+        jitter = config.jitter
+        while True:
+            try:
+                chol = np.linalg.cholesky(kernel(x, x) + jitter * np.eye(len(y)))
+                break
+            except np.linalg.LinAlgError:
+                jitter *= 10.0
+                if jitter > 1e-2 * (1 + 1e-9):
+                    raise RuntimeError("GP factorization failed at maximum jitter") from None
+        chol_inv = np.linalg.inv(chol)
+        candidates = random_weights(rng, config.candidates * dim).reshape(config.candidates, dim)
+        k_star = kernel(candidates / 2.0, x)
+        mean = k_star @ (chol_inv.T @ (chol_inv @ ((y - y_mean) / y_std))) * y_std + y_mean
+        v = k_star @ chol_inv.T
+        std = np.sqrt(np.maximum(config.signal_var - np.sum(v * v, axis=1), 0.0)) * y_std
+        evaluate(tuple(candidates[int(np.argmax(mean + config.beta * std))].tolist()))
+
+    best_params, best_value = max(points, key=lambda point: point[1])
+    return [params for params, _ in points], set_params(program, best_params), best_value

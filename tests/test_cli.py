@@ -292,7 +292,9 @@ def nested_policy(levels: int) -> str:
     (nested_policy(1_200), "depth exceeds 4"),
     ('{"kind": "if", "weights": 3, ' + LEAVES + "}", "list of JSON numbers"),
     ('{"kind": "if", ' + LEAVES + "}", "list of JSON numbers"),
-], ids=["nested-1200", "scalar-weights", "missing-weights"])
+    # an integer past the float range: float() raises OverflowError
+    ('{"kind": "if", "weights": [1' + "0" * 400 + ', 0, 0, 0, 0, 0], ' + LEAVES + "}", "outside [-2.0, 2.0]"),
+], ids=["nested-1200", "scalar-weights", "missing-weights", "huge-integer-weight"])
 def test_eval_malformed_policy_io_error(tmp_path, capsys, tiny_path, doc, fragment):
     bad = tmp_path / "bad.json"
     bad.write_text(doc)

@@ -23,6 +23,7 @@ from prorl.dsl import (
     If,
     PolicyFormatError,
     Program,
+    compile_policy,
     depth,
     deserialize,
     if_count,
@@ -187,23 +188,24 @@ def _route_values(program: Program, point: ConceptVector) -> list[float]:
 
 
 def test_compiled_policy_routes_like_the_tree_walk():
-    # make_policy compiles the tree; evaluate_counted walks it node by node
+    # make_policy compiles the tree, compile_policy its structure with a
+    # parameter vector; evaluate_counted walks the tree node by node
     rng = random.Random(18)
     zero_hits = 0
     for _ in range(400):
-        program = random_program(rng)
+        structure = random_program(rng)
         point = ConceptVector(*(rng.randint(0, 8) / 8 for _ in range(5)))
         # about half the conditions sit exactly on the boundary at `point`
         params = []
-        for _ in range(if_count(program)):
+        for _ in range(if_count(structure)):
             if rng.random() < 0.5:
                 params.extend(_zero_weights_for(point, rng))
             else:
                 params.extend(random_weights(rng, 6).tolist())
-        program = set_params(program, tuple(params))
-        policy = make_policy(program)
+        program = set_params(structure, tuple(params))
+        policy, direct = make_policy(program), compile_policy(structure, tuple(params))
         for probe in (point, random_cv(rng), random_cv(rng)):
-            assert policy(probe) is evaluate_counted(program, probe)[0]
+            assert policy(probe) is direct(probe) is evaluate_counted(program, probe)[0]
         zero_hits += _route_values(program, point).count(0.0)
     assert zero_hits > 100  # the else-on-zero rule is exercised, not just present
 
@@ -368,6 +370,8 @@ def test_get_set_params():
     assert if_count(moved) == if_count(program)
     with pytest.raises(ValueError, match="expected 12"):
         set_params(program, params[:-1])
+    with pytest.raises(ValueError, match="expected 12"):
+        compile_policy(program, params + (0.0,))
 
 
 def test_set_params_preserves_behavior_round_trip():
