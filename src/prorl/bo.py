@@ -9,18 +9,21 @@ standardized data: inputs are scaled from the weight box [-2, 2] to
 approximated by scoring uniform random candidates.
 
 One `GpModel` serves a whole tuning and grows with it, the incremental GP
-of Rasmussen & Williams (2006, sec. 2.2, Alg. 2.1). It keeps the inverse
-L^-1 of the lower Cholesky factor of K + jitter*I, and `add` appends one
-row in O(n^2): with r = L^-1 k and l = sqrt(k_nn + jitter - r.r), the new
-row of L^-1 is (-(r^T L^-1) / l, 1 / l). A non-positive pivot raises the
-jitter tenfold and regrows the factor from row 0. The jitter never drops
-within a tuning, so it is the one a refit from `BoConfig.jitter` reaches.
-Candidates are scored with matrix products: squared distances take the
-expanded form |a|^2 + |b|^2 - 2 a.b over stored squared norms, and
-alpha = L^-T (L^-1 y). Against refitting with LAPACK and solving, this
-changes a score by rounding only, and a pick is an exact row of the
-candidate draw, so outputs stay bit-identical unless two UCB scores tie
-that close.
+of Rasmussen & Williams (2006, sec. 2.2, Alg. 2.1). It keeps the lower
+Cholesky factor L of K + jitter*I and its inverse L^-1, and `add` appends
+one row to each in O(n^2). The new row of L is (r, l), where r solves
+L r = k and l = sqrt(k_nn + jitter - r.r). r is taken as L^-1 k and then
+corrected by one step of iterative refinement against L, because a
+product with a computed inverse is less accurate than a triangular solve
+on ill-conditioned data. The new row of L^-1 is (-(r^T L^-1) / l, 1 / l). A
+non-positive pivot raises the jitter tenfold and regrows both factors from
+row 0. The jitter never drops within a tuning, so it is the one a refit
+from `BoConfig.jitter` reaches. Candidates are scored with matrix
+products: squared distances take the expanded form |a|^2 + |b|^2 - 2 a.b
+over stored squared norms, and alpha = L^-T (L^-1 y). Against refitting
+with LAPACK and solving, this changes a score by rounding only, and a pick
+is an exact row of the candidate draw, so outputs stay bit-identical
+unless two UCB scores tie that close.
 
 Episodes are evaluated through the training run's `sim.EpisodeTrie`, which
 answers repeated dispatch sequences without simulating them. Each
@@ -51,7 +54,6 @@ from .dsl import (
 from .sim import EpisodeTrie
 
 _JITTER_CEILING = 1e-2
-_INITIAL_ROWS = 32  # a default tuning holds 30 points
 
 
 @dataclass(frozen=True)
@@ -81,11 +83,6 @@ def _scale_inputs(x: np.ndarray) -> np.ndarray:
     return (x - mid) / half
 
 
-def _sq_norms(x: np.ndarray) -> np.ndarray:
-    # np.sum's reduction over the last axis without its Python-level dispatch
-    return np.add.reduce(x * x, axis=-1)
-
-
 def _kernel(
     a: np.ndarray, a_norms: np.ndarray, b: np.ndarray, b_norms: np.ndarray,
     length_scale: float, signal_var: float,
@@ -93,55 +90,44 @@ def _kernel(
     # expanded form |a|^2 + |b|^2 - 2 a.b over the rows' squared norms: one
     # matmul, no (len(a), len(b), d) array; it differs from the difference
     # form by rounding only (see the module docstring), and the clip undoes
-    # cancellation below 0. The steps of signal_var * exp(-0.5 * sq / l^2)
-    # run in place, in that order.
-    sq = a_norms[:, None] + b_norms
-    sq -= 2.0 * (a @ b.T)
+    # cancellation below 0
+    sq = a_norms[:, None] + b_norms - 2.0 * (a @ b.T)
     np.maximum(sq, 0.0, out=sq)
-    sq *= -0.5
-    sq /= length_scale**2
-    np.exp(sq, out=sq)
-    sq *= signal_var
-    return sq
+    return signal_var * np.exp(-0.5 * sq / (length_scale**2))
 
 
 class GpModel:
-    """One tuning's GP: its observations and the inverse Cholesky factor of
-    K + jitter*I, grown by one row per `add`. The arrays live in buffers that
-    double when full; `x`, `sq_norms`, `y` and `chol_inv` are views of the
-    rows in use."""
+    """One tuning's GP: its observations, the lower Cholesky factor L of
+    K + jitter*I and its inverse, both grown by one row per `add`."""
 
     def __init__(self, dim: int, config: BoConfig):
-        self.n = 0
-        self._x = np.empty((_INITIAL_ROWS, dim))  # inputs scaled to [-1, 1]
-        self._sq_norms = np.empty(_INITIAL_ROWS)  # |x_i|^2 of each input
-        self._y = np.empty(_INITIAL_ROWS)  # raw returns
-        self._chol_inv = np.zeros((_INITIAL_ROWS, _INITIAL_ROWS))  # lower triangular
+        self.x = np.empty((0, dim))  # inputs scaled to [-1, 1]
+        self.sq_norms = np.empty(0)  # |x_i|^2 of each input
+        self.y = np.empty(0)  # raw returns
+        self.chol = np.empty((0, 0))
+        self.chol_inv = np.empty((0, 0))
         self.length_scale = config.length_scale
         self.signal_var = config.signal_var
         self.jitter = config.jitter
 
-    x = property(lambda self: self._x[:self.n])
-    sq_norms = property(lambda self: self._sq_norms[:self.n])
-    y = property(lambda self: self._y[:self.n])
-    chol_inv = property(lambda self: self._chol_inv[:self.n, :self.n])
-
     @property
     def dim(self) -> int:
-        return self._x.shape[1]
+        return self.x.shape[1]
 
     def y_stats(self) -> tuple[float, float]:
         """Mean and population stddev of the returns, the stddev 1 when they
-        are all equal: the sums numpy's mean() and std() take, without their
+        are all equal. These are the sums numpy's mean() and std() take;
+        calling those instead added 5% to bench-ft06 wall_s, mostly their
         Python-level dispatch."""
-        y_mean = np.add.reduce(self.y) / self.n
+        n = len(self.y)
+        y_mean = np.add.reduce(self.y) / n
         dev = self.y - y_mean
-        return float(y_mean), math.sqrt(np.add.reduce(dev * dev) / self.n) or 1.0
+        return float(y_mean), math.sqrt(np.add.reduce(dev * dev) / n) or 1.0
 
     def add(self, params: tuple[float, ...], value: float) -> None:
         """Observe one (parameter vector, episode return) pair and grow the
-        factor by its row. A non-positive pivot raises the jitter tenfold and
-        regrows the factor from row 0; the jitter never goes back down, since
+        factors by its row. A non-positive pivot raises the jitter tenfold and
+        regrows the factors from row 0; the jitter never goes back down, since
         a matrix whose leading block needed jitter j cannot factor with less.
         A rejected observation leaves the model as it was; after the
         `RuntimeError` at the jitter ceiling the model is unusable."""
@@ -150,14 +136,10 @@ class GpModel:
             raise ValueError(f"expected {self.dim} parameters, got {x_new.size}")
         if not (np.isfinite(x_new).all() and math.isfinite(value)):
             raise ValueError("non-finite training data")
-        n = self.n
-        if n == len(self._y):
-            self._double()
-        self._x[n] = x_new
-        self._sq_norms[n] = _sq_norms(x_new)
-        self._y[n] = value
-        self.n = n + 1
-        start = n
+        self.x = np.concatenate((self.x, x_new[None, :]))
+        self.sq_norms = np.concatenate((self.sq_norms, [np.sum(x_new * x_new)]))
+        self.y = np.concatenate((self.y, [value]))
+        start = len(self.chol)
         while not self._extend(start):
             self.jitter *= 10.0
             # rounding: from 1e-16 the 14th step is 0.010000000000000005, the ceiling
@@ -165,31 +147,28 @@ class GpModel:
                 raise RuntimeError("GP factorization failed at maximum jitter")
             start = 0
 
-    def _double(self) -> None:
-        n = self.n
-        self._x = np.concatenate((self._x, np.empty_like(self._x)))
-        self._sq_norms = np.concatenate((self._sq_norms, np.empty(n)))
-        self._y = np.concatenate((self._y, np.empty(n)))
-        chol_inv = np.zeros((2 * n, 2 * n))
-        chol_inv[:n, :n] = self._chol_inv
-        self._chol_inv = chol_inv
-
     def _extend(self, start: int) -> bool:
-        """Grow the factor from row `start` over every stored input at the
-        current jitter (the row formula is in the module docstring); False
-        on a non-positive pivot."""
-        x, sq_norms, chol_inv = self._x, self._sq_norms, self._chol_inv
-        for row in range(start, self.n):
-            k = _kernel(x[row:row + 1], sq_norms[row:row + 1], x[:row + 1], sq_norms[:row + 1],
-                        self.length_scale, self.signal_var)[0]
-            inv = chol_inv[:row, :row]
+        """Keep the first `start` rows of the factors and grow them over every
+        further input at the current jitter (the row formula is in the module
+        docstring); False, with the factors unchanged, on a non-positive
+        pivot."""
+        n = len(self.y)
+        chol, chol_inv = np.zeros((n, n)), np.zeros((n, n))
+        chol[:start, :start] = self.chol[:start, :start]
+        chol_inv[:start, :start] = self.chol_inv[:start, :start]
+        for row in range(start, n):
+            k = _kernel(self.x[row:row + 1], self.sq_norms[row:row + 1], self.x[:row + 1],
+                        self.sq_norms[:row + 1], self.length_scale, self.signal_var)[0]
+            lower, inv = chol[:row, :row], chol_inv[:row, :row]
             r = inv @ k[:row]
+            r += inv @ (k[:row] - lower @ r)  # one refinement step against L
             pivot = k[row] + self.jitter - r @ r
             if not pivot > 0.0:  # NaN fails too, as in LAPACK's potrf
                 return False
             ell = math.sqrt(pivot)
-            chol_inv[row, :row] = -(r @ inv) / ell
-            chol_inv[row, row] = 1.0 / ell
+            chol[row, :row], chol[row, row] = r, ell
+            chol_inv[row, :row], chol_inv[row, row] = -(r @ inv) / ell, 1.0 / ell
+        self.chol, self.chol_inv = chol, chol_inv
         return True
 
 
@@ -212,11 +191,11 @@ def posterior_batch(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np
     y_mean, y_std = model.y_stats()
     y = (model.y - y_mean) / y_std
     alpha = model.chol_inv.T @ (model.chol_inv @ y)
-    k_star = _kernel(q, _sq_norms(q), model.x, model.sq_norms,
+    k_star = _kernel(q, np.sum(q * q, axis=1), model.x, model.sq_norms,
                      model.length_scale, model.signal_var)
     mean_std = k_star @ alpha
     v = k_star @ model.chol_inv.T
-    var = model.signal_var - _sq_norms(v)
+    var = model.signal_var - np.sum(v * v, axis=1)
     np.maximum(var, 0.0, out=var)
     mean = mean_std * y_std + y_mean
     std = np.sqrt(var) * y_std

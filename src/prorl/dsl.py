@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -120,15 +121,15 @@ def if_count(program: Program) -> int:
     return count(program.root)
 
 
-def _compile(node: Node, rows: Iterator[Sequence[float]]) -> Policy:
-    # `rows` yields one row of condition weights per if-node in pre-order: a
-    # node reads its row before its branches compile
+def _compile(node: Node, weights_of: Callable[[If], Sequence[float]]) -> Policy:
+    # `weights_of` gives an if-node's condition weights; it is called in
+    # pre-order, each node before its branches compile
     if isinstance(node, Action):
         heuristic = node.heuristic
         return lambda cv: heuristic
-    w0, w1, w2, w3, w4, w5 = next(rows)
-    then_branch = _compile(node.then_branch, rows)
-    else_branch = _compile(node.else_branch, rows)
+    w0, w1, w2, w3, w4, w5 = weights_of(node)
+    then_branch = _compile(node.then_branch, weights_of)
+    else_branch = _compile(node.else_branch, weights_of)
 
     def route(cv: ConceptVector) -> Heuristic:
         # the terms in the order of the module docstring; float sums depend on it
@@ -153,13 +154,13 @@ def compile_policy(program: Program, params: Sequence[float]) -> Policy:
     `set_params` reads) as its condition weights: one closure per node, its
     weights bound as locals. The program's own weights are not read, and no
     program is built."""
-    return _compile(program.root, _weight_rows(program, params))
+    rows = _weight_rows(program, params)
+    return _compile(program.root, lambda node: next(rows))
 
 
 def make_policy(program: Program) -> Policy:
     """Compile the program with its own condition weights."""
-    rows = (node.weights for _, node in _nodes(program.root) if isinstance(node, If))
-    return _compile(program.root, rows)
+    return _compile(program.root, operator.attrgetter("weights"))
 
 
 def random_weights(rng: random.Random, n: int) -> np.ndarray:
@@ -169,17 +170,11 @@ def random_weights(rng: random.Random, n: int) -> np.ndarray:
     `rng.random()` reads two 32-bit twister words a, b and returns
     ((a >> 5) * 2**26 + (b >> 6)) / 2**53. `rng.getrandbits(64 * n)` reads
     the same 2n words and packs them little-endian, so its 64-bit word i is
-    b << 32 | a for the i-th pair, and the doubles are rebuilt exactly. The
-    integer mantissa m is below 2**53, so m * 2**-53 is exact and scaling it
-    by the box width rounds once, as m * (width * 2**-53) does.
+    b << 32 | a for the i-th pair, and the doubles are rebuilt exactly.
     """
     words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u8")
-    mantissa = words & 0xFFFFFFE0  # (a >> 5) << 26 is (a & ~31) << 21
-    mantissa <<= 21
-    mantissa |= words >> 38
-    weights = mantissa * ((WEIGHT_HIGH - WEIGHT_LOW) * 2.0**-53)
-    weights += WEIGHT_LOW
-    return weights
+    mantissa = ((words & 0xFFFFFFFF) >> 5 << 26) | (words >> 38)
+    return WEIGHT_LOW + (WEIGHT_HIGH - WEIGHT_LOW) * (mantissa * 2.0**-53)
 
 
 def _random_node(rng: random.Random, depth_budget: int, token_budget: int) -> Node:
