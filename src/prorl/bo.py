@@ -25,12 +25,13 @@ with LAPACK and solving, this changes a score by rounding only, and a pick
 is an exact row of the candidate draw, so outputs stay bit-identical
 unless two UCB scores tie that close.
 
-Episodes are evaluated through the training run's `sim.EpisodeTrie`, which
-answers repeated dispatch sequences without simulating them. Each
-evaluation compiles the program's structure with the parameter vector as
-its weights (`dsl.compile_policy`); only the returned program is built. The
-caller grants each tuning a number of episodes; the loop evaluates exactly
-that many, cached or not.
+The tuning maximises the return function it is given, `evaluate(policy) ->
+float`; the search owns it (for one instance, the negative makespan of the
+policy's episode, answered by the run's episode cache), so this module
+never runs the simulator. Each evaluation compiles the program's structure
+with the parameter vector as its weights (`dsl.compile_policy`); only the
+returned program is built. The caller grants each tuning a number of
+episodes; the loop calls `evaluate` exactly that many times.
 """
 
 from __future__ import annotations
@@ -38,20 +39,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .dsl import (
-    WEIGHT_HIGH,
-    WEIGHT_LOW,
-    WEIGHTS_LEN,
-    Program,
-    compile_policy,
-    if_count,
-    random_weights,
-    set_params,
-)
-from .sim import EpisodeTrie
+from .dsl import WEIGHT_HIGH, WEIGHT_LOW, Program, compile_policy, random_weights, set_params
+
+if TYPE_CHECKING:
+    from .sim import Policy
 
 _JITTER_CEILING = 1e-2
 
@@ -217,12 +212,13 @@ def propose(model: GpModel, beta: float, rng: random.Random, n_candidates: int) 
 
 def optimize_params(
     program: Program,
-    trie: EpisodeTrie,
+    evaluate: Callable[[Policy], float],
     episodes: int,
     rng: random.Random,
     config: BoConfig,
 ) -> tuple[Program, float]:
-    """Tune the program's condition weights with exactly `episodes` evaluations.
+    """Tune the program's condition weights with exactly `episodes` calls of
+    `evaluate(policy)`, the return function the caller owns.
 
     Evaluates min(`init_points`, episodes) uniform parameter vectors and fits
     the GP to them once; each further episode is a round of propose, evaluate
@@ -235,22 +231,22 @@ def optimize_params(
     """
     if episodes < 1:
         raise ValueError("optimize_params needs at least one episode")
-    dim = WEIGHTS_LEN * if_count(program)
+    dim = program.n_params
     points: list[tuple[tuple[float, ...], float]] = []
 
-    def evaluate(params: tuple[float, ...]) -> float:
-        value = -float(trie.makespan(compile_policy(program, params)))
+    def observe(params: tuple[float, ...]) -> float:
+        value = evaluate(compile_policy(program, params))
         points.append((params, value))
         return value
 
     n_init = min(config.init_points, episodes)
     for params in random_weights(rng, n_init * dim).reshape(n_init, dim).tolist():
-        evaluate(tuple(params))
+        observe(tuple(params))
     if episodes > n_init:
         model = fit(points, config)
         for _ in range(episodes - n_init):
             params = propose(model, config.beta, rng, config.candidates)
-            model.add(params, evaluate(params))
+            model.add(params, observe(params))
 
     best_params, best_value = max(points, key=lambda point: point[1])
     return set_params(program, best_params), best_value

@@ -238,10 +238,10 @@ def cmd_eval(args) -> int:
 
 
 def _bench_single(instance: Instance, method: str, seed: int,
-                  config: search.SearchConfig | None, table: dict[str, int] | None) -> RunReport:
+                  config: search.SearchConfig, table: dict[str, int] | None) -> RunReport:
     """One bench task; it runs in a pool worker, so it and its arguments must
-    pickle. `config` is the validated training configuration (None when no
-    prorl task runs); a prorl task trains on it with its own seed."""
+    pickle. `config` is the validated training configuration; a prorl task
+    trains on it with its own seed."""
     started = time.perf_counter()
     if method in PDR_METHODS:
         rule = pdr.Heuristic.parse(method)
@@ -274,21 +274,19 @@ def cmd_bench(args) -> int:
     paths = sorted(p for p in directory.glob("*") if p.is_file())
     if not paths:
         raise UsageError(f"no instance files in {args.dir!r}")
-    methods = [m.strip().lower() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise UsageError("--methods names no method")
+    methods = [m.strip().lower() for m in args.methods.split(",")]
     for m in methods:
         if m not in PDR_METHODS + ("random", "prorl"):
-            raise UsageError(f"unknown method {m!r}")
+            raise UsageError(f"unknown method {m!r} in --methods {args.methods!r}")
     try:
-        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0]
+        seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
         raise UsageError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from None
     for flag, raw, values in (("--methods", args.methods, methods), ("--seeds", args.seeds, seeds)):
         if len(set(values)) < len(values):  # a repeat reruns identical work
             raise UsageError(f"{flag} names an entry twice: {raw!r}")
-    # a bad budget or --set is rejected before any task runs
-    config = _search_config(args.budget, seeds[0], args.set) if "prorl" in methods else None
+    # a bad budget or --set is rejected before any task runs, prorl or not
+    config = _search_config(args.budget, seeds[0], args.set)
     table = _load_bks_table(args.bks)
 
     instances = []

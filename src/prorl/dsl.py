@@ -20,7 +20,10 @@ random source and respect the structural limits (depth at most 4, at most
 
 Token accounting: an action leaf costs 1 token; an if-node costs 1 for the
 keyword plus 7 for its condition (six weights and the comparison) plus the
-tokens of its two branches.
+tokens of its two branches. An if-node thus adds 9 tokens together with its
+extra leaf, and a program of t tokens has (t - 1) / 9 conditions. A
+`Program` records its depth, tokens and parameter count when it is built,
+so no caller walks the tree to size a parameter vector.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import json
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
@@ -93,7 +96,13 @@ def node_tokens(node: Node) -> int:
 
 @dataclass(frozen=True)
 class Program:
+    """A program tree and its size, recorded once when it is built: its
+    depth, its tokens and the length of its flat parameter vector."""
+
     root: Node
+    depth: int = field(init=False, repr=False, compare=False)
+    tokens: int = field(init=False, repr=False, compare=False)
+    n_params: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = depth(self.root)
@@ -102,23 +111,9 @@ class Program:
         t = node_tokens(self.root)
         if t > MAX_TOKENS:
             raise ValueError(f"program has {t} tokens, limit {MAX_TOKENS}")
-
-    @property
-    def depth(self) -> int:
-        return depth(self.root)
-
-
-def token_count(program: Program) -> int:
-    return node_tokens(program.root)
-
-
-def if_count(program: Program) -> int:
-    def count(node: Node) -> int:
-        if isinstance(node, Action):
-            return 0
-        return 1 + count(node.then_branch) + count(node.else_branch)
-
-    return count(program.root)
+        object.__setattr__(self, "depth", d)
+        object.__setattr__(self, "tokens", t)
+        object.__setattr__(self, "n_params", WEIGHTS_LEN * ((t - 1) // 9))
 
 
 def _compile(node: Node, weights_of: Callable[[If], Sequence[float]]) -> Policy:
@@ -142,10 +137,9 @@ def _compile(node: Node, weights_of: Callable[[If], Sequence[float]]) -> Policy:
 
 def _weight_rows(program: Program, params: Sequence[float]) -> Iterator[Sequence[float]]:
     """The flat parameter vector cut into one row per if-node, in pre-order."""
-    expected = WEIGHTS_LEN * if_count(program)
-    if len(params) != expected:
-        raise ValueError(f"expected {expected} parameters, got {len(params)}")
-    return iter([params[i:i + WEIGHTS_LEN] for i in range(0, expected, WEIGHTS_LEN)])
+    if len(params) != program.n_params:
+        raise ValueError(f"expected {program.n_params} parameters, got {len(params)}")
+    return iter([params[i:i + WEIGHTS_LEN] for i in range(0, len(params), WEIGHTS_LEN)])
 
 
 def compile_policy(program: Program, params: Sequence[float]) -> Policy:
@@ -234,7 +228,7 @@ def mutate(
         new_node: Node = Action(options[rng.randrange(len(options))])
     else:
         depth_budget = max_depth - len(path)
-        token_budget = max_tokens - (node_tokens(program.root) - node_tokens(target))
+        token_budget = max_tokens - (program.tokens - node_tokens(target))
         new_node = _random_node(rng, depth_budget, token_budget)
     return Program(_replace(program.root, path, new_node))
 

@@ -13,12 +13,15 @@ candidate index). Candidates run one after another, in neighborhood order,
 each on the episodes `train` grants it (the rule is stated where `train`
 applies it).
 
-Episode cache: one `sim.EpisodeTrie` serves every evaluation of a `train`
-call and answers the repeated ones (at budget 1000, seeds 0-2: 84-99.5% of
-them on ft06, 74-99.5% on ft10, 76-99.5% on ta01) without simulating. Every
-evaluation is still charged, cached or not, so the cache saves time, never
-budget. `SearchState.distinct_episodes` counts the evaluations that did
-simulate: the distinct episodes, while the trie is below its node cap.
+Evaluation: `train` owns the episode budget and builds the run's one
+evaluation, `evaluate(policy)`, the return of the policy's episode (its
+negative makespan), and hands it to every inner loop. One `sim.EpisodeTrie`
+behind it serves every evaluation of a `train` call and answers the
+repeated ones (at budget 1000, seeds 0-2: 84-99.5% of them on ft06,
+74-99.5% on ft10, 76-99.5% on ta01) without simulating. Every evaluation is
+still charged, cached or not, so the cache saves time, never budget.
+`SearchState.distinct_episodes` counts the evaluations that did simulate:
+the distinct episodes, while the trie is below its node cap.
 """
 
 from __future__ import annotations
@@ -27,19 +30,9 @@ import random
 from dataclasses import dataclass, field
 
 from .bo import BoConfig, optimize_params
-from .dsl import (
-    MAX_DEPTH,
-    MAX_TOKENS,
-    WEIGHTS_LEN,
-    Program,
-    if_count,
-    make_policy,
-    mutate,
-    random_program,
-    token_count,
-)
+from .dsl import MAX_DEPTH, MAX_TOKENS, Program, make_policy, mutate, random_program
 from .instance import Instance
-from .sim import EpisodeTrie, run_episode
+from .sim import EpisodeTrie, Policy, run_episode
 
 _EXTRA_MUTATIONS_CAP = 5
 
@@ -121,6 +114,10 @@ def train(instance: Instance, config: SearchConfig) -> tuple[Program, SearchStat
     incumbent = random_program(init_rng, config.max_depth, config.max_tokens)
     state = SearchState(generation=0, incumbent=incumbent, incumbent_return=None, episodes_used=0)
     trie = EpisodeTrie(instance)
+
+    def evaluate(policy: Policy) -> float:
+        return -float(trie.makespan(policy))
+
     budget = config.episode_budget
     per_candidate = config.bo.init_points + config.bo.iterations
 
@@ -139,7 +136,7 @@ def train(instance: Instance, config: SearchConfig) -> tuple[Program, SearchStat
         # the incumbent, then the earlier candidate.
         dims, charges = [], []
         for idx, candidate in enumerate(neighborhood):
-            dim = WEIGHTS_LEN * if_count(candidate)
+            dim = candidate.n_params
             # the charge rule: init_points + iterations episodes for a tunable
             # candidate, one for a parameter-free one, cut to what is left of
             # the budget; a candidate reached with none left is charged 0
@@ -148,7 +145,7 @@ def train(instance: Instance, config: SearchConfig) -> tuple[Program, SearchStat
             charges.append(charge)
             if charge:
                 cand_rng = _derived_rng(config.seed, "gen", gen, "cand", idx)
-                program, value = optimize_params(candidate, trie, charge, cand_rng, config.bo)
+                program, value = optimize_params(candidate, evaluate, charge, cand_rng, config.bo)
                 state.episodes_used += charge
                 if state.incumbent_return is None or value > state.incumbent_return:
                     state.incumbent, state.incumbent_return = program, value
@@ -161,7 +158,7 @@ def train(instance: Instance, config: SearchConfig) -> tuple[Program, SearchStat
                 generation=gen,
                 episodes_used=state.episodes_used,
                 best_return=state.incumbent_return,
-                incumbent_tokens=token_count(state.incumbent),
+                incumbent_tokens=state.incumbent.tokens,
                 incumbent_depth=state.incumbent.depth,
                 candidate_dims=tuple(dims),
                 candidate_charges=tuple(charges),

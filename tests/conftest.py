@@ -1,30 +1,24 @@
 """Shared fixtures: tiny instances, random-instance generation, instance
 writers for the parser round trips, brute-force and reference oracles (a
-tree-walking program router, a schedule feasibility check, a BO inner loop
-that refits its GP every round), and one-query helpers over the library."""
+tree-walking program router, a tree-walking program size, a schedule
+feasibility check, a BO inner loop that refits its GP every round), and
+one-query helpers over the library."""
 
 from __future__ import annotations
 
 import random
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
 
 from prorl.bo import BoConfig, GpModel, posterior_batch
 from prorl.concepts import ConceptVector
-from prorl.dsl import (
-    WEIGHTS_LEN,
-    If,
-    Node,
-    Program,
-    if_count,
-    random_weights,
-    set_params,
-)
+from prorl.dsl import Action, If, Node, Program, random_weights, set_params
 from prorl.instance import Instance, Operation, parse_standard
 from prorl.pdr import Heuristic
-from prorl.sim import EpisodeTrie, ScheduleResult
+from prorl.sim import Policy, ScheduleResult
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 INSTANCE_DIR = DATA_DIR / "instances"
@@ -206,6 +200,20 @@ def get_params(program: Program) -> tuple[float, ...]:
     return tuple(values)
 
 
+def tree_size(program: Program) -> tuple[int, int, int]:
+    """(depth, tokens, parameter count) by fresh walks of the tree: a leaf is
+    1 token, an if-node 8 plus its branches and six parameters."""
+
+    def walk(node: Node) -> tuple[int, int, int]:
+        if isinstance(node, Action):
+            return 1, 1, 0
+        then_size, else_size = walk(node.then_branch), walk(node.else_branch)
+        return (1 + max(then_size[0], else_size[0]), 8 + then_size[1] + else_size[1],
+                6 + then_size[2] + else_size[2])
+
+    return walk(program.root)
+
+
 def condition_value(weights: tuple[float, ...], cv: ConceptVector) -> float:
     """The value of an if-node's linear condition at `cv`, summed term for
     term in the order the compiled policy sums it."""
@@ -249,28 +257,29 @@ def verify_feasible(result: ScheduleResult, instance: Instance) -> bool:
 
 
 def reference_optimize_params(
-    program: Program, trie: EpisodeTrie, episodes: int, rng: random.Random, config: BoConfig
+    program: Program, evaluate: Callable[[Policy], float], episodes: int, rng: random.Random,
+    config: BoConfig,
 ) -> tuple[list[tuple[float, ...]], Program, float]:
     """The BO inner loop with its GP refit from scratch every round: the Gram
     matrix of all points rebuilt and factored by LAPACK, the jitter
     escalation restarting from `config.jitter`, the factor inverted by
-    LAPACK, and each evaluation routed by walking the tree that `set_params`
-    builds. Returns the evaluated parameter vectors in order, then the best
-    (program, return) as `optimize_params` does."""
-    dim = WEIGHTS_LEN * if_count(program)
+    LAPACK, and each policy `evaluate` is given routed by walking the tree
+    that `set_params` builds. Returns the evaluated parameter vectors in
+    order, then the best (program, return) as `optimize_params` does."""
+    dim = len(get_params(program))
     points: list[tuple[tuple[float, ...], float]] = []
 
     def kernel(a, b):
         sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1) - 2.0 * (a @ b.T)
         return config.signal_var * np.exp(-0.5 * np.maximum(sq, 0.0) / config.length_scale**2)
 
-    def evaluate(params: tuple[float, ...]) -> None:
+    def observe(params: tuple[float, ...]) -> None:
         tuned = set_params(program, params)
-        points.append((params, -float(trie.makespan(lambda cv: evaluate_counted(tuned, cv)[0]))))
+        points.append((params, evaluate(lambda cv: evaluate_counted(tuned, cv)[0])))
 
     n_init = min(config.init_points, episodes)
     for params in random_weights(rng, n_init * dim).reshape(n_init, dim).tolist():
-        evaluate(tuple(params))
+        observe(tuple(params))
     for _ in range(episodes - n_init):
         x = np.array([params for params, _ in points]) / 2.0
         y = np.array([value for _, value in points])
@@ -290,7 +299,7 @@ def reference_optimize_params(
         mean = k_star @ (chol_inv.T @ (chol_inv @ ((y - y_mean) / y_std))) * y_std + y_mean
         v = k_star @ chol_inv.T
         std = np.sqrt(np.maximum(config.signal_var - np.sum(v * v, axis=1), 0.0)) * y_std
-        evaluate(tuple(candidates[int(np.argmax(mean + config.beta * std))].tolist()))
+        observe(tuple(candidates[int(np.argmax(mean + config.beta * std))].tolist()))
 
     best_params, best_value = max(points, key=lambda point: point[1])
     return [params for params, _ in points], set_params(program, best_params), best_value

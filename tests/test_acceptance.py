@@ -26,7 +26,6 @@ from prorl.dsl import (
     pretty_print,
     random_program,
     serialize,
-    token_count,
 )
 from prorl.instance import load_instance_file
 from prorl.pdr import Heuristic
@@ -261,7 +260,7 @@ def test_criterion_6e_mutation_validity_10k():
     for _ in range(10_000):
         program = mutate(program, rng)
         assert program.depth <= MAX_DEPTH
-        assert token_count(program) <= MAX_TOKENS
+        assert program.tokens <= MAX_TOKENS
     report("6e", True, "10,000 chained mutations respect depth and token limits")
 
 

@@ -21,7 +21,8 @@ from prorl.bo import (
     posterior_batch,
     propose,
 )
-from prorl.dsl import Action, If, Program, if_count, random_program
+from prorl.concepts import ConceptVector
+from prorl.dsl import Action, If, Program, make_policy, random_program
 from prorl.instance import parse_standard
 from prorl.pdr import Heuristic
 from prorl.sim import EpisodeTrie
@@ -421,93 +422,148 @@ def inst():
     return parse_standard("2 2\n0 3 1 2\n1 2 0 4", "tiny")
 
 
+def episode_return(instance):
+    """The evaluation `search.train` builds: the negative makespan of the
+    policy's episode, answered by one episode trie."""
+    trie = EpisodeTrie(instance)
+    return lambda policy: -float(trie.makespan(policy))
+
+
 @pytest.fixture
-def trie(inst):
-    return EpisodeTrie(inst)
+def evaluate(inst):
+    return episode_return(inst)
 
 
-def counting(trie, monkeypatch) -> list[float]:
-    """Record the return of every episode the trie is asked for."""
+def counting(evaluate):
+    """`evaluate` that also records every return it gives, and the record."""
     observed = []
-    real_makespan = trie.makespan
 
-    def recording_makespan(policy):
-        makespan = real_makespan(policy)
-        observed.append(-float(makespan))
-        return makespan
+    def recording(policy):
+        observed.append(evaluate(policy))
+        return observed[-1]
 
-    monkeypatch.setattr(trie, "makespan", recording_makespan)
-    return observed
+    return recording, observed
 
 
-def test_optimize_parameter_free_charges_one(trie, monkeypatch):
-    observed = counting(trie, monkeypatch)
+def test_optimize_parameter_free_charges_one(evaluate):
+    evaluate, observed = counting(evaluate)
     rng = random.Random(0)
-    program, value = optimize_params(Program(Action(Heuristic.SPT)), trie, 1, rng, BoConfig())
+    program, value = optimize_params(Program(Action(Heuristic.SPT)), evaluate, 1, rng, BoConfig())
     assert observed == [-7.0]
     assert value == -7.0
     assert program == Program(Action(Heuristic.SPT))
     assert rng.getstate() == random.Random(0).getstate()  # nothing to draw
 
 
-def test_optimize_no_bo_rounds_charges_n_init(trie, monkeypatch):
-    observed = counting(trie, monkeypatch)
-    optimize_params(tunable_program(), trie, 10, random.Random(0), BoConfig(init_points=10))
+def test_optimize_no_bo_rounds_charges_n_init(evaluate):
+    evaluate, observed = counting(evaluate)
+    optimize_params(tunable_program(), evaluate, 10, random.Random(0), BoConfig(init_points=10))
     assert len(observed) == 10
 
 
-def test_optimize_defaults_charge_thirty(trie, monkeypatch):
-    observed = counting(trie, monkeypatch)
-    optimize_params(tunable_program(), trie, 30, random.Random(0), BoConfig())
+def test_optimize_defaults_charge_thirty(evaluate):
+    evaluate, observed = counting(evaluate)
+    optimize_params(tunable_program(), evaluate, 30, random.Random(0), BoConfig())
     assert len(observed) == 30
 
 
-def test_optimize_respects_partial_budget(trie, monkeypatch):
-    observed = counting(trie, monkeypatch)
-    program, value = optimize_params(tunable_program(), trie, 7, random.Random(0), BoConfig())
+def test_optimize_respects_partial_budget(evaluate):
+    evaluate, observed = counting(evaluate)
+    program, value = optimize_params(tunable_program(), evaluate, 7, random.Random(0), BoConfig())
     assert len(observed) == 7
     assert value == -7.0
 
 
-def test_optimize_exhausted_budget_raises(trie):
+def test_optimize_exhausted_budget_raises(evaluate):
     with pytest.raises(ValueError):
-        optimize_params(tunable_program(), trie, 0, random.Random(0), BoConfig())
+        optimize_params(tunable_program(), evaluate, 0, random.Random(0), BoConfig())
     with pytest.raises(ValueError):
-        optimize_params(Program(Action(Heuristic.SPT)), trie, 0, random.Random(0), BoConfig())
+        optimize_params(Program(Action(Heuristic.SPT)), evaluate, 0, random.Random(0), BoConfig())
 
 
-def test_optimize_returns_observed_value(inst, trie):
+def test_optimize_returns_observed_value(inst, evaluate):
     # the reported value is achieved by the returned program, not predicted
     from prorl.sim import run_episode
-    from prorl.dsl import make_policy
 
-    program, value = optimize_params(tunable_program(), trie, 50, random.Random(1), BoConfig())
+    program, value = optimize_params(tunable_program(), evaluate, 50, random.Random(1), BoConfig())
     assert -run_episode(inst, make_policy(program)).makespan == value
-    assert if_count(program) == 1 and len(get_params(program)) == 6
+    assert program.n_params == 6 and len(get_params(program)) == 6
     assert all(type(w) is float for w in get_params(program))
 
 
-def test_optimize_best_is_max_of_observations(trie, monkeypatch):
+def test_optimize_best_is_max_of_observations(evaluate):
     # the reported value must equal the best return actually observed, and
     # one evaluation must run per granted episode
-    observed = counting(trie, monkeypatch)
-    _, value = optimize_params(tunable_program(), trie, 25, random.Random(3), BoConfig())
+    evaluate, observed = counting(evaluate)
+    _, value = optimize_params(tunable_program(), evaluate, 25, random.Random(3), BoConfig())
     assert len(observed) == 25
     assert value == max(observed)
     running_best = [max(observed[: i + 1]) for i in range(len(observed))]
     assert running_best == sorted(running_best)
 
 
-def test_optimize_tie_returns_first_init_point(trie, monkeypatch):
+def test_optimize_tie_returns_first_init_point():
     # every episode returns the same makespan, so all pairs tie: the first
     # pair to reach the best return, the first init point, must win
     calls = []
-    monkeypatch.setattr(trie, "makespan", lambda policy: calls.append(policy) or 9)
-    program, value = optimize_params(tunable_program(), trie, 30, random.Random(5), BoConfig())
+
+    def evaluate(policy):
+        calls.append(policy)
+        return -9.0
+
+    program, value = optimize_params(tunable_program(), evaluate, 30, random.Random(5), BoConfig())
     assert len(calls) == 30
     assert value == -9.0
     replay = random.Random(5)
     assert get_params(program) == tuple(replay.uniform(-2.0, 2.0) for _ in range(6))
+
+
+# a return that needs no simulator: a fixed score of the rule the policy
+# routes each of a few concept vectors to
+PROBES = [ConceptVector(*(random.Random(i).random() for _ in range(5))) for i in range(4)]
+RULE_SCORE = {rule: float(i) for i, rule in enumerate(Heuristic)}
+
+
+def synthetic_return(policy) -> float:
+    return sum(RULE_SCORE[policy(cv)] for cv in PROBES)
+
+
+@pytest.mark.parametrize("episodes", [1, 7, 30])
+def test_optimize_seam_with_a_synthetic_return(monkeypatch, episodes):
+    program = Program(If((0.5, -1.0, 0, 0, 0, 0), Action(Heuristic.SPT),
+                         If((0.0, 0, 1.0, -1.0, 0, 0), Action(Heuristic.MWR), Action(Heuristic.LOR))))
+    evaluated, scores = [], []
+    real_compile = bo.compile_policy
+
+    def recording_compile(program, params):
+        evaluated.append(params)
+        return real_compile(program, params)
+
+    def evaluate(policy):
+        scores.append(synthetic_return(policy))
+        return scores[-1]
+
+    monkeypatch.setattr(bo, "compile_policy", recording_compile)
+    tuned, value = optimize_params(program, evaluate, episodes, random.Random(episodes), BoConfig())
+    assert len(scores) == len(evaluated) == episodes
+    assert value == max(scores)
+    # the first vector to reach the best score wins, even when later ones tie it
+    assert get_params(tuned) == evaluated[scores.index(value)]
+    assert synthetic_return(make_policy(tuned)) == value
+
+
+def test_optimize_lets_an_evaluation_error_propagate():
+    calls = []
+
+    def failing(policy):
+        calls.append(policy)
+        if len(calls) == 12:  # past the initial design, inside a BO round
+            raise RuntimeError("episode failed")
+        return synthetic_return(policy)
+
+    with pytest.raises(RuntimeError, match="episode failed"):
+        optimize_params(tunable_program(), failing, 30, random.Random(0), BoConfig())
+    assert len(calls) == 12
 
 
 def test_add_rejects_bad_observations():
@@ -530,7 +586,7 @@ def test_optimize_matches_the_refit_reference(ft06, monkeypatch, conditions):
     programs = []
     while len(programs) < 3:
         program = random_program(shapes)
-        if if_count(program) == conditions:
+        if program.n_params == 6 * conditions:
             programs.append(program)
     evaluated = []
     real_compile = bo.compile_policy
@@ -542,9 +598,9 @@ def test_optimize_matches_the_refit_reference(ft06, monkeypatch, conditions):
     monkeypatch.setattr(bo, "compile_policy", recording_compile)
     for seed, program in enumerate(programs):
         evaluated.clear()
-        got = optimize_params(program, EpisodeTrie(ft06), 30, random.Random(seed), BoConfig())
+        got = optimize_params(program, episode_return(ft06), 30, random.Random(seed), BoConfig())
         expected_params, *expected = reference_optimize_params(
-            program, EpisodeTrie(ft06), 30, random.Random(seed), BoConfig()
+            program, episode_return(ft06), 30, random.Random(seed), BoConfig()
         )
         assert evaluated == expected_params
         assert list(got) == expected

@@ -119,23 +119,26 @@ def test_train_bad_set_key_usage_error(tiny_path, capsys):
     "search.max_depth=0",
     "search.max_tokens=86",
     "search.max_tokens=0",
+    "bogus=1",
 ])
-@pytest.mark.parametrize("command", ["train", "bench"])
+@pytest.mark.parametrize("command", ["train", "bench", "bench-fifo"])
 def test_bad_set_value_is_usage_error(tmp_path, capsys, tiny_path, pair, command):
     # non-finite, non-integral and out-of-range overrides are rejected up
-    # front with the usage exit code, never trained with or truncated
+    # front with the usage exit code, never trained with or truncated; bench
+    # checks them even when no prorl task would use them
     if command == "train":
         argv = ["train", "--instance", tiny_path, "--budget", "4"]
     else:
         inst_dir = tmp_path / "instances"
         inst_dir.mkdir()
         (inst_dir / "tiny.txt").write_text(TINY_2X2 + "\n")
-        argv = ["bench", "--dir", str(inst_dir), "--methods", "prorl", "--budget", "4"]
+        method = "fifo" if command == "bench-fifo" else "prorl"
+        argv = ["bench", "--dir", str(inst_dir), "--methods", method, "--budget", "4"]
     assert main(argv + ["--set", pair]) == 2
     assert "usage error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train", "bench"])
+@pytest.mark.parametrize("command", ["train", "bench", "bench-fifo"])
 def test_negative_budget_is_usage_error(tmp_path, capsys, monkeypatch, tiny_path, command):
     if command == "train":
         argv = ["train", "--instance", tiny_path]
@@ -143,10 +146,12 @@ def test_negative_budget_is_usage_error(tmp_path, capsys, monkeypatch, tiny_path
         inst_dir = tmp_path / "instances"
         inst_dir.mkdir()
         (inst_dir / "tiny.txt").write_text(TINY_2X2 + "\n")
-        argv = ["bench", "--dir", str(inst_dir), "--methods", "prorl"]
+        method = "fifo" if command == "bench-fifo" else "prorl"
+        argv = ["bench", "--dir", str(inst_dir), "--methods", method]
     work = []
     monkeypatch.setattr(cli, "load_instance_file", lambda *a: work.append(a))
     monkeypatch.setattr(search, "train", lambda *a: work.append(a))
+    monkeypatch.setattr(cli, "_bench_single", lambda *a: work.append(a))
     assert main(argv + ["--budget", "-1"]) == 2
     assert "--budget must be >= 0" in capsys.readouterr().err
     assert work == []  # rejected before any instance is loaded or trained on
@@ -358,7 +363,9 @@ def test_bench_deterministic_csv(tmp_path, capsys):
 @pytest.mark.parametrize("flag,value", [
     ("--seeds", "a"),
     ("--seeds", "0,,1"),
+    ("--seeds", ""),
     ("--methods", ","),
+    ("--methods", "spt,,random"),
     ("--seeds", "0,0"),
     ("--seeds", "1,01"),
     ("--methods", "spt,SPT"),

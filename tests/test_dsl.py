@@ -12,6 +12,7 @@ from conftest import (
     evaluate_counted,
     get_params,
     random_instance,
+    tree_size,
     verify_feasible,
 )
 from prorl import sim
@@ -26,7 +27,6 @@ from prorl.dsl import (
     compile_policy,
     depth,
     deserialize,
-    if_count,
     make_policy,
     mutate,
     pretty_print,
@@ -34,7 +34,6 @@ from prorl.dsl import (
     random_weights,
     serialize,
     set_params,
-    token_count,
 )
 from prorl.pdr import HEURISTICS, Heuristic
 
@@ -107,11 +106,11 @@ def test_equal_programs_give_identical_results(ft06):
 
 
 def test_token_count_examples():
-    assert token_count(Program(Action(Heuristic.SPT))) == 1
+    assert Program(Action(Heuristic.SPT)).tokens == 1
     two_leaf = Program(
         If((1, 0, 0, 0, 0, 0), Action(Heuristic.SPT), Action(Heuristic.MOR))
     )
-    assert token_count(two_leaf) == 10
+    assert two_leaf.tokens == 10
 
 
 def full_tree(levels: int) -> Program:
@@ -125,10 +124,32 @@ def full_tree(levels: int) -> Program:
 
 def test_deepest_legal_tree_fits_both_limits():
     program = full_tree(MAX_DEPTH)
-    assert if_count(program) == 7
-    assert token_count(program) == 64
-    assert token_count(program) <= MAX_TOKENS
+    assert program.n_params == 7 * 6
+    assert program.tokens == 64
+    assert program.tokens <= MAX_TOKENS
     assert program.depth == MAX_DEPTH
+
+
+def test_program_records_the_size_of_its_tree():
+    # the recorded depth, tokens and parameter count equal fresh tree walks
+    # for generated, mutated, deserialized and hand-built programs, and a
+    # parameter vector of any other length is rejected
+    rng = random.Random(41)
+    programs = [full_tree(MAX_DEPTH), example_policy(), Program(Action(Heuristic.SPT))]
+    for _ in range(300):
+        program = random_program(rng)
+        mutant = mutate(mutate(program, rng), rng)
+        programs += [program, mutant, deserialize(serialize(mutant))]
+    for program in programs:
+        assert (program.depth, program.tokens, program.n_params) == tree_size(program)
+        for off in (-6, -1, 1, 6) if program.n_params else (1, 6):  # a row or a weight off
+            params = (0.5,) * (program.n_params + off)
+            with pytest.raises(ValueError, match=f"expected {program.n_params} parameters"):
+                compile_policy(program, params)
+            with pytest.raises(ValueError, match=f"expected {program.n_params} parameters"):
+                set_params(program, params)
+    assert tree_size(full_tree(MAX_DEPTH)) == (MAX_DEPTH, 64, 42)
+    assert {p.n_params // 6 for p in programs} == set(range(8))  # 0 to 7 conditions
 
 
 def test_program_rejects_depth_five():
@@ -197,7 +218,7 @@ def test_compiled_policy_routes_like_the_tree_walk():
         point = ConceptVector(*(rng.randint(0, 8) / 8 for _ in range(5)))
         # about half the conditions sit exactly on the boundary at `point`
         params = []
-        for _ in range(if_count(structure)):
+        for _ in range(structure.n_params // 6):
             if rng.random() < 0.5:
                 params.extend(_zero_weights_for(point, rng))
             else:
@@ -216,7 +237,7 @@ def test_random_program_invariants_and_leaf_coverage():
     for _ in range(2000):
         program = random_program(rng)
         assert program.depth <= MAX_DEPTH
-        assert token_count(program) <= MAX_TOKENS
+        assert program.tokens <= MAX_TOKENS
         seen.update(h for h in HEURISTICS if _has_leaf(program.root, h))
     assert seen == set(HEURISTICS)
 
@@ -251,7 +272,7 @@ def test_mutation_validity_bulk():
     for _ in range(2000):
         program = mutate(program, rng)
         assert program.depth <= MAX_DEPTH
-        assert token_count(program) <= MAX_TOKENS
+        assert program.tokens <= MAX_TOKENS
 
 
 def test_root_mutation_reaches_all_depths():
@@ -367,7 +388,7 @@ def test_get_set_params():
     assert set_params(program, params) == program
     moved = set_params(program, tuple(0.0 for _ in params))
     assert moved != program
-    assert if_count(moved) == if_count(program)
+    assert moved.n_params == program.n_params
     with pytest.raises(ValueError, match="expected 12"):
         set_params(program, params[:-1])
     with pytest.raises(ValueError, match="expected 12"):

@@ -1,6 +1,7 @@
-"""Module layering: the runtime imports inside `prorl` form no cycle, the
-command line loads no heavier dependency than it needs, and the package
-holds no code that only the tests call."""
+"""Module layering: the runtime imports inside `prorl` form no cycle and
+skip no layer the package keeps apart, the command line loads no heavier
+dependency than it needs, and the package holds no code that only the
+tests call."""
 
 from __future__ import annotations
 
@@ -101,6 +102,17 @@ def test_runtime_import_graph_has_no_cycle():
     assert {"sim", "pdr", "concepts", "dsl"} <= set(graph)
     cycle = find_cycle(graph)
     assert cycle is None, f"import cycle: {' -> '.join(cycle)}"
+
+
+# module -> siblings it must not import at run time: the inner loop tunes
+# against the return function the search hands it, never the simulator
+FORBIDDEN_IMPORTS = {"bo": {"sim"}}
+
+
+def test_runtime_import_graph_keeps_the_layering():
+    graph = import_graph()
+    for module, forbidden in FORBIDDEN_IMPORTS.items():
+        assert not graph[module] & forbidden, f"{module} imports {sorted(graph[module] & forbidden)}"
 
 
 def test_cli_import_leaves_numpy_random_unloaded():

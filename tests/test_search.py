@@ -9,7 +9,7 @@ import pytest
 
 import prorl.search as search_module
 from prorl.bo import BoConfig
-from prorl.dsl import MAX_DEPTH, MAX_TOKENS, WEIGHTS_LEN, if_count, random_program, token_count
+from prorl.dsl import MAX_DEPTH, MAX_TOKENS, random_program
 from prorl.instance import parse_standard
 from prorl.search import (
     SearchConfig,
@@ -42,7 +42,7 @@ def test_neighborhood_size_and_validity():
     assert len(neighborhood) == 10
     for candidate in neighborhood:
         assert candidate.depth <= MAX_DEPTH
-        assert token_count(candidate) <= MAX_TOKENS
+        assert candidate.tokens <= MAX_TOKENS
 
 
 def test_zero_mutation_rate_means_single_mutation(monkeypatch):
