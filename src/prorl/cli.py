@@ -88,11 +88,14 @@ def _load_bks_table(path: str | None) -> dict[str, int] | None:
         return load_bks(fh.read())
 
 
-def _gap_for(table: dict[str, int] | None, instance: Instance, makespan: float) -> float | None:
-    if table is None or instance.name not in table:
-        return None
-    bks = table[instance.name]
-    return (makespan - bks) / bks
+def _report(instance: Instance, method: str, makespan: float, table: dict[str, int] | None,
+            seed: int | None, started: float, episodes: int = 1) -> RunReport:
+    """The report of a run that began at `started`: its gap to the instance's
+    best-known makespan, if `table` has one, and its time up to now."""
+    bks = table.get(instance.name) if table else None
+    gap = None if bks is None else (makespan - bks) / bks
+    elapsed = time.perf_counter() - started
+    return RunReport(instance.name, method, makespan, gap, seed, elapsed, episodes)
 
 
 def _write(path: str, content: str) -> None:
@@ -114,17 +117,7 @@ def _run_policy(args, policy: sim.Policy, method: str) -> int:
     table = _load_bks_table(args.bks)
     started = time.perf_counter()
     result = sim.run_episode(instance, policy)
-    elapsed = time.perf_counter() - started
-    report = RunReport(
-        instance=instance.name,
-        method=method,
-        makespan=result.makespan,
-        gap=_gap_for(table, instance, result.makespan),
-        seed=None,
-        seconds=elapsed,
-        episodes=1,
-    )
-    _emit_reports([report], args.csv)
+    _emit_reports([_report(instance, method, result.makespan, table, None, started)], args.csv)
     if args.trace:
         _write(args.trace, sim.trace_csv(result))
     if args.dump_schedule:
@@ -137,27 +130,23 @@ def cmd_pdr(args) -> int:
     return _run_policy(args, lambda cv: rule, rule.value)
 
 
+def _random_agent(instance: Instance, seed: int, episodes: int,
+                  table: dict[str, int] | None) -> RunReport:
+    """The mean makespan of `episodes` random-agent episodes drawn from one
+    `random.Random(seed)` stream."""
+    rng = random.Random(seed)
+    started = time.perf_counter()
+    total = 0
+    for _ in range(episodes):
+        total += sim.run_episode(instance, pdr.random_rule_policy(rng)).makespan
+    return _report(instance, "random", total / episodes, table, seed, started, episodes)
+
+
 def cmd_random(args) -> int:
     if args.episodes < 1:
         raise UsageError("--episodes must be >= 1")
     instance = load_instance_file(args.instance, args.format)
-    table = _load_bks_table(args.bks)
-    rng = random.Random(args.seed)
-    started = time.perf_counter()
-    total = 0
-    for _ in range(args.episodes):
-        total += sim.run_episode(instance, pdr.random_rule_policy(rng)).makespan
-    elapsed = time.perf_counter() - started
-    mean_makespan = total / args.episodes
-    report = RunReport(
-        instance=instance.name,
-        method="random",
-        makespan=mean_makespan,
-        gap=_gap_for(table, instance, mean_makespan),
-        seed=args.seed,
-        seconds=elapsed,
-        episodes=args.episodes,
-    )
+    report = _random_agent(instance, args.seed, args.episodes, _load_bks_table(args.bks))
     _emit_reports([report], args.csv)
     return 0
 
@@ -204,29 +193,27 @@ def _search_config(budget: int, seed: int, set_pairs: list[str] | None) -> searc
         raise UsageError(str(exc)) from None
 
 
+def _training(instance: Instance, config: search.SearchConfig,
+              table: dict[str, int] | None) -> tuple[RunReport, dsl.Program, search.SearchState]:
+    """Train on `config` and evaluate the learned program once; the report
+    times both."""
+    started = time.perf_counter()
+    program, state = search.train(instance, config)
+    makespan = search.evaluate_policy(program, instance)
+    report = _report(instance, "prorl", makespan, table, config.seed, started, state.episodes_used)
+    return report, program, state
+
+
 def cmd_train(args) -> int:
     config = _search_config(args.budget, args.seed, args.set)
     instance = load_instance_file(args.instance, args.format)
-    table = _load_bks_table(args.bks)
-    started = time.perf_counter()
-    program, state = search.train(instance, config)
-    elapsed = time.perf_counter() - started
-    makespan = search.evaluate_policy(program, instance)
+    report, program, state = _training(instance, config, _load_bks_table(args.bks))
     if args.out:
         _write(args.out, dsl.serialize(program))
     if args.log:
         _write(args.log, search.training_log_csv(state))
     print(dsl.pretty_print(program))
     print()
-    report = RunReport(
-        instance=instance.name,
-        method="prorl",
-        makespan=makespan,
-        gap=_gap_for(table, instance, makespan),
-        seed=args.seed,
-        seconds=elapsed,
-        episodes=state.episodes_used,
-    )
     _emit_reports([report], args.csv)
     return 0
 
@@ -239,31 +226,17 @@ def cmd_eval(args) -> int:
 
 def _bench_single(instance: Instance, method: str, seed: int,
                   config: search.SearchConfig, table: dict[str, int] | None) -> RunReport:
-    """One bench task; it runs in a pool worker, so it and its arguments must
-    pickle. `config` is the validated training configuration; a prorl task
-    trains on it with its own seed."""
-    started = time.perf_counter()
-    if method in PDR_METHODS:
-        rule = pdr.Heuristic.parse(method)
-        makespan: float = sim.run_pdr(instance, rule).makespan
-        episodes, report_seed = 1, None
-    elif method == "random":
-        rng = random.Random(seed)
-        makespan = float(sim.run_episode(instance, pdr.random_rule_policy(rng)).makespan)
-        episodes, report_seed = 1, seed
-    else:  # "prorl"; cmd_bench has rejected unknown methods
-        program, state = search.train(instance, dataclasses.replace(config, seed=seed))
-        makespan = float(search.evaluate_policy(program, instance))
-        episodes, report_seed = state.episodes_used, seed
-    return RunReport(
-        instance=instance.name,
-        method=method,
-        makespan=makespan,
-        gap=_gap_for(table, instance, makespan),
-        seed=report_seed,
-        seconds=time.perf_counter() - started,
-        episodes=episodes,
-    )
+    """One bench task, run by the function its own command runs; it runs in
+    a pool worker, so it and its arguments must pickle. `config` is the
+    validated training configuration; a prorl task trains on it with its own
+    seed."""
+    if method == "random":
+        return _random_agent(instance, seed, 1, table)
+    if method == "prorl":
+        return _training(instance, dataclasses.replace(config, seed=seed), table)[0]
+    started = time.perf_counter()  # a rule; cmd_bench has rejected unknown methods
+    makespan = sim.run_pdr(instance, pdr.Heuristic.parse(method)).makespan
+    return _report(instance, method, makespan, table, None, started)
 
 
 def cmd_bench(args) -> int:
@@ -274,6 +247,12 @@ def cmd_bench(args) -> int:
     paths = sorted(p for p in directory.glob("*") if p.is_file())
     if not paths:
         raise UsageError(f"no instance files in {args.dir!r}")
+    named: dict[str, str] = {}
+    for path in paths:  # the instance name load_instance_file gives each file
+        name = os.path.splitext(path.name)[0]
+        if name in named:
+            raise UsageError(f"{named[name]} and {path.name} in --dir both name instance {name!r}")
+        named[name] = path.name
     methods = [m.strip().lower() for m in args.methods.split(",")]
     for m in methods:
         if m not in PDR_METHODS + ("random", "prorl"):

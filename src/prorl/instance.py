@@ -215,14 +215,14 @@ def load_bks(text: str) -> dict[str, int]:
     return entries
 
 
-def load_instance_file(path: str, fmt: str, name: str | None = None) -> Instance:
-    """Read an instance file in the given format ('standard' or 'taillard')."""
+def load_instance_file(path: str, fmt: str) -> Instance:
+    """Read an instance file in the given format ('standard' or 'taillard');
+    the instance is named after the file, without its extension."""
     import os
 
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if name is None:
-        name = os.path.splitext(os.path.basename(path))[0]
+    name = os.path.splitext(os.path.basename(path))[0]
     if fmt == "standard":
         return parse_standard(text, name)
     if fmt == "taillard":

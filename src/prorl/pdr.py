@@ -58,10 +58,14 @@ def apply(rule: Heuristic, ready: Sequence[ReadyOp], instance: Instance) -> Read
     elif rule is Heuristic.MWR:
         work = instance.suffix_work
         key = lambda c: (-work[c.job][c.op_index], c.job, c.op_index)
-    else:
+    elif rule is Heuristic.MOR:
         ops = instance.suffix_ops
-        sign = -1 if rule is Heuristic.MOR else 1
-        key = lambda c: (sign * ops[c.job][c.op_index], c.job, c.op_index)
+        key = lambda c: (-ops[c.job][c.op_index], c.job, c.op_index)
+    elif rule is Heuristic.LOR:
+        ops = instance.suffix_ops
+        key = lambda c: (ops[c.job][c.op_index], c.job, c.op_index)
+    else:
+        raise ValueError(f"not a dispatching rule: {rule!r}")
     return min(ready, key=key)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import INSTANCE_DIR, TINY_2X2
+from conftest import DATA_DIR, INSTANCE_DIR, TINY_2X2
 from prorl import bo, cli, dsl, search
 from prorl.cli import build_parser, main
 from prorl.instance import load_instance_file
@@ -260,6 +260,26 @@ def test_bench_prorl_rows_match_train(tmp_path, capsys):
     assert [row.split(",")[2] for row in rows[1:]] == ["59", "61"]
 
 
+def test_bench_rows_match_their_commands(tmp_path, capsys):
+    # a bench row runs the function its own command runs, so its CSV row is
+    # the command's; only a rule's label differs, in case (SPT and spt)
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    (inst_dir / "ft06.txt").write_text(Path(FT06).read_text())
+    bks = ["--bks", str(DATA_DIR / "bks.csv")]
+    bench_csv = tmp_path / "bench.csv"
+    assert main(["bench", "--dir", str(inst_dir), "--methods", "spt,random,prorl", "--seeds", "0",
+                 "--budget", "50", "--csv", str(bench_csv)] + bks) == 0
+    rows = []
+    for argv in (["pdr", "--rule", "spt"], ["random", "--seed", "0"],
+                 ["train", "--seed", "0", "--budget", "50"]):
+        csv = tmp_path / f"{argv[0]}.csv"
+        assert main(argv + ["--instance", FT06, "--csv", str(csv)] + bks) == 0
+        rows.append(csv.read_text().splitlines()[1])
+    assert rows[0].startswith("ft06,SPT,88,")
+    assert bench_csv.read_text().splitlines()[1:] == ["ft06,spt" + rows[0][len("ft06,SPT"):]] + rows[1:]
+
+
 def test_eval_reproduces_training_makespan(tmp_path, capsys, tiny_path):
     out = tmp_path / "policy.json"
     main([
@@ -397,6 +417,23 @@ def test_bench_dir_that_is_no_directory_is_io_error(tmp_path, capsys, make):
     assert main(["bench", "--dir", str(target), "--methods", "spt"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "is not a directory" in err
+
+
+def test_bench_rejects_two_files_that_name_one_instance(tmp_path, capsys, monkeypatch):
+    # an instance is named by its file's stem: ft06.dat, a copy of ft10,
+    # would take ft06's best-known makespan, and the summary would print
+    # two ft06 lines that average both instances
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    (inst_dir / "ft06.txt").write_text(Path(FT06).read_text())
+    (inst_dir / "ft06.dat").write_text((INSTANCE_DIR / "ft10.txt").read_text())
+    ran = []
+    monkeypatch.setattr(cli, "_bench_single", lambda *task: ran.append(task))
+    assert main(["bench", "--dir", str(inst_dir), "--methods", "spt",
+                 "--bks", str(DATA_DIR / "bks.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "ft06.dat and ft06.txt" in err
+    assert ran == []  # rejected before any task runs
 
 
 def test_bench_skips_bad_instance_nonzero_exit(tmp_path, capsys):

@@ -6,6 +6,8 @@ tests call."""
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from pathlib import Path
 import prorl
 
 PACKAGE_DIR = Path(prorl.__file__).parent
+TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def _is_type_checking_block(node: ast.AST) -> bool:
@@ -168,3 +171,27 @@ def test_unreferenced_definitions_sees_self_reference(tmp_path):
 def test_package_holds_no_test_only_code():
     # a reference oracle belongs in tests/conftest.py, next to its tests
     assert unreferenced_definitions(PACKAGE_DIR) == []
+
+
+# hooks perfbench/tracer.py still names, though the package dropped them
+STALE_TRACER_HOOKS = {
+    "prorl.pdr.run_episode", "prorl.bo.run_episode", "prorl.dsl.evaluate", "prorl.dsl.apply",
+    "prorl.sim.verify_feasible",
+}
+
+
+def test_tracer_hooks_resolve_but_the_known_stale_ones():
+    # the tracer wraps each layer through the module attributes it names and
+    # skips one that is gone, so a refactor that renames or stops calling
+    # through a hooked attribute would drop its layer from the benchmark
+    # without a word; the tracer imports only the standard library
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = set()
+    for _, attrs in tracer.LAYERS:
+        for attr in attrs:
+            module, _, name = attr.rpartition(".")
+            if not callable(getattr(importlib.import_module(module), name, None)):
+                missing.add(attr)
+    assert missing == STALE_TRACER_HOOKS

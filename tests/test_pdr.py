@@ -64,6 +64,25 @@ def test_apply_rejects_empty_ready(inst_2x2):
         apply(Heuristic.SPT, [], inst_2x2)
 
 
+@pytest.mark.parametrize("rule", ["MWR", "LOR", None, 3])
+def test_apply_rejects_a_rule_that_is_no_heuristic(ft06, rule):
+    # a rule's name is not the rule: "MWR" once fell through to LOR's key,
+    # so the trie gave LOR's 68 on ft06 where MWR makes 61, and
+    # run_episode failed later with an AttributeError
+    with pytest.raises(ValueError, match="not a dispatching rule"):
+        apply(rule, ready(ft06), ft06)
+    policy = lambda cv: rule
+    with pytest.raises(ValueError, match="not a dispatching rule"):
+        sim.run_episode(ft06, policy)
+    trie = sim.EpisodeTrie(ft06)
+    with pytest.raises(ValueError, match="not a dispatching rule"):
+        trie.makespan(policy)  # an empty trie simulates the episode
+    assert trie.makespan(lambda cv: Heuristic.MWR) == 61
+    with pytest.raises(ValueError, match="not a dispatching rule"):
+        trie.makespan(policy)  # a known episode is walked
+    assert trie.makespan(lambda cv: Heuristic.MWR) == 61
+
+
 def test_apply_is_pure(inst_2x2):
     r = ready(inst_2x2)
     picks = {apply(Heuristic.FIFO, r, inst_2x2) for _ in range(5)}
