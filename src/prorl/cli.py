@@ -18,8 +18,10 @@ Exit codes: 0 success, 2 usage error, 3 I/O or parse error, 4 internal error.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
+import io
 import os
 import random
 import sys
@@ -61,9 +63,13 @@ class RunReport:
         return f"{self.makespan:g}"
 
     def csv_row(self) -> str:
+        """One CSV line, without its newline; the csv module quotes a name as needed."""
         gap = f"{100 * self.gap:.2f}" if self.gap is not None else ""
         seed = "" if self.seed is None else str(self.seed)
-        return f"{self.instance},{self.method},{self._makespan_text()},{gap},{seed},{self.episodes}"
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\n").writerow(
+            [self.instance, self.method, self._makespan_text(), gap, seed, self.episodes])
+        return line.getvalue()[:-1]
 
     def table_row(self) -> str:
         gap = f"{100 * self.gap:.2f}%" if self.gap is not None else "-"
@@ -84,7 +90,7 @@ class RunReport:
 def _load_bks_table(path: str | None) -> dict[str, int] | None:
     if path is None:
         return None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is not part of a name
         return load_bks(fh.read())
 
 

@@ -1,8 +1,8 @@
 """Policy programs: representation, compiler, generation, and mutation.
 
-A program is a binary tree. Leaves are dispatching-rule actions; internal
-nodes are if/else statements guarded by a linear condition over the five
-state concepts,
+A program is a binary tree. A leaf is a dispatching rule, the
+`pdr.Heuristic` itself; internal nodes are if/else statements guarded by a
+linear condition over the five state concepts,
 
     w0 + w1*LD + w2*AM + w3*AO + w4*JD + w5*ST > 0,
 
@@ -18,7 +18,7 @@ Programs are immutable values; generation and mutation take an explicit
 random source and respect the structural limits (depth at most 4, at most
 85 tokens) by construction.
 
-Token accounting: an action leaf costs 1 token; an if-node costs 1 for the
+Token accounting: a leaf costs 1 token; an if-node costs 1 for the
 keyword plus 7 for its condition (six weights and the comparison) plus the
 tokens of its two branches. An if-node thus adds 9 tokens together with its
 extra leaf, and a program of t tokens has (t - 1) / 9 conditions. A
@@ -33,13 +33,15 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, Union
 
 import numpy as np
 
 from .concepts import CONCEPT_NAMES, ConceptVector
 from .pdr import HEURISTICS, Heuristic
-from .sim import Policy
+
+if TYPE_CHECKING:
+    from .sim import Policy
 
 MAX_DEPTH = 4
 MAX_TOKENS = 85
@@ -47,17 +49,12 @@ WEIGHT_LOW = -2.0
 WEIGHT_HIGH = 2.0
 WEIGHTS_LEN = 1 + len(CONCEPT_NAMES)
 
-# minimal token cost of an if-node with two action leaves
+# minimal token cost of an if-node with two leaves
 _IF_MIN_TOKENS = 1 + 7 + 1 + 1
 
 
 class PolicyFormatError(ValueError):
     """Raised when a serialized program document is malformed."""
-
-
-@dataclass(frozen=True)
-class Action:
-    heuristic: Heuristic
 
 
 @dataclass(frozen=True)
@@ -79,17 +76,17 @@ class If:
                 raise ValueError(f"weight {w} outside [{WEIGHT_LOW}, {WEIGHT_HIGH}]")
 
 
-Node = Union[Action, If]
+Node = Union[Heuristic, If]
 
 
 def depth(node: Node) -> int:
-    if isinstance(node, Action):
+    if isinstance(node, Heuristic):
         return 1
     return 1 + max(depth(node.then_branch), depth(node.else_branch))
 
 
 def node_tokens(node: Node) -> int:
-    if isinstance(node, Action):
+    if isinstance(node, Heuristic):
         return 1
     return 1 + 7 + node_tokens(node.then_branch) + node_tokens(node.else_branch)
 
@@ -119,9 +116,8 @@ class Program:
 def _compile(node: Node, weights_of: Callable[[If], Sequence[float]]) -> Policy:
     # `weights_of` gives an if-node's condition weights; it is called in
     # pre-order, each node before its branches compile
-    if isinstance(node, Action):
-        heuristic = node.heuristic
-        return lambda cv: heuristic
+    if isinstance(node, Heuristic):
+        return lambda cv: node
     w0, w1, w2, w3, w4, w5 = weights_of(node)
     then_branch = _compile(node.then_branch, weights_of)
     else_branch = _compile(node.else_branch, weights_of)
@@ -172,7 +168,7 @@ def random_weights(rng: random.Random, n: int) -> np.ndarray:
 
 
 def _random_node(rng: random.Random, depth_budget: int, token_budget: int) -> Node:
-    """Grammar-driven expansion; if/action each with probability 0.5 when both fit."""
+    """Grammar-driven expansion; if/leaf each with probability 0.5 when both fit."""
     can_branch = depth_budget >= 2 and token_budget >= _IF_MIN_TOKENS
     if can_branch and rng.random() < 0.5:
         weights = tuple(random_weights(rng, WEIGHTS_LEN).tolist())  # drawn before the branches
@@ -181,7 +177,7 @@ def _random_node(rng: random.Random, depth_budget: int, token_budget: int) -> No
         else_budget = token_budget - 9 - node_tokens(then_branch)
         else_branch = _random_node(rng, depth_budget - 1, else_budget)
         return If(weights, then_branch, else_branch)
-    return Action(rng.choice(HEURISTICS))
+    return rng.choice(HEURISTICS)
 
 
 def random_program(
@@ -219,13 +215,13 @@ def mutate(
 
     An if-node has its branches deleted and is re-expanded from the grammar
     (fresh weights, within the depth and token budget remaining at its
-    position); an action leaf swaps its rule for a different one.
+    position); a leaf swaps its rule for a different one.
     """
     nodes = _nodes(program.root)
     path, target = nodes[rng.randrange(len(nodes))]
-    if isinstance(target, Action):
-        options = [h for h in HEURISTICS if h is not target.heuristic]
-        new_node: Node = Action(options[rng.randrange(len(options))])
+    if isinstance(target, Heuristic):
+        options = [h for h in HEURISTICS if h is not target]
+        new_node: Node = options[rng.randrange(len(options))]
     else:
         depth_budget = max_depth - len(path)
         token_budget = max_tokens - (program.tokens - node_tokens(target))
@@ -238,7 +234,7 @@ def set_params(program: Program, params: Sequence[float]) -> Program:
     rows = _weight_rows(program, params)
 
     def walk(node: Node) -> Node:
-        if isinstance(node, Action):
+        if isinstance(node, Heuristic):
             return node
         return If(tuple(next(rows)), walk(node.then_branch), walk(node.else_branch))
 
@@ -256,8 +252,8 @@ def _format_condition(weights: tuple[float, ...]) -> str:
 
 
 def _pretty(node: Node, indent: int) -> str:
-    if isinstance(node, Action):
-        return node.heuristic.value
+    if isinstance(node, Heuristic):
+        return node.value
     pad = "    " * (indent + 1)
     return (
         f"if ({_format_condition(node.weights)} > 0):\n"
@@ -272,8 +268,8 @@ def pretty_print(program: Program) -> str:
 
 
 def _node_to_obj(node: Node):
-    if isinstance(node, Action):
-        return {"kind": "action", "heuristic": node.heuristic.value}
+    if isinstance(node, Heuristic):
+        return {"kind": "action", "heuristic": node.value}
     return {
         "kind": "if",
         "weights": list(node.weights),
@@ -306,7 +302,7 @@ def _node_from_obj(obj, level: int = 1) -> Node:
     if kind == "action":
         name = obj.get("heuristic")
         try:
-            return Action(Heuristic.parse(str(name)))
+            return Heuristic.parse(str(name))
         except ValueError as exc:
             raise PolicyFormatError(str(exc)) from None
     weights = obj.get("weights")

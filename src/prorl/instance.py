@@ -73,11 +73,6 @@ class Instance:
         )
 
     @cached_property
-    def suffix_ops(self) -> tuple[tuple[int, ...], ...]:
-        """suffix_ops[j][k]: number of job j's operations from k on (0 past the end)."""
-        return tuple(tuple(range(len(job), -1, -1)) for job in self.jobs)
-
-    @cached_property
     def machine_loads(self) -> tuple[int, ...]:
         """Total processing time per machine."""
         ops = [op for job in self.jobs for op in job]
@@ -220,7 +215,7 @@ def load_instance_file(path: str, fmt: str) -> Instance:
     the instance is named after the file, without its extension."""
     import os
 
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # drops a leading BOM
         text = fh.read()
     name = os.path.splitext(os.path.basename(path))[0]
     if fmt == "standard":

@@ -47,8 +47,8 @@ HEURISTICS = tuple(Heuristic)
 
 
 def apply(rule: Heuristic, ready: Sequence[ReadyOp], instance: Instance) -> ReadyOp:
-    """Return the best candidate under the rule's key; the remaining work and
-    operation counts come from the instance's cached suffix tables."""
+    """Return the best candidate under the rule's key; MWR reads the cached
+    suffix work, MOR and LOR count the job's length less the op's index."""
     if not ready:
         raise ValueError("empty ready set")
     if rule is Heuristic.FIFO:
@@ -59,11 +59,11 @@ def apply(rule: Heuristic, ready: Sequence[ReadyOp], instance: Instance) -> Read
         work = instance.suffix_work
         key = lambda c: (-work[c.job][c.op_index], c.job, c.op_index)
     elif rule is Heuristic.MOR:
-        ops = instance.suffix_ops
-        key = lambda c: (-ops[c.job][c.op_index], c.job, c.op_index)
+        jobs = instance.jobs
+        key = lambda c: (c.op_index - len(jobs[c.job]), c.job, c.op_index)
     elif rule is Heuristic.LOR:
-        ops = instance.suffix_ops
-        key = lambda c: (ops[c.job][c.op_index], c.job, c.op_index)
+        jobs = instance.jobs
+        key = lambda c: (len(jobs[c.job]) - c.op_index, c.job, c.op_index)
     else:
         raise ValueError(f"not a dispatching rule: {rule!r}")
     return min(ready, key=key)

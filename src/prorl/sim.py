@@ -57,11 +57,10 @@ class SimState:
 
 
 class ReadyOp(NamedTuple):
-    """An operation startable at the current clock."""
+    """An operation startable now; its machine is `instance.jobs[job][op_index]`'s."""
 
     job: int
     op_index: int
-    machine: int
     duration: int
     arrival: int  # completion time of the job predecessor; 0 for first ops
 
@@ -109,7 +108,7 @@ def ready_set(state: SimState, instance: Instance) -> list[ReadyOp]:
             op = ops[k]
             free = free_at[op.machine]
             if free <= clock:
-                ready.append(ReadyOp(job, k, op.machine, op.duration, arrival))
+                ready.append(ReadyOp(job, k, op.duration, arrival))
     return ready
 
 

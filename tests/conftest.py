@@ -15,7 +15,7 @@ import pytest
 
 from prorl.bo import BoConfig, GpModel, posterior_batch
 from prorl.concepts import ConceptVector
-from prorl.dsl import Action, If, Node, Program, random_weights, set_params
+from prorl.dsl import If, Node, Program, random_weights, set_params
 from prorl.instance import Instance, Operation, parse_standard
 from prorl.pdr import Heuristic
 from prorl.sim import Policy, ScheduleResult
@@ -205,7 +205,7 @@ def tree_size(program: Program) -> tuple[int, int, int]:
     1 token, an if-node 8 plus its branches and six parameters."""
 
     def walk(node: Node) -> tuple[int, int, int]:
-        if isinstance(node, Action):
+        if isinstance(node, Heuristic):
             return 1, 1, 0
         then_size, else_size = walk(node.then_branch), walk(node.else_branch)
         return (1 + max(then_size[0], else_size[0]), 8 + then_size[1] + else_size[1],
@@ -230,7 +230,7 @@ def evaluate_counted(program: Program, cv: ConceptVector) -> tuple[Heuristic, in
     while isinstance(node, If):
         conditions += 1
         node = node.then_branch if condition_value(node.weights, cv) > 0.0 else node.else_branch
-    return node.heuristic, conditions
+    return node, conditions
 
 
 def verify_feasible(result: ScheduleResult, instance: Instance) -> bool:

@@ -22,7 +22,7 @@ from prorl.bo import (
     propose,
 )
 from prorl.concepts import ConceptVector
-from prorl.dsl import Action, If, Program, make_policy, random_program
+from prorl.dsl import If, Program, make_policy, random_program
 from prorl.instance import parse_standard
 from prorl.pdr import Heuristic
 from prorl.sim import EpisodeTrie
@@ -413,7 +413,7 @@ def test_grown_model_matches_dense_oracle_at_every_size(d):
 
 def tunable_program() -> Program:
     return Program(
-        If((0.5, 0, 0, 0, 0, 0), Action(Heuristic.SPT), Action(Heuristic.MWR))
+        If((0.5, 0, 0, 0, 0, 0), Heuristic.SPT, Heuristic.MWR)
     )
 
 
@@ -448,10 +448,10 @@ def counting(evaluate):
 def test_optimize_parameter_free_charges_one(evaluate):
     evaluate, observed = counting(evaluate)
     rng = random.Random(0)
-    program, value = optimize_params(Program(Action(Heuristic.SPT)), evaluate, 1, rng, BoConfig())
+    program, value = optimize_params(Program(Heuristic.SPT), evaluate, 1, rng, BoConfig())
     assert observed == [-7.0]
     assert value == -7.0
-    assert program == Program(Action(Heuristic.SPT))
+    assert program == Program(Heuristic.SPT)
     assert rng.getstate() == random.Random(0).getstate()  # nothing to draw
 
 
@@ -478,7 +478,7 @@ def test_optimize_exhausted_budget_raises(evaluate):
     with pytest.raises(ValueError):
         optimize_params(tunable_program(), evaluate, 0, random.Random(0), BoConfig())
     with pytest.raises(ValueError):
-        optimize_params(Program(Action(Heuristic.SPT)), evaluate, 0, random.Random(0), BoConfig())
+        optimize_params(Program(Heuristic.SPT), evaluate, 0, random.Random(0), BoConfig())
 
 
 def test_optimize_returns_observed_value(inst, evaluate):
@@ -530,8 +530,8 @@ def synthetic_return(policy) -> float:
 
 @pytest.mark.parametrize("episodes", [1, 7, 30])
 def test_optimize_seam_with_a_synthetic_return(monkeypatch, episodes):
-    program = Program(If((0.5, -1.0, 0, 0, 0, 0), Action(Heuristic.SPT),
-                         If((0.0, 0, 1.0, -1.0, 0, 0), Action(Heuristic.MWR), Action(Heuristic.LOR))))
+    program = Program(If((0.5, -1.0, 0, 0, 0, 0), Heuristic.SPT,
+                         If((0.0, 0, 1.0, -1.0, 0, 0), Heuristic.MWR, Heuristic.LOR)))
     evaluated, scores = [], []
     real_compile = bo.compile_policy
 

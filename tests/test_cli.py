@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import os
 from pathlib import Path
 
@@ -35,6 +36,13 @@ def test_pdr_reports_gap(capsys, bks_path):
     out = capsys.readouterr().out
     assert "MOR" in out
     assert "7.27%" in out
+
+
+def test_a_bks_file_with_a_byte_order_mark_keeps_its_first_entry(tmp_path, capsys):
+    bks = tmp_path / "bks.csv"
+    bks.write_text("\ufeffft06,55\n", encoding="utf-8")
+    assert main(["pdr", "--instance", FT06, "--rule", "mor", "--bks", str(bks)]) == 0
+    assert "7.27%" in capsys.readouterr().out
 
 
 def test_pdr_unknown_rule_is_usage_error(capsys):
@@ -362,6 +370,21 @@ def test_reports_print_large_makespans_in_full(tmp_path, capsys):
     # a non-integral mean of the random agent keeps its short form
     mean = cli.RunReport("big", "random", 1234567.5, None, 0, 0.0, 2)
     assert mean.csv_row() == "big,random,1.23457e+06,,0,2"
+
+
+def test_csv_quotes_an_instance_name_holding_a_comma(tmp_path, capsys):
+    # the name stays one field; a BKS table cannot name it, so it has no gap
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    path = inst_dir / "a,b.txt"
+    path.write_text(Path(FT06).read_text())
+    pdr_csv, bench_csv = tmp_path / "pdr.csv", tmp_path / "bench.csv"
+    assert main(["pdr", "--instance", str(path), "--rule", "spt", "--csv", str(pdr_csv)]) == 0
+    assert main(["bench", "--dir", str(inst_dir), "--methods", "spt", "--csv", str(bench_csv)]) == 0
+    for written, method in ((pdr_csv, "SPT"), (bench_csv, "spt")):
+        with open(written, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [cli.RunReport.CSV_HEADER.split(","), ["a,b", method, "88", "", "", "1"]]
 
 
 def test_bench_deterministic_csv(tmp_path, capsys):

@@ -20,7 +20,6 @@ from prorl.concepts import ConceptVector
 from prorl.dsl import (
     MAX_DEPTH,
     MAX_TOKENS,
-    Action,
     If,
     PolicyFormatError,
     Program,
@@ -50,23 +49,23 @@ def example_policy() -> Program:
     """The example policy: MWR / LOR / SPT behind two linear conditions."""
     inner = If(
         (-1.11, -0.24, 1.66, 1.35, -1.98, 1.46),
-        Action(Heuristic.LOR),
-        Action(Heuristic.SPT),
+        Heuristic.LOR,
+        Heuristic.SPT,
     )
     return Program(
-        If((1.00, 0.79, -0.84, 1.20, -0.84, -1.84), Action(Heuristic.MWR), inner)
+        If((1.00, 0.79, -0.84, 1.20, -0.84, -1.84), Heuristic.MWR, inner)
     )
 
 
 def test_evaluate_leaf():
-    program = Program(Action(Heuristic.SPT))
+    program = Program(Heuristic.SPT)
     assert make_policy(program)(cv()) is Heuristic.SPT
     assert make_policy(program)(cv(1, 1, 1, 1, 1)) is Heuristic.SPT
 
 
 def test_evaluate_constant_true_condition():
     program = Program(
-        If((1.0, 0, 0, 0, 0, 0), Action(Heuristic.MWR), Action(Heuristic.SPT))
+        If((1.0, 0, 0, 0, 0, 0), Heuristic.MWR, Heuristic.SPT)
     )
     assert make_policy(program)(cv()) is Heuristic.MWR
 
@@ -74,7 +73,7 @@ def test_evaluate_constant_true_condition():
 def test_evaluate_zero_routes_to_else():
     # strict inequality: a condition value of exactly 0 takes the else branch
     program = Program(
-        If((0.0, 0, 0, 0, 0, 0), Action(Heuristic.MWR), Action(Heuristic.SPT))
+        If((0.0, 0, 0, 0, 0, 0), Heuristic.MWR, Heuristic.SPT)
     )
     assert make_policy(program)(cv()) is Heuristic.SPT
 
@@ -90,7 +89,7 @@ def test_example_policy_routing_hand_evaluated():
 
 def test_policy_on_2x2(inst_2x2):
     assert all_nondelay_makespans(inst_2x2) == {7}
-    result = sim.run_episode(inst_2x2, make_policy(Program(Action(Heuristic.SPT))))
+    result = sim.run_episode(inst_2x2, make_policy(Program(Heuristic.SPT)))
     assert result.makespan == 7
 
 
@@ -106,9 +105,9 @@ def test_equal_programs_give_identical_results(ft06):
 
 
 def test_token_count_examples():
-    assert Program(Action(Heuristic.SPT)).tokens == 1
+    assert Program(Heuristic.SPT).tokens == 1
     two_leaf = Program(
-        If((1, 0, 0, 0, 0, 0), Action(Heuristic.SPT), Action(Heuristic.MOR))
+        If((1, 0, 0, 0, 0, 0), Heuristic.SPT, Heuristic.MOR)
     )
     assert two_leaf.tokens == 10
 
@@ -116,7 +115,7 @@ def test_token_count_examples():
 def full_tree(levels: int) -> Program:
     def build(level):
         if level == 1:
-            return Action(Heuristic.SPT)
+            return Heuristic.SPT
         return If((0.5, 0, 0, 0, 0, 0), build(level - 1), build(level - 1))
 
     return Program(build(levels))
@@ -135,7 +134,7 @@ def test_program_records_the_size_of_its_tree():
     # for generated, mutated, deserialized and hand-built programs, and a
     # parameter vector of any other length is rejected
     rng = random.Random(41)
-    programs = [full_tree(MAX_DEPTH), example_policy(), Program(Action(Heuristic.SPT))]
+    programs = [full_tree(MAX_DEPTH), example_policy(), Program(Heuristic.SPT)]
     for _ in range(300):
         program = random_program(rng)
         mutant = mutate(mutate(program, rng), rng)
@@ -243,18 +242,18 @@ def test_random_program_invariants_and_leaf_coverage():
 
 
 def _has_leaf(node, heuristic) -> bool:
-    if isinstance(node, Action):
-        return node.heuristic is heuristic
+    if isinstance(node, Heuristic):
+        return node is heuristic
     return _has_leaf(node.then_branch, heuristic) or _has_leaf(node.else_branch, heuristic)
 
 
 def test_mutate_leaf_program_swaps_heuristic():
     rng = random.Random(9)
-    program = Program(Action(Heuristic.SPT))
+    program = Program(Heuristic.SPT)
     for _ in range(50):
         mutant = mutate(program, rng)
-        assert isinstance(mutant.root, Action)
-        assert mutant.root.heuristic is not Heuristic.SPT
+        assert isinstance(mutant.root, Heuristic)
+        assert mutant.root is not Heuristic.SPT
 
 
 def test_mutate_preserves_input():
@@ -285,11 +284,11 @@ def test_root_mutation_reaches_all_depths():
 
 
 def test_grammar_closure():
-    # recognizer: every node is an action over H or an if-node with a
+    # recognizer: every node is a rule of H or an if-node with a
     # 6-weight condition inside the box and two derivable branches
     def derivable(node) -> bool:
-        if isinstance(node, Action):
-            return node.heuristic in HEURISTICS
+        if isinstance(node, Heuristic):
+            return node in HEURISTICS
         if isinstance(node, If):
             weights_ok = len(node.weights) == 6 and all(
                 -2.0 <= w <= 2.0 for w in node.weights
@@ -305,12 +304,12 @@ def test_grammar_closure():
 
 
 def test_pretty_print_leaf():
-    assert pretty_print(Program(Action(Heuristic.SPT))) == "SPT"
+    assert pretty_print(Program(Heuristic.SPT)) == "SPT"
 
 
 def test_pretty_print_omits_zero_terms():
     program = Program(
-        If((1.0, 0, 0, 0, 0, 0), Action(Heuristic.MWR), Action(Heuristic.SPT))
+        If((1.0, 0, 0, 0, 0, 0), Heuristic.MWR, Heuristic.SPT)
     )
     text = " ".join(pretty_print(program).split())
     assert text == "if (1.00 > 0): then MWR else SPT"
@@ -340,6 +339,31 @@ def test_serialize_round_trip_bulk():
         for _ in range(5):
             point = random_cv(rng)
             assert make_policy(again)(point) is make_policy(program)(point)
+
+
+def test_serialize_pins_the_document_text():
+    program = Program(If((0.5, -1.0, 0.0, 0.25, 0.0, 2.0), Heuristic.MWR, Heuristic.SPT))
+    assert serialize(program) == """{
+  "kind": "if",
+  "weights": [
+    0.5,
+    -1.0,
+    0.0,
+    0.25,
+    0.0,
+    2.0
+  ],
+  "then": {
+    "kind": "action",
+    "heuristic": "MWR"
+  },
+  "else": {
+    "kind": "action",
+    "heuristic": "SPT"
+  }
+}
+"""
+    assert deserialize(serialize(program)) == program
 
 
 def test_deserialize_rejects_bad_arity():
@@ -380,7 +404,7 @@ def test_deserialize_rejects_depth_violation():
 
 
 def test_get_set_params():
-    leaf = Program(Action(Heuristic.SPT))
+    leaf = Program(Heuristic.SPT)
     assert get_params(leaf) == ()
     program = example_policy()
     params = get_params(program)
@@ -406,7 +430,7 @@ def test_set_params_preserves_behavior_round_trip():
 
 
 def _leaves_with_constraints(node, constraints):
-    if isinstance(node, Action):
+    if isinstance(node, Heuristic):
         return [(node, list(constraints))]
     out = _leaves_with_constraints(node.then_branch, constraints + [(node.weights, True)])
     out += _leaves_with_constraints(node.else_branch, constraints + [(node.weights, False)])
@@ -429,7 +453,7 @@ def test_partition_property():
                 if all((condition_value(weights, point) > 0) is positive for weights, positive in constraints)
             ]
             assert len(matching) == 1
-            assert matching[0].heuristic is make_policy(program)(point)
+            assert matching[0] is make_policy(program)(point)
 
 
 def test_condition_evaluation_bound():
@@ -441,7 +465,7 @@ def test_condition_evaluation_bound():
 
 
 def test_condition_weight_box_enforced():
-    leaf = Action(Heuristic.SPT)
+    leaf = Heuristic.SPT
     with pytest.raises(ValueError, match="outside"):
         If((2.5, 0, 0, 0, 0, 0), leaf, leaf)
     with pytest.raises(ValueError, match="6 weights"):

@@ -11,7 +11,7 @@ from conftest import all_nondelay_makespans, random_instance
 from prorl import sim
 from prorl.instance import Instance, Operation, parse_standard
 from prorl.pdr import Heuristic, apply
-from prorl.sim import run_pdr
+from prorl.sim import ReadyOp, run_pdr
 
 
 def ready(inst):
@@ -57,6 +57,30 @@ def test_mwr_picks_heavier_job(inst_2x2):
 def test_mor_tie_breaks_to_lowest_job(inst_2x2):
     pick = apply(Heuristic.MOR, ready(inst_2x2), inst_2x2)
     assert pick.job == 0
+
+
+def test_count_rules_on_jobs_of_uneven_length():
+    # J0 = (M0,1)(M1,1)(M2,1) has three operations and J1 = (M0,1) one; both
+    # start on M0, so whichever waits is still ready at t = 1
+    inst = Instance("uneven", 2, 3, (
+        (Operation(0, 1), Operation(1, 1), Operation(2, 1)),
+        (Operation(0, 1),),
+    ))
+    state = sim.reset(inst)
+    first = sim.ready_set(state, inst)
+    assert [(c.job, c.op_index) for c in first] == [(0, 0), (1, 0)]
+    assert apply(Heuristic.MOR, first, inst).job == 0  # 3 operations left against 1
+    assert apply(Heuristic.LOR, first, inst).job == 1
+    sim.step(state, inst, first[0])
+    later = sim.ready_set(state, inst)
+    assert state.clock == 1 and [(c.job, c.op_index) for c in later] == [(0, 1), (1, 0)]
+    assert apply(Heuristic.MOR, later, inst).job == 0  # 2 left against 1
+    assert apply(Heuristic.LOR, later, inst).job == 1
+    # J0's last operation leaves 1, as J1's only one does: a tie, to job 0
+    last = [ReadyOp(0, 2, 1, 2), ReadyOp(1, 0, 1, 0)]
+    assert apply(Heuristic.MOR, last, inst).job == apply(Heuristic.LOR, last, inst).job == 0
+    assert run_pdr(inst, Heuristic.MOR).start_times == ((0, 1, 2), (1,))
+    assert run_pdr(inst, Heuristic.LOR).start_times == ((1, 2, 3), (0,))
 
 
 def test_apply_rejects_empty_ready(inst_2x2):

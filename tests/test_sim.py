@@ -25,7 +25,7 @@ def test_reset(inst_2x2):
 
 def test_ready_set_initial(inst_2x2):
     ready = sim.ready_set(sim.reset(inst_2x2), inst_2x2)
-    assert [(r.job, r.op_index, r.machine) for r in ready] == [(0, 0, 0), (1, 0, 1)]
+    assert [(r.job, r.op_index, r.duration) for r in ready] == [(0, 0, 3), (1, 0, 2)]
     assert all(r.arrival == 0 for r in ready)
 
 
