@@ -7,11 +7,14 @@ model of n points, then an `add` of the evaluated point, which grows the
 model's factor to n + 1 rows. For d in {6, 18, 42} weights (one, three and
 seven conditions) and n in {10, 29} (the first and the last round of a
 default tuning), it fits a model to n uniform parameter vectors with
-integer returns and times `propose` on it and `add` onto a fresh copy of
-it. Each figure is the best of R repeats, in µs per call; `round_us` is
-their sum. The result is printed as one JSON object. Point PYTHONPATH at
-another checkout's `src/` (one whose `GpModel` has `add`) to time that
-version on the same inputs.
+integer returns and times `propose` on it, drawing from a weight stream,
+and `add` onto a fresh copy of it. `draw_us` is the candidate draw on its
+own, part of `propose_us`. Each figure is the best of R repeats, in µs per
+call; `round_us` is the sum of `add_us` and `propose_us`. `stream_us` is
+paid once per tuning: loading a weight stream from a `random.Random` and
+handing its state back. The result is printed as one JSON object. Point
+PYTHONPATH at another checkout's `src/` (one with `bo.weight_stream`) to
+time that version on the same inputs.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import json
 import random
 import timeit
 
-from prorl.bo import BoConfig, fit, propose
+from prorl.bo import BoConfig, fit, propose, weight_stream
+from prorl.dsl import WEIGHT_HIGH, WEIGHT_LOW
 
 
 def time_call(call, repeat: int, setup=None, number: int = 200) -> float:
@@ -35,7 +39,14 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=7)
     args = parser.parse_args()
     config = BoConfig()
-    results = {}
+    draws = random.Random(0)
+
+    def load_and_hand_back():
+        with weight_stream(draws):
+            pass
+
+    load_and_hand_back()  # builds the process's generator outside the timing
+    results = {"stream_us": round(time_call(load_and_hand_back, args.repeat), 1)}
     for d in (6, 18, 42):
         for n in (10, 29):
             rng = random.Random(d * 100 + n)
@@ -44,8 +55,13 @@ def main() -> None:
                 for _ in range(n + 1)
             ]
             model = fit(points[:n], config)
-            draws = random.Random(0)
-            propose_us = time_call(lambda: propose(model, config.beta, draws, config.candidates), args.repeat)
+            with weight_stream(random.Random(0)) as stream:
+                draw_us = time_call(
+                    lambda: stream.uniform(WEIGHT_LOW, WEIGHT_HIGH, (config.candidates, d)), args.repeat
+                )
+                propose_us = time_call(
+                    lambda: propose(model, config.beta, stream, config.candidates), args.repeat
+                )
             # add mutates its model: each timed call grows its own copy
             copies = []
             add_us = time_call(
@@ -55,6 +71,7 @@ def main() -> None:
             )
             results[f"d={d},n={n}"] = {
                 "add_us": round(add_us, 1),
+                "draw_us": round(draw_us, 1),
                 "propose_us": round(propose_us, 1),
                 "round_us": round(add_us + propose_us, 1),
             }

@@ -8,6 +8,14 @@ standardized data: inputs are scaled from the weight box [-2, 2] to
 [-1, 1], targets to zero mean and unit variance. The acquisition argmax is
 approximated by scoring uniform random candidates.
 
+A tuning draws its initial points and every round's candidates from a
+numpy `Generator(MT19937)` loaded with the state of the candidate's
+`random.Random` (`weight_stream`). Its double from twister words a, b,
+((a >> 5) * 2**26 + (b >> 6)) / 2**53, is CPython's `random()`, and its
+uniform(lo, hi) = lo + (hi - lo) * double is `random.uniform`, so the
+draws, and the state handed back, are those of n `rng.uniform(-2, 2)`
+calls at a fraction of their cost.
+
 One `GpModel` serves a whole tuning and grows with it, the incremental GP
 of Rasmussen & Williams (2006, sec. 2.2, Alg. 2.1). It keeps the lower
 Cholesky factor L of K + jitter*I and its inverse L^-1, and `add` appends
@@ -36,16 +44,20 @@ episodes; the loop calls `evaluate` exactly that many times.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
-from .dsl import WEIGHT_HIGH, WEIGHT_LOW, Program, compile_policy, random_weights, set_params
+from .dsl import WEIGHT_HIGH, WEIGHT_LOW, Program, compile_policy, set_params
 
 if TYPE_CHECKING:
+    from numpy.random import Generator
+
     from .sim import Policy
 
 _JITTER_CEILING = 1e-2
@@ -197,13 +209,41 @@ def posterior_batch(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np
     return mean, std
 
 
-def propose(model: GpModel, beta: float, rng: random.Random, n_candidates: int) -> tuple[float, ...]:
-    """Acquisition argmax over uniform candidates in the weight box."""
+@functools.cache
+def _generator() -> Generator:
+    # imported on the first tuning with parameters, so that only training
+    # pays numpy.random's 3 MB of RSS; built once, since seeding costs a
+    # SeedSequence, and every `weight_stream` overwrites the seed anyway
+    from numpy.random import MT19937, Generator
+
+    return Generator(MT19937(0))
+
+
+@contextmanager
+def weight_stream(rng: random.Random) -> Iterator[Generator]:
+    """The process's one numpy `Generator(MT19937)`, loaded with the state of
+    `rng`; on exit `rng` gets the stream's state back, so it ends where the
+    same number of `rng.random()` calls would leave it (see the module
+    docstring). Streams do not nest: there is one per process."""
+    stream = _generator()
+    version, internal, gauss_next = rng.getstate()
+    # the setter reads the key word by word, so a tuple is cheaper than an array
+    key_state = {"key": internal[:-1], "pos": internal[-1]}
+    stream.bit_generator.state = {"bit_generator": "MT19937", "state": key_state}
+    try:
+        yield stream
+    finally:
+        state = stream.bit_generator.state["state"]
+        rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
+
+
+def propose(model: GpModel, beta: float, stream: Generator, n_candidates: int) -> tuple[float, ...]:
+    """Acquisition argmax over uniform candidates in the weight box, drawn
+    from a `weight_stream`."""
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
-    dim = model.dim
-    # one row-major draw: row i holds the i-th candidate, as a nested loop would
-    candidates = random_weights(rng, n_candidates * dim).reshape(n_candidates, dim)
+    # row-major: row i holds the i-th candidate, as a nested uniform loop would
+    candidates = stream.uniform(WEIGHT_LOW, WEIGHT_HIGH, (n_candidates, model.dim))
     mean, std = posterior_batch(model, candidates)
     scores = mean + beta * std
     best = int(np.argmax(scores))  # ties resolve to the first occurrence
@@ -225,9 +265,9 @@ def optimize_params(
     and `add`. An evaluation compiles the program's structure with the
     parameter vector as its weights, so only the returned program is built.
     The best observed pair is returned, never a surrogate prediction; on a
-    tie the first pair to reach the best return wins. A parameter-free
-    program takes the same path: its parameter vectors are empty, so one
-    episode evaluates it.
+    tie the first pair to reach the best return wins. The vectors are drawn
+    from a `weight_stream` of `rng`. A parameter-free program builds no
+    stream: its one vector is empty, and each episode evaluates it.
     """
     if episodes < 1:
         raise ValueError("optimize_params needs at least one episode")
@@ -240,13 +280,18 @@ def optimize_params(
         return value
 
     n_init = min(config.init_points, episodes)
-    for params in random_weights(rng, n_init * dim).reshape(n_init, dim).tolist():
-        observe(tuple(params))
-    if episodes > n_init:
-        model = fit(points, config)
-        for _ in range(episodes - n_init):
-            params = propose(model, config.beta, rng, config.candidates)
-            model.add(params, observe(params))
+    if dim == 0:  # nothing to draw: every vector is empty
+        for _ in range(episodes):
+            observe(())
+    else:
+        with weight_stream(rng) as stream:
+            for params in stream.uniform(WEIGHT_LOW, WEIGHT_HIGH, (n_init, dim)).tolist():
+                observe(tuple(params))
+            if episodes > n_init:
+                model = fit(points, config)
+                for _ in range(episodes - n_init):
+                    params = propose(model, config.beta, stream, config.candidates)
+                    model.add(params, observe(params))
 
     best_params, best_value = max(points, key=lambda point: point[1])
     return set_params(program, best_params), best_value

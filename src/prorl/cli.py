@@ -225,7 +225,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    with open(args.policy, "r", encoding="utf-8") as fh:
+    with open(args.policy, "r", encoding="utf-8-sig") as fh:  # drops a leading BOM
         program = dsl.deserialize(fh.read())
     return _run_policy(args, dsl.make_policy(program), "prorl")
 

@@ -16,7 +16,8 @@ from the program's own nodes.
 
 Programs are immutable values; generation and mutation take an explicit
 random source and respect the structural limits (depth at most 4, at most
-85 tokens) by construction.
+85 tokens) by construction. A generated if-node draws its six weights with
+`rng.uniform` over the weight box; the module imports no numpy.
 
 Token accounting: a leaf costs 1 token; an if-node costs 1 for the
 keyword plus 7 for its condition (six weights and the comparison) plus the
@@ -34,8 +35,6 @@ import operator
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence, Union
-
-import numpy as np
 
 from .concepts import CONCEPT_NAMES, ConceptVector
 from .pdr import HEURISTICS, Heuristic
@@ -153,25 +152,12 @@ def make_policy(program: Program) -> Policy:
     return _compile(program.root, operator.attrgetter("weights"))
 
 
-def random_weights(rng: random.Random, n: int) -> np.ndarray:
-    """n uniform draws from the weight box: the same values, and the same end
-    state of `rng`, as n calls of `rng.uniform(WEIGHT_LOW, WEIGHT_HIGH)`.
-
-    `rng.random()` reads two 32-bit twister words a, b and returns
-    ((a >> 5) * 2**26 + (b >> 6)) / 2**53. `rng.getrandbits(64 * n)` reads
-    the same 2n words and packs them little-endian, so its 64-bit word i is
-    b << 32 | a for the i-th pair, and the doubles are rebuilt exactly.
-    """
-    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u8")
-    mantissa = ((words & 0xFFFFFFFF) >> 5 << 26) | (words >> 38)
-    return WEIGHT_LOW + (WEIGHT_HIGH - WEIGHT_LOW) * (mantissa * 2.0**-53)
-
-
 def _random_node(rng: random.Random, depth_budget: int, token_budget: int) -> Node:
     """Grammar-driven expansion; if/leaf each with probability 0.5 when both fit."""
     can_branch = depth_budget >= 2 and token_budget >= _IF_MIN_TOKENS
     if can_branch and rng.random() < 0.5:
-        weights = tuple(random_weights(rng, WEIGHTS_LEN).tolist())  # drawn before the branches
+        # drawn before the branches
+        weights = tuple(rng.uniform(WEIGHT_LOW, WEIGHT_HIGH) for _ in range(WEIGHTS_LEN))
         then_budget = token_budget - 9 - 1  # reserve one token for the else leaf
         then_branch = _random_node(rng, depth_budget - 1, then_budget)
         else_budget = token_budget - 9 - node_tokens(then_branch)

@@ -15,7 +15,7 @@ import pytest
 
 from prorl.bo import BoConfig, GpModel, posterior_batch
 from prorl.concepts import ConceptVector
-from prorl.dsl import If, Node, Program, random_weights, set_params
+from prorl.dsl import If, Node, Program, set_params
 from prorl.instance import Instance, Operation, parse_standard
 from prorl.pdr import Heuristic
 from prorl.sim import Policy, ScheduleResult
@@ -264,8 +264,10 @@ def reference_optimize_params(
     matrix of all points rebuilt and factored by LAPACK, the jitter
     escalation restarting from `config.jitter`, the factor inverted by
     LAPACK, and each policy `evaluate` is given routed by walking the tree
-    that `set_params` builds. Returns the evaluated parameter vectors in
-    order, then the best (program, return) as `optimize_params` does."""
+    that `set_params` builds. Every weight is drawn by its own
+    `rng.uniform(-2, 2)` call, a candidate's weights in a row. Returns the
+    evaluated parameter vectors in order, then the best (program, return)
+    as `optimize_params` does."""
     dim = len(get_params(program))
     points: list[tuple[tuple[float, ...], float]] = []
 
@@ -278,8 +280,8 @@ def reference_optimize_params(
         points.append((params, evaluate(lambda cv: evaluate_counted(tuned, cv)[0])))
 
     n_init = min(config.init_points, episodes)
-    for params in random_weights(rng, n_init * dim).reshape(n_init, dim).tolist():
-        observe(tuple(params))
+    for _ in range(n_init):
+        observe(tuple(rng.uniform(-2.0, 2.0) for _ in range(dim)))
     for _ in range(episodes - n_init):
         x = np.array([params for params, _ in points]) / 2.0
         y = np.array([value for _, value in points])
@@ -294,7 +296,7 @@ def reference_optimize_params(
                 if jitter > 1e-2 * (1 + 1e-9):
                     raise RuntimeError("GP factorization failed at maximum jitter") from None
         chol_inv = np.linalg.inv(chol)
-        candidates = random_weights(rng, config.candidates * dim).reshape(config.candidates, dim)
+        candidates = np.array([[rng.uniform(-2.0, 2.0) for _ in range(dim)] for _ in range(config.candidates)])
         k_star = kernel(candidates / 2.0, x)
         mean = k_star @ (chol_inv.T @ (chol_inv @ ((y - y_mean) / y_std))) * y_std + y_mean
         v = k_star @ chol_inv.T

@@ -20,11 +20,12 @@ from prorl.bo import (
     optimize_params,
     posterior_batch,
     propose,
+    weight_stream,
 )
 from prorl.concepts import ConceptVector
 from prorl.dsl import If, Program, make_policy, random_program
 from prorl.instance import parse_standard
-from prorl.pdr import Heuristic
+from prorl.pdr import HEURISTICS, Heuristic
 from prorl.sim import EpisodeTrie
 
 
@@ -224,6 +225,43 @@ def test_posterior_batch_holds_no_full_difference_array():
     assert peak < 1_000_000
 
 
+def propose_from(model: GpModel, beta: float, rng: random.Random, n_candidates: int) -> tuple[float, ...]:
+    """`propose` over a weight stream of `rng`, whose state `rng` gets back."""
+    with weight_stream(rng) as stream:
+        return propose(model, beta, stream, n_candidates)
+
+
+def test_weight_stream_matches_the_uniform_stream():
+    # every tuning's draws, and the state its random.Random ends in, rest on
+    # numpy's MT19937 doubles and uniform() being CPython's random() and
+    # uniform(): a numpy that builds them otherwise fails here. 312 doubles
+    # use the 624 words of one twister block, so the n cover the block
+    # boundaries
+    for n in (0, 1, 311, 312, 313, 624, 256 * 42):
+        streamed, looped = random.Random(n), random.Random(n)
+        with weight_stream(streamed) as stream:
+            values = stream.uniform(-2.0, 2.0, n)
+        assert values.shape == (n,)
+        assert values.tolist() == [looped.uniform(-2.0, 2.0) for _ in range(n)]
+        assert streamed.getstate() == looped.getstate()
+
+
+def test_weight_stream_interleaves_with_other_draws():
+    # each stream starts at a misaligned position and hands its state back
+    # for the next draws; gauss() leaves a cached value the hand-back keeps
+    streamed, looped = random.Random(99), random.Random(99)
+    for n in (1, 311, 2, 313, 0, 624, 5):
+        assert streamed.random() == looped.random()
+        assert streamed.choice(HEURISTICS) is looped.choice(HEURISTICS)
+        assert streamed.gauss(0.0, 1.0) == looped.gauss(0.0, 1.0)
+        with weight_stream(streamed) as stream:
+            values = stream.uniform(-2.0, 2.0, n).tolist()
+            rows = stream.uniform(-2.0, 2.0, (3, 6)).tolist()
+        assert values == [looped.uniform(-2.0, 2.0) for _ in range(n)]
+        assert rows == [[looped.uniform(-2.0, 2.0) for _ in range(6)] for _ in range(3)]
+    assert streamed.getstate() == looped.getstate()
+
+
 def test_propose_is_ucb_argmax():
     model = fit(dataset_from([((0.0, 0.0), 0.0), ((1.0, -1.0), 1.0), ((-1.5, 0.5), -2.0)]), BoConfig())
     picks = set()
@@ -234,7 +272,7 @@ def test_propose_is_ucb_argmax():
         mean, std = posterior_batch(model, candidates)
         expected = tuple(candidates[int(np.argmax(mean + beta * std))].tolist())
         rng = random.Random(11)
-        got = propose(model, beta, rng, 64)
+        got = propose_from(model, beta, rng, 64)
         assert got == expected
         assert all(type(w) is float for w in got)
         assert rng.getstate() == replay.getstate()
@@ -265,7 +303,7 @@ def test_propose_picks_the_oracle_ucb_argmax():
         oracle_mean, oracle_std = dense_oracle_batch(xs, ys, candidates)
         scores = oracle_mean + beta * oracle_std
         draw = random.Random(seed)
-        got = propose(fit(dataset_from(zip(xs, ys)), BoConfig()), beta, draw, 256)
+        got = propose_from(fit(dataset_from(zip(xs, ys)), BoConfig()), beta, draw, 256)
         assert draw.getstate() == replay.getstate()
         runner_up, top = np.sort(scores)[-2:]
         if top - runner_up > 1e-9 * abs(top):
@@ -278,7 +316,7 @@ def test_propose_picks_the_oracle_ucb_argmax():
 
 def test_propose_degenerate_cases():
     model = fit(dataset_from([((0.0,), -1.0)]), BoConfig())
-    single = propose(model, 2.0, random.Random(7), 1)
+    single = propose_from(model, 2.0, random.Random(7), 1)
     expected = random.Random(7).uniform(-2.0, 2.0)
     assert single == (expected,)
     assert type(single[0]) is float
@@ -287,7 +325,7 @@ def test_propose_degenerate_cases():
 def test_propose_concentrates_near_high_observation():
     model = fit(dataset_from([((-1.0,), 0.0), ((1.0,), 10.0)]), BoConfig())
     for seed in range(5):
-        (x,) = propose(model, 0.0, random.Random(seed), 1024)
+        (x,) = propose_from(model, 0.0, random.Random(seed), 1024)
         assert type(x) is float
         assert x > 0.5  # posterior mean peaks near the +1 observation
 
@@ -455,6 +493,22 @@ def test_optimize_parameter_free_charges_one(evaluate):
     assert rng.getstate() == random.Random(0).getstate()  # nothing to draw
 
 
+def test_parameter_free_tuning_builds_no_stream(evaluate, monkeypatch):
+    # building one imports numpy.random and copies the twister state twice;
+    # ft06 at budget 1000, seeds 0-3, runs 1,016 parameter-free tunings
+    def no_stream(rng):
+        raise AssertionError("a parameter-free tuning built a weight stream")
+
+    monkeypatch.setattr(bo, "weight_stream", no_stream)
+    evaluate, observed = counting(evaluate)
+    for episodes in (1, 30):
+        rng = random.Random(episodes)
+        program, value = optimize_params(Program(Heuristic.SPT), evaluate, episodes, rng, BoConfig())
+        assert (program, value) == (Program(Heuristic.SPT), -7.0)
+        assert rng.getstate() == random.Random(episodes).getstate()
+    assert observed == [-7.0] * 31
+
+
 def test_optimize_no_bo_rounds_charges_n_init(evaluate):
     evaluate, observed = counting(evaluate)
     optimize_params(tunable_program(), evaluate, 10, random.Random(0), BoConfig(init_points=10))
@@ -598,9 +652,11 @@ def test_optimize_matches_the_refit_reference(ft06, monkeypatch, conditions):
     monkeypatch.setattr(bo, "compile_policy", recording_compile)
     for seed, program in enumerate(programs):
         evaluated.clear()
-        got = optimize_params(program, episode_return(ft06), 30, random.Random(seed), BoConfig())
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        got = optimize_params(program, episode_return(ft06), 30, rng, BoConfig())
         expected_params, *expected = reference_optimize_params(
-            program, episode_return(ft06), 30, random.Random(seed), BoConfig()
+            program, episode_return(ft06), 30, reference_rng, BoConfig()
         )
         assert evaluated == expected_params
         assert list(got) == expected
+        assert rng.getstate() == reference_rng.getstate()

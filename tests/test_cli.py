@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
+import math
 import os
 from pathlib import Path
 
@@ -168,14 +170,25 @@ def test_negative_budget_is_usage_error(tmp_path, capsys, monkeypatch, tiny_path
 def test_train_draws_no_more_init_points_than_the_budget(tmp_path, capsys, monkeypatch):
     # the guard fails before anything is allocated, so a draw sized to
     # init_points rather than to the episodes left fails safely
-    real = bo.random_weights
+    real = bo.weight_stream
+    sizes = []
 
-    def guarded(rng, n):
-        if n > 10**6:
-            raise AssertionError(f"asked for {n} weights")
-        return real(rng, n)
+    class GuardedStream:
+        def __init__(self, stream):
+            self.stream = stream
 
-    monkeypatch.setattr(bo, "random_weights", guarded)
+        def uniform(self, low, high, size):
+            sizes.append(size)
+            if math.prod(size) > 10**6:
+                raise AssertionError(f"asked for {size} weights")
+            return self.stream.uniform(low, high, size)
+
+    @contextlib.contextmanager
+    def guarded(rng):
+        with real(rng) as stream:
+            yield GuardedStream(stream)
+
+    monkeypatch.setattr(bo, "weight_stream", guarded)
     csv = tmp_path / "row.csv"
     code = main([
         "train", "--instance", FT06, "--budget", "5",
@@ -183,6 +196,7 @@ def test_train_draws_no_more_init_points_than_the_budget(tmp_path, capsys, monke
     ])
     assert code == 0
     assert csv.read_text().splitlines()[1].split(",")[-1] == "5"
+    assert sizes  # the guard saw a tuning's draws
 
 
 def test_train_ignores_prorl_workers(tmp_path, monkeypatch, capsys, tiny_path):
@@ -309,6 +323,20 @@ def test_eval_corrupt_policy_io_error(tmp_path, capsys, tiny_path):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_eval_reads_a_policy_behind_a_byte_order_mark(tmp_path, capsys):
+    # editors on Windows save UTF-8 with a BOM; instance and BKS files
+    # already drop it
+    rule = tmp_path / "rule.csv"
+    assert main(["pdr", "--instance", FT06, "--rule", "mwr", "--csv", str(rule)]) == 0
+    policy = tmp_path / "policy.json"
+    policy.write_text('\ufeff{"kind": "action", "heuristic": "MWR"}', encoding="utf-8")
+    out = tmp_path / "eval.csv"
+    assert main(["eval", "--instance", FT06, "--policy", str(policy), "--csv", str(out)]) == 0
+    # the one-leaf policy is the rule: same makespan, reported as prorl
+    expected = rule.read_text().splitlines()[1].replace(",MWR,", ",prorl,")
+    assert out.read_text().splitlines()[1] == expected
+
+
 SPT_LEAF = '{"kind": "action", "heuristic": "SPT"}'
 LEAVES = f'"then": {SPT_LEAF}, "else": {SPT_LEAF}'
 
@@ -327,10 +355,12 @@ def nested_policy(levels: int) -> str:
     ('{"kind": "if", ' + LEAVES + "}", "list of JSON numbers"),
     # an integer past the float range: float() raises OverflowError
     ('{"kind": "if", "weights": [1' + "0" * 400 + ', 0, 0, 0, 0, 0], ' + LEAVES + "}", "outside [-2.0, 2.0]"),
-], ids=["nested-1200", "scalar-weights", "missing-weights", "huge-integer-weight"])
+    # a byte-order mark is dropped, so the document's own fault is reported
+    ("\ufeff" + '{"kind": "if", "weights": 3, ' + LEAVES + "}", "list of JSON numbers"),
+], ids=["nested-1200", "scalar-weights", "missing-weights", "huge-integer-weight", "bom-scalar-weights"])
 def test_eval_malformed_policy_io_error(tmp_path, capsys, tiny_path, doc, fragment):
     bad = tmp_path / "bad.json"
-    bad.write_text(doc)
+    bad.write_text(doc, encoding="utf-8")
     assert main(["eval", "--instance", tiny_path, "--policy", str(bad)]) == 3
     err = capsys.readouterr().err
     assert fragment in err and "internal error" not in err

@@ -30,7 +30,6 @@ from prorl.dsl import (
     mutate,
     pretty_print,
     random_program,
-    random_weights,
     serialize,
     set_params,
 )
@@ -167,27 +166,6 @@ def test_random_program_golden_seeds():
     assert random_program(random.Random(5)) == random_program(random.Random(5))
 
 
-def test_random_weights_match_the_uniform_stream():
-    # the one-call draw gives the values of n uniform calls and leaves the
-    # random stream where they leave it; 312 doubles use the 624 words of one
-    # twister block, so the n cover the block boundaries
-    for n in (0, 1, 311, 312, 313, 624, 256 * 42):
-        batched, looped = random.Random(n), random.Random(n)
-        values = random_weights(batched, n)
-        assert values.shape == (n,)
-        assert values.tolist() == [looped.uniform(-2.0, 2.0) for _ in range(n)]
-        assert batched.getstate() == looped.getstate()
-
-
-def test_random_weights_interleave_with_other_draws():
-    batched, looped = random.Random(99), random.Random(99)
-    for n in (1, 311, 2, 313, 0, 624, 5):
-        assert batched.random() == looped.random()
-        assert batched.choice(HEURISTICS) is looped.choice(HEURISTICS)
-        assert random_weights(batched, n).tolist() == [looped.uniform(-2.0, 2.0) for _ in range(n)]
-    assert batched.getstate() == looped.getstate()
-
-
 def _zero_weights_for(point: ConceptVector, rng: random.Random) -> tuple[float, ...]:
     """Weights whose condition value at `point` is exactly 0.0: every weight
     and concept is a multiple of 1/8, so each product and partial sum is exact."""
@@ -221,7 +199,7 @@ def test_compiled_policy_routes_like_the_tree_walk():
             if rng.random() < 0.5:
                 params.extend(_zero_weights_for(point, rng))
             else:
-                params.extend(random_weights(rng, 6).tolist())
+                params.extend(rng.uniform(-2.0, 2.0) for _ in range(6))
         program = set_params(structure, tuple(params))
         policy, direct = make_policy(program), compile_policy(structure, tuple(params))
         for probe in (point, random_cv(rng), random_cv(rng)):

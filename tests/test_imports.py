@@ -15,6 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 import prorl
+from conftest import INSTANCE_DIR
 
 PACKAGE_DIR = Path(prorl.__file__).parent
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -120,8 +121,9 @@ def test_runtime_import_graph_keeps_the_layering():
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
-    # weights are drawn from `random.Random`; loading numpy.random would
-    # only raise peak memory after this import from 28.9 to 34.5 MB. The
+    # numpy.random is imported by the first tuning with parameters, whose
+    # weights it draws; loading it here would raise peak memory after this
+    # import from 28.9 to 34.5 MB in every process, training or not. The
     # bench process pool is imported when a sweep starts: at import time it
     # would add 25-35 ms to every command's start-up. The GP needs only
     # numpy's own linear algebra, so scipy is no dependency.
@@ -130,6 +132,25 @@ def test_cli_import_leaves_numpy_random_unloaded():
     code = f"import sys, prorl.cli; print(*(m in sys.modules for m in {modules!r}))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["True", "False", "False", "False", "False"]
+
+
+def test_inference_commands_leave_numpy_random_unloaded(tmp_path):
+    # pdr and eval run no tuning, so they never pay numpy.random's memory;
+    # the benchmark's inference workload runs exactly these commands
+    policy = tmp_path / "policy.json"
+    policy.write_text('{"kind": "if", "weights": [0.5, -1, 0, 0, 0, 0], '
+                      '"then": {"kind": "action", "heuristic": "SPT"}, '
+                      '"else": {"kind": "action", "heuristic": "MWR"}}', encoding="utf-8")
+    instance = INSTANCE_DIR / "ft06.txt"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    code = (
+        "import sys; from prorl.cli import main\n"
+        f"assert main(['pdr', '--instance', {str(instance)!r}, '--rule', 'spt']) == 0\n"
+        f"assert main(['eval', '--instance', {str(instance)!r}, '--policy', {str(policy)!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split()[-1] == "False"
 
 
 def _references(tree: ast.AST) -> Counter:
