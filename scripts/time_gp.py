@@ -11,10 +11,10 @@ integer returns and times `propose` on it, drawing from a weight stream,
 and `add` onto a fresh copy of it. `draw_us` is the candidate draw on its
 own, part of `propose_us`. Each figure is the best of R repeats, in µs per
 call; `round_us` is the sum of `add_us` and `propose_us`. `stream_us` is
-paid once per tuning: loading a weight stream from a `random.Random` and
-handing its state back. The result is printed as one JSON object. Point
-PYTHONPATH at another checkout's `src/` (one with `bo.weight_stream`) to
-time that version on the same inputs.
+paid once per tuning: loading the weight stream of a tuning's seed. The
+result is printed as one JSON object. Point PYTHONPATH at another
+checkout's `src/` (one whose `bo.weight_stream` takes a seed) to time that
+version on the same inputs.
 """
 
 from __future__ import annotations
@@ -39,14 +39,9 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=7)
     args = parser.parse_args()
     config = BoConfig()
-    draws = random.Random(0)
-
-    def load_and_hand_back():
-        with weight_stream(draws):
-            pass
-
-    load_and_hand_back()  # builds the process's generator outside the timing
-    results = {"stream_us": round(time_call(load_and_hand_back, args.repeat), 1)}
+    key = "0:gen:1:cand:0"  # a candidate's seed as training builds it
+    weight_stream(key)  # builds the process's generator outside the timing
+    results = {"stream_us": round(time_call(lambda: weight_stream(key), args.repeat), 1)}
     for d in (6, 18, 42):
         for n in (10, 29):
             rng = random.Random(d * 100 + n)
@@ -55,13 +50,13 @@ def main() -> None:
                 for _ in range(n + 1)
             ]
             model = fit(points[:n], config)
-            with weight_stream(random.Random(0)) as stream:
-                draw_us = time_call(
-                    lambda: stream.uniform(WEIGHT_LOW, WEIGHT_HIGH, (config.candidates, d)), args.repeat
-                )
-                propose_us = time_call(
-                    lambda: propose(model, config.beta, stream, config.candidates), args.repeat
-                )
+            stream = weight_stream(0)
+            draw_us = time_call(
+                lambda: stream.uniform(WEIGHT_LOW, WEIGHT_HIGH, (config.candidates, d)), args.repeat
+            )
+            propose_us = time_call(
+                lambda: propose(model, config.beta, stream, config.candidates), args.repeat
+            )
             # add mutates its model: each timed call grows its own copy
             copies = []
             add_us = time_call(

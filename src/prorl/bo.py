@@ -8,13 +8,13 @@ standardized data: inputs are scaled from the weight box [-2, 2] to
 [-1, 1], targets to zero mean and unit variance. The acquisition argmax is
 approximated by scoring uniform random candidates.
 
-A tuning draws its initial points and every round's candidates from a
-numpy `Generator(MT19937)` loaded with the state of the candidate's
-`random.Random` (`weight_stream`). Its double from twister words a, b,
-((a >> 5) * 2**26 + (b >> 6)) / 2**53, is CPython's `random()`, and its
+A tuning takes a seed and draws its initial points and every round's
+candidates from a numpy `Generator(MT19937)` loaded with the state of
+`random.Random(seed)` (`weight_stream`). Its double from twister words a,
+b, ((a >> 5) * 2**26 + (b >> 6)) / 2**53, is CPython's `random()`, and its
 uniform(lo, hi) = lo + (hi - lo) * double is `random.uniform`, so the
-draws, and the state handed back, are those of n `rng.uniform(-2, 2)`
-calls at a fraction of their cost.
+draws are those of n `random.Random(seed).uniform(-2, 2)` calls at a
+fraction of their cost, and no caller state is read or written.
 
 One `GpModel` serves a whole tuning and grows with it, the incremental GP
 of Rasmussen & Williams (2006, sec. 2.2, Alg. 2.1). It keeps the lower
@@ -47,9 +47,8 @@ from __future__ import annotations
 import functools
 import math
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -61,6 +60,7 @@ if TYPE_CHECKING:
     from .sim import Policy
 
 _JITTER_CEILING = 1e-2
+MAX_CANDIDATES = 65_536  # one draw at d = 42 is then 22 MB
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,8 @@ class BoConfig:
             raise ValueError("beta must be >= 0 and finite")
         if not (self.candidates >= 1 and self.init_points >= 1 and self.iterations >= 0):
             raise ValueError("bad acquisition/iteration settings")
+        if not self.candidates <= MAX_CANDIDATES:
+            raise ValueError(f"candidates must be <= {MAX_CANDIDATES}")
 
 
 def _scale_inputs(x: np.ndarray) -> np.ndarray:
@@ -219,22 +221,17 @@ def _generator() -> Generator:
     return Generator(MT19937(0))
 
 
-@contextmanager
-def weight_stream(rng: random.Random) -> Iterator[Generator]:
+def weight_stream(seed: int | str) -> Generator:
     """The process's one numpy `Generator(MT19937)`, loaded with the state of
-    `rng`; on exit `rng` gets the stream's state back, so it ends where the
-    same number of `rng.random()` calls would leave it (see the module
-    docstring). Streams do not nest: there is one per process."""
+    `random.Random(seed)`: its draws are those of that generator's `random()`
+    and `uniform()` calls (see the module docstring). Every call reloads the
+    same generator, so a stream serves one tuning at a time."""
+    internal = random.Random(seed).getstate()[1]
     stream = _generator()
-    version, internal, gauss_next = rng.getstate()
     # the setter reads the key word by word, so a tuple is cheaper than an array
     key_state = {"key": internal[:-1], "pos": internal[-1]}
     stream.bit_generator.state = {"bit_generator": "MT19937", "state": key_state}
-    try:
-        yield stream
-    finally:
-        state = stream.bit_generator.state["state"]
-        rng.setstate((version, (*state["key"].tolist(), state["pos"]), gauss_next))
+    return stream
 
 
 def propose(model: GpModel, beta: float, stream: Generator, n_candidates: int) -> tuple[float, ...]:
@@ -254,7 +251,7 @@ def optimize_params(
     program: Program,
     evaluate: Callable[[Policy], float],
     episodes: int,
-    rng: random.Random,
+    seed: int | str,
     config: BoConfig,
 ) -> tuple[Program, float]:
     """Tune the program's condition weights with exactly `episodes` calls of
@@ -266,7 +263,7 @@ def optimize_params(
     parameter vector as its weights, so only the returned program is built.
     The best observed pair is returned, never a surrogate prediction; on a
     tie the first pair to reach the best return wins. The vectors are drawn
-    from a `weight_stream` of `rng`. A parameter-free program builds no
+    from the `weight_stream` of `seed`. A parameter-free program builds no
     stream: its one vector is empty, and each episode evaluates it.
     """
     if episodes < 1:
@@ -284,14 +281,14 @@ def optimize_params(
         for _ in range(episodes):
             observe(())
     else:
-        with weight_stream(rng) as stream:
-            for params in stream.uniform(WEIGHT_LOW, WEIGHT_HIGH, (n_init, dim)).tolist():
-                observe(tuple(params))
-            if episodes > n_init:
-                model = fit(points, config)
-                for _ in range(episodes - n_init):
-                    params = propose(model, config.beta, stream, config.candidates)
-                    model.add(params, observe(params))
+        stream = weight_stream(seed)
+        for params in stream.uniform(WEIGHT_LOW, WEIGHT_HIGH, (n_init, dim)).tolist():
+            observe(tuple(params))
+        if episodes > n_init:
+            model = fit(points, config)
+            for _ in range(episodes - n_init):
+                params = propose(model, config.beta, stream, config.candidates)
+                model.add(params, observe(params))
 
     best_params, best_value = max(points, key=lambda point: point[1])
     return set_params(program, best_params), best_value

@@ -6,15 +6,22 @@ Two on-disk formats are supported: the OR-Library "standard" format
 duration matrix, then an n x m machine matrix with 1-based machines).
 The two are ambiguous to sniff apart for square instances, so callers
 pick the parser explicitly. Lines starting with '#' are treated as
-comments in every format.
+comments in every format. Integers are ASCII digits with an optional sign
+(`int()` alone would read `1_0` as 10 and a fullwidth digit as its value),
+and an instance's total work is at most 2**53, so every makespan, and the
+`float` of one, is exact.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+
+MAX_TOTAL_WORK = 2**53
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class ParseError(ValueError):
@@ -94,13 +101,25 @@ def _data_lines(text: str):
 
 
 def _ints(line_no: int, tokens: list[str]) -> list[int]:
-    values = []
-    for tok in tokens:
+    """The tokens as integers, each ASCII digits with an optional sign. int()
+    also takes `1_0` and non-ASCII digits, so a line holding either is
+    refused before it is converted."""
+    joined = "".join(tokens)
+    if joined.isascii() and "_" not in joined:
         try:
-            values.append(int(tok))
+            return [int(tok) for tok in tokens]
         except ValueError:
-            raise ParseError(line_no, f"invalid integer {tok!r}") from None
-    return values
+            pass
+    bad = next(tok for tok in tokens if not _INTEGER.fullmatch(tok))
+    raise ParseError(line_no, f"invalid integer {bad!r}")
+
+
+def _add_work(line_no: int, total: int, durations: list[int]) -> int:
+    """`total` plus a job's durations, rejected past MAX_TOTAL_WORK."""
+    total += sum(durations)
+    if total > MAX_TOTAL_WORK:
+        raise ParseError(line_no, "total work exceeds 2**53")
+    return total
 
 
 def _header(lines) -> tuple[int, int, int]:
@@ -123,7 +142,7 @@ def parse_standard(text: str, name: str = "unnamed") -> Instance:
     lines = _data_lines(text)
     line_no, n, m = _header(lines)
 
-    jobs = []
+    jobs, work = [], 0
     for _ in range(n):
         try:
             line_no, tokens = next(lines)
@@ -139,6 +158,7 @@ def parse_standard(text: str, name: str = "unnamed") -> Instance:
             if duration < 1:
                 raise ParseError(line_no, f"duration {duration} must be >= 1")
             ops.append(Operation(machine, duration))
+        work = _add_work(line_no, work, values[1::2])
         jobs.append(tuple(ops))
     for line_no, _ in lines:
         raise ParseError(line_no, "trailing content after last job line")
@@ -172,7 +192,7 @@ def parse_taillard(text: str, name: str = "unnamed") -> Instance:
     for extra_no, _ in lines:
         raise ParseError(extra_no, "trailing content after machines matrix")
 
-    jobs = []
+    jobs, work = [], 0
     for i, ((times_no, durations), (machines_no, row)) in enumerate(zip(times, machines)):
         ops = []
         for machine, duration in zip(row, durations):
@@ -183,6 +203,7 @@ def parse_taillard(text: str, name: str = "unnamed") -> Instance:
             if duration < 1:
                 raise ParseError(times_no, f"duration {duration} must be >= 1")
             ops.append(Operation(machine - 1, duration))
+        work = _add_work(times_no, work, durations)
         jobs.append(tuple(ops))
     return Instance(name, n, m, tuple(jobs))
 
@@ -196,10 +217,10 @@ def load_bks(text: str) -> dict[str, int]:
         if len(parts) != 2:
             raise ParseError(line_no, f"expected 'name,makespan', got {parts!r}")
         name = parts[0].strip()
-        try:
-            makespan = int(parts[1])
-        except ValueError:
-            raise ParseError(line_no, f"invalid makespan {parts[1]!r}") from None
+        makespan_text = parts[1].strip()
+        if not _INTEGER.fullmatch(makespan_text):
+            raise ParseError(line_no, f"invalid makespan {makespan_text!r}")
+        makespan = int(makespan_text)
         if not name:
             raise ParseError(line_no, "empty instance name")
         if makespan < 1:

@@ -35,6 +35,7 @@ from .instance import Instance
 from .sim import EpisodeTrie, Policy, run_episode
 
 _EXTRA_MUTATIONS_CAP = 5
+MAX_LAMBDA = 10_000
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,8 @@ class SearchConfig:
         # comparisons are negated so that NaN fails them
         if not self.episode_budget >= 0:
             raise ValueError("episode_budget must be >= 0")
-        if not self.lam >= 1:
-            raise ValueError("lam must be >= 1")
+        if not 1 <= self.lam <= MAX_LAMBDA:
+            raise ValueError(f"lam must be in [1, {MAX_LAMBDA}]")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must be in [0, 1]")
         if not 1 <= self.max_depth <= MAX_DEPTH:
@@ -83,8 +84,8 @@ class SearchState:
     trie_nodes: int = 0
 
 
-def _derived_rng(seed: int, *scope) -> random.Random:
-    return random.Random(":".join(str(part) for part in (seed,) + scope))
+def _seed_key(seed: int, *scope) -> str:
+    return ":".join(str(part) for part in (seed,) + scope)
 
 
 def make_neighborhood(
@@ -110,7 +111,7 @@ def make_neighborhood(
 
 def train(instance: Instance, config: SearchConfig) -> tuple[Program, SearchState]:
     """Run the full bilevel search on one instance."""
-    init_rng = _derived_rng(config.seed, "init")
+    init_rng = random.Random(_seed_key(config.seed, "init"))
     incumbent = random_program(init_rng, config.max_depth, config.max_tokens)
     state = SearchState(generation=0, incumbent=incumbent, incumbent_return=None, episodes_used=0)
     trie = EpisodeTrie(instance)
@@ -127,7 +128,7 @@ def train(instance: Instance, config: SearchConfig) -> tuple[Program, SearchStat
             state.incumbent,
             config.lam,
             config.mutation_rate,
-            _derived_rng(config.seed, "gen", gen, "mut"),
+            random.Random(_seed_key(config.seed, "gen", gen, "mut")),
             config.max_depth,
             config.max_tokens,
         )
@@ -144,8 +145,8 @@ def train(instance: Instance, config: SearchConfig) -> tuple[Program, SearchStat
             dims.append(dim)
             charges.append(charge)
             if charge:
-                cand_rng = _derived_rng(config.seed, "gen", gen, "cand", idx)
-                program, value = optimize_params(candidate, evaluate, charge, cand_rng, config.bo)
+                cand_seed = _seed_key(config.seed, "gen", gen, "cand", idx)
+                program, value = optimize_params(candidate, evaluate, charge, cand_seed, config.bo)
                 state.episodes_used += charge
                 if state.incumbent_return is None or value > state.incumbent_return:
                     state.incumbent, state.incumbent_return = program, value

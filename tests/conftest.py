@@ -257,7 +257,7 @@ def verify_feasible(result: ScheduleResult, instance: Instance) -> bool:
 
 
 def reference_optimize_params(
-    program: Program, evaluate: Callable[[Policy], float], episodes: int, rng: random.Random,
+    program: Program, evaluate: Callable[[Policy], float], episodes: int, seed: int | str,
     config: BoConfig,
 ) -> tuple[list[tuple[float, ...]], Program, float]:
     """The BO inner loop with its GP refit from scratch every round: the Gram
@@ -265,10 +265,11 @@ def reference_optimize_params(
     escalation restarting from `config.jitter`, the factor inverted by
     LAPACK, and each policy `evaluate` is given routed by walking the tree
     that `set_params` builds. Every weight is drawn by its own
-    `rng.uniform(-2, 2)` call, a candidate's weights in a row. Returns the
-    evaluated parameter vectors in order, then the best (program, return)
-    as `optimize_params` does."""
+    `uniform(-2, 2)` call on `random.Random(seed)`, a candidate's weights in
+    a row. Returns the evaluated parameter vectors in order, then the best
+    (program, return) as `optimize_params` does."""
     dim = len(get_params(program))
+    rng = random.Random(seed)
     points: list[tuple[tuple[float, ...], float]] = []
 
     def kernel(a, b):

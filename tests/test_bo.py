@@ -25,7 +25,7 @@ from prorl.bo import (
 from prorl.concepts import ConceptVector
 from prorl.dsl import If, Program, make_policy, random_program
 from prorl.instance import parse_standard
-from prorl.pdr import HEURISTICS, Heuristic
+from prorl.pdr import Heuristic
 from prorl.sim import EpisodeTrie
 
 
@@ -225,41 +225,21 @@ def test_posterior_batch_holds_no_full_difference_array():
     assert peak < 1_000_000
 
 
-def propose_from(model: GpModel, beta: float, rng: random.Random, n_candidates: int) -> tuple[float, ...]:
-    """`propose` over a weight stream of `rng`, whose state `rng` gets back."""
-    with weight_stream(rng) as stream:
-        return propose(model, beta, stream, n_candidates)
+def propose_from(model: GpModel, beta: float, seed: int, n_candidates: int) -> tuple[float, ...]:
+    """`propose` over the weight stream of `seed`."""
+    return propose(model, beta, weight_stream(seed), n_candidates)
 
 
 def test_weight_stream_matches_the_uniform_stream():
-    # every tuning's draws, and the state its random.Random ends in, rest on
-    # numpy's MT19937 doubles and uniform() being CPython's random() and
-    # uniform(): a numpy that builds them otherwise fails here. 312 doubles
-    # use the 624 words of one twister block, so the n cover the block
-    # boundaries
+    # every tuning's draws rest on numpy's MT19937 doubles and uniform()
+    # being CPython's random() and uniform(): a numpy that builds them
+    # otherwise fails here. 312 doubles use the 624 words of one twister
+    # block, so the n cover the block boundaries
     for n in (0, 1, 311, 312, 313, 624, 256 * 42):
-        streamed, looped = random.Random(n), random.Random(n)
-        with weight_stream(streamed) as stream:
-            values = stream.uniform(-2.0, 2.0, n)
+        values = weight_stream(n).uniform(-2.0, 2.0, n)
+        looped = random.Random(n)
         assert values.shape == (n,)
         assert values.tolist() == [looped.uniform(-2.0, 2.0) for _ in range(n)]
-        assert streamed.getstate() == looped.getstate()
-
-
-def test_weight_stream_interleaves_with_other_draws():
-    # each stream starts at a misaligned position and hands its state back
-    # for the next draws; gauss() leaves a cached value the hand-back keeps
-    streamed, looped = random.Random(99), random.Random(99)
-    for n in (1, 311, 2, 313, 0, 624, 5):
-        assert streamed.random() == looped.random()
-        assert streamed.choice(HEURISTICS) is looped.choice(HEURISTICS)
-        assert streamed.gauss(0.0, 1.0) == looped.gauss(0.0, 1.0)
-        with weight_stream(streamed) as stream:
-            values = stream.uniform(-2.0, 2.0, n).tolist()
-            rows = stream.uniform(-2.0, 2.0, (3, 6)).tolist()
-        assert values == [looped.uniform(-2.0, 2.0) for _ in range(n)]
-        assert rows == [[looped.uniform(-2.0, 2.0) for _ in range(6)] for _ in range(3)]
-    assert streamed.getstate() == looped.getstate()
 
 
 def test_propose_is_ucb_argmax():
@@ -271,11 +251,9 @@ def test_propose_is_ucb_argmax():
         candidates = np.array([[replay.uniform(-2.0, 2.0) for _ in range(2)] for _ in range(64)])
         mean, std = posterior_batch(model, candidates)
         expected = tuple(candidates[int(np.argmax(mean + beta * std))].tolist())
-        rng = random.Random(11)
-        got = propose_from(model, beta, rng, 64)
+        got = propose_from(model, beta, 11, 64)
         assert got == expected
         assert all(type(w) is float for w in got)
-        assert rng.getstate() == replay.getstate()
         picks.add(expected)
     assert len(picks) > 1  # the exploration weight changes the choice
     # at a training point the band collapses onto the observation
@@ -302,9 +280,7 @@ def test_propose_picks_the_oracle_ucb_argmax():
         candidates = np.array([[replay.uniform(-2.0, 2.0) for _ in range(d)] for _ in range(256)])
         oracle_mean, oracle_std = dense_oracle_batch(xs, ys, candidates)
         scores = oracle_mean + beta * oracle_std
-        draw = random.Random(seed)
-        got = propose_from(fit(dataset_from(zip(xs, ys)), BoConfig()), beta, draw, 256)
-        assert draw.getstate() == replay.getstate()
+        got = propose_from(fit(dataset_from(zip(xs, ys)), BoConfig()), beta, seed, 256)
         runner_up, top = np.sort(scores)[-2:]
         if top - runner_up > 1e-9 * abs(top):
             assert got == tuple(candidates[int(np.argmax(scores))].tolist())
@@ -316,7 +292,7 @@ def test_propose_picks_the_oracle_ucb_argmax():
 
 def test_propose_degenerate_cases():
     model = fit(dataset_from([((0.0,), -1.0)]), BoConfig())
-    single = propose_from(model, 2.0, random.Random(7), 1)
+    single = propose_from(model, 2.0, 7, 1)
     expected = random.Random(7).uniform(-2.0, 2.0)
     assert single == (expected,)
     assert type(single[0]) is float
@@ -325,7 +301,7 @@ def test_propose_degenerate_cases():
 def test_propose_concentrates_near_high_observation():
     model = fit(dataset_from([((-1.0,), 0.0), ((1.0,), 10.0)]), BoConfig())
     for seed in range(5):
-        (x,) = propose_from(model, 0.0, random.Random(seed), 1024)
+        (x,) = propose_from(model, 0.0, seed, 1024)
         assert type(x) is float
         assert x > 0.5  # posterior mean peaks near the +1 observation
 
@@ -485,61 +461,57 @@ def counting(evaluate):
 
 def test_optimize_parameter_free_charges_one(evaluate):
     evaluate, observed = counting(evaluate)
-    rng = random.Random(0)
-    program, value = optimize_params(Program(Heuristic.SPT), evaluate, 1, rng, BoConfig())
+    program, value = optimize_params(Program(Heuristic.SPT), evaluate, 1, 0, BoConfig())
     assert observed == [-7.0]
     assert value == -7.0
     assert program == Program(Heuristic.SPT)
-    assert rng.getstate() == random.Random(0).getstate()  # nothing to draw
 
 
 def test_parameter_free_tuning_builds_no_stream(evaluate, monkeypatch):
-    # building one imports numpy.random and copies the twister state twice;
+    # building one imports numpy.random and seeds a twister from the key;
     # ft06 at budget 1000, seeds 0-3, runs 1,016 parameter-free tunings
-    def no_stream(rng):
+    def no_stream(seed):
         raise AssertionError("a parameter-free tuning built a weight stream")
 
     monkeypatch.setattr(bo, "weight_stream", no_stream)
     evaluate, observed = counting(evaluate)
     for episodes in (1, 30):
-        rng = random.Random(episodes)
-        program, value = optimize_params(Program(Heuristic.SPT), evaluate, episodes, rng, BoConfig())
+        program, value = optimize_params(Program(Heuristic.SPT), evaluate, episodes, episodes, BoConfig())
         assert (program, value) == (Program(Heuristic.SPT), -7.0)
-        assert rng.getstate() == random.Random(episodes).getstate()
     assert observed == [-7.0] * 31
 
 
 def test_optimize_no_bo_rounds_charges_n_init(evaluate):
     evaluate, observed = counting(evaluate)
-    optimize_params(tunable_program(), evaluate, 10, random.Random(0), BoConfig(init_points=10))
+    optimize_params(tunable_program(), evaluate, 10, 0, BoConfig(init_points=10))
     assert len(observed) == 10
 
 
 def test_optimize_defaults_charge_thirty(evaluate):
     evaluate, observed = counting(evaluate)
-    optimize_params(tunable_program(), evaluate, 30, random.Random(0), BoConfig())
+    optimize_params(tunable_program(), evaluate, 30, 0, BoConfig())
     assert len(observed) == 30
 
 
 def test_optimize_respects_partial_budget(evaluate):
     evaluate, observed = counting(evaluate)
-    program, value = optimize_params(tunable_program(), evaluate, 7, random.Random(0), BoConfig())
+    program, value = optimize_params(tunable_program(), evaluate, 7, 0, BoConfig())
     assert len(observed) == 7
     assert value == -7.0
 
 
 def test_optimize_exhausted_budget_raises(evaluate):
     with pytest.raises(ValueError):
-        optimize_params(tunable_program(), evaluate, 0, random.Random(0), BoConfig())
+        optimize_params(tunable_program(), evaluate, 0, 0, BoConfig())
     with pytest.raises(ValueError):
-        optimize_params(Program(Heuristic.SPT), evaluate, 0, random.Random(0), BoConfig())
+        optimize_params(Program(Heuristic.SPT), evaluate, 0, 0, BoConfig())
 
 
 def test_optimize_returns_observed_value(inst, evaluate):
     # the reported value is achieved by the returned program, not predicted
     from prorl.sim import run_episode
 
-    program, value = optimize_params(tunable_program(), evaluate, 50, random.Random(1), BoConfig())
+    program, value = optimize_params(tunable_program(), evaluate, 50, 1, BoConfig())
     assert -run_episode(inst, make_policy(program)).makespan == value
     assert program.n_params == 6 and len(get_params(program)) == 6
     assert all(type(w) is float for w in get_params(program))
@@ -549,7 +521,7 @@ def test_optimize_best_is_max_of_observations(evaluate):
     # the reported value must equal the best return actually observed, and
     # one evaluation must run per granted episode
     evaluate, observed = counting(evaluate)
-    _, value = optimize_params(tunable_program(), evaluate, 25, random.Random(3), BoConfig())
+    _, value = optimize_params(tunable_program(), evaluate, 25, 3, BoConfig())
     assert len(observed) == 25
     assert value == max(observed)
     running_best = [max(observed[: i + 1]) for i in range(len(observed))]
@@ -565,7 +537,7 @@ def test_optimize_tie_returns_first_init_point():
         calls.append(policy)
         return -9.0
 
-    program, value = optimize_params(tunable_program(), evaluate, 30, random.Random(5), BoConfig())
+    program, value = optimize_params(tunable_program(), evaluate, 30, 5, BoConfig())
     assert len(calls) == 30
     assert value == -9.0
     replay = random.Random(5)
@@ -598,7 +570,7 @@ def test_optimize_seam_with_a_synthetic_return(monkeypatch, episodes):
         return scores[-1]
 
     monkeypatch.setattr(bo, "compile_policy", recording_compile)
-    tuned, value = optimize_params(program, evaluate, episodes, random.Random(episodes), BoConfig())
+    tuned, value = optimize_params(program, evaluate, episodes, episodes, BoConfig())
     assert len(scores) == len(evaluated) == episodes
     assert value == max(scores)
     # the first vector to reach the best score wins, even when later ones tie it
@@ -616,7 +588,7 @@ def test_optimize_lets_an_evaluation_error_propagate():
         return synthetic_return(policy)
 
     with pytest.raises(RuntimeError, match="episode failed"):
-        optimize_params(tunable_program(), failing, 30, random.Random(0), BoConfig())
+        optimize_params(tunable_program(), failing, 30, 0, BoConfig())
     assert len(calls) == 12
 
 
@@ -652,11 +624,9 @@ def test_optimize_matches_the_refit_reference(ft06, monkeypatch, conditions):
     monkeypatch.setattr(bo, "compile_policy", recording_compile)
     for seed, program in enumerate(programs):
         evaluated.clear()
-        rng, reference_rng = random.Random(seed), random.Random(seed)
-        got = optimize_params(program, episode_return(ft06), 30, rng, BoConfig())
+        got = optimize_params(program, episode_return(ft06), 30, seed, BoConfig())
         expected_params, *expected = reference_optimize_params(
-            program, episode_return(ft06), 30, reference_rng, BoConfig()
+            program, episode_return(ft06), 30, seed, BoConfig()
         )
         assert evaluated == expected_params
         assert list(got) == expected
-        assert rng.getstate() == reference_rng.getstate()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import csv
 import math
 import os
@@ -123,7 +122,9 @@ def test_train_bad_set_key_usage_error(tiny_path, capsys):
     "bo.iterations=2.7",
     "bo.init_points=inf",
     "bo.candidates=nan",
+    "bo.candidates=65537",
     "search.lambda=0",
+    "search.lambda=10001",
     "search.mutation_rate=nan",
     "search.max_depth=10",
     "search.max_depth=0",
@@ -183,10 +184,8 @@ def test_train_draws_no_more_init_points_than_the_budget(tmp_path, capsys, monke
                 raise AssertionError(f"asked for {size} weights")
             return self.stream.uniform(low, high, size)
 
-    @contextlib.contextmanager
-    def guarded(rng):
-        with real(rng) as stream:
-            yield GuardedStream(stream)
+    def guarded(seed):
+        return GuardedStream(real(seed))
 
     monkeypatch.setattr(bo, "weight_stream", guarded)
     csv = tmp_path / "row.csv"
@@ -559,3 +558,56 @@ def test_bench_with_nothing_to_run_starts_no_pool(tmp_path, capsys, monkeypatch)
     assert main(["bench", "--dir", str(inst_dir), "--methods", "spt,prorl"]) == 3
     assert "FAILED broken.txt" in capsys.readouterr().err
     assert pools == []
+
+
+@pytest.mark.parametrize("fmt, text, line", [
+    ("standard", "2 2\n0 3 1 2\n1 2 0 1_0\n", 3),
+    ("standard", "2 2\n0 3 1 2\n1 2 0 \uff15\n", 3),  # a fullwidth 5
+    ("taillard", "2 2\n3 2\n2 1_0\n1 2\n2 1\n", 3),
+    ("taillard", "2 2\n3 2\n2 4\n1 2\n\uff12 1\n", 5),
+])
+def test_an_instance_integer_is_ascii_digits(tmp_path, capsys, fmt, text, line):
+    # int() alone reads 1_0 as 10 and a fullwidth digit as its value
+    path = tmp_path / "odd.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["pdr", "--instance", str(path), "--format", fmt, "--rule", "spt"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"line {line}: invalid integer" in err
+
+
+@pytest.mark.parametrize("makespan", ["5_5", "\uff15\uff15"])
+def test_a_bks_makespan_is_ascii_digits(tmp_path, capsys, makespan):
+    bks = tmp_path / "bks.csv"
+    bks.write_text(f"ft10,930\nft06,{makespan}\n", encoding="utf-8")
+    assert main(["pdr", "--instance", FT06, "--rule", "spt", "--bks", str(bks)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"line 2: invalid makespan {makespan!r}" in err
+
+
+HUGE_DURATION = 10**400
+
+
+@pytest.mark.parametrize("command", ["pdr", "train", "eval"])
+def test_an_instance_past_2_53_of_work_is_rejected_at_load(tmp_path, capsys, command):
+    # each command takes a float of the makespan: pdr's table, the BO's
+    # -float(makespan) in train, and the BKS gap in eval (of a file that the
+    # BKS table names); the bound keeps all three exact and finite
+    if command == "eval":
+        path = tmp_path / "ft06.txt"
+        path.write_text(f"2 2\n3 2\n2 {HUGE_DURATION}\n1 2\n2 1\n")
+        policy = tmp_path / "policy.json"
+        policy.write_text('{"kind": "action", "heuristic": "MWR"}')
+        argv = ["eval", "--instance", str(path), "--format", "taillard", "--policy", str(policy),
+                "--bks", str(DATA_DIR / "bks.csv")]
+    else:
+        path = tmp_path / "huge.txt"
+        path.write_text(f"2 2\n0 3 1 2\n1 {HUGE_DURATION} 0 4\n")
+        argv = [command, "--instance", str(path)]
+        argv += ["--rule", "spt"] if command == "pdr" else ["--budget", "5"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""  # no partial table
+    assert "line 3: total work exceeds 2**53" in err
+

@@ -30,6 +30,7 @@ def test_parse_standard_2x2():
 def test_parse_standard_1x1():
     inst = parse_standard("1 1\n0 5")
     assert inst.jobs == ((Operation(0, 5),),)
+    assert parse_standard("1 1\n+0 +5") == inst  # a sign is still an ASCII integer
 
 
 def test_parse_standard_comments_skipped():
@@ -41,6 +42,7 @@ def test_parse_standard_comments_skipped():
     "text, fragment",
     [
         ("2 2\n0 x 1 2\n1 2 0 4", "invalid integer"),
+        ("2 2\n0 3 1 2\n1 2 0 +\u0663", "line 3: invalid integer '+\u0663'"),  # Arabic-Indic 3
         ("2 2\n0 3 1\n1 2 0 4", "expected 4 values"),
         ("2 2\n0 3 5 2\n1 2 0 4", "machine index 5"),
         ("2 2\n0 0 1 2\n1 2 0 4", "duration 0"),
@@ -52,6 +54,19 @@ def test_parse_standard_errors(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_standard(text)
     assert fragment in str(err.value)
+
+
+def test_total_work_is_bounded_by_2_53():
+    # every makespan up to the bound is an exact float; the error names the
+    # line whose job takes the running total past it
+    edge = parse_standard(f"2 1\n0 {2**52}\n0 {2**52}")
+    assert sum(op.duration for job in edge.jobs for op in job) == 2**53
+    with pytest.raises(ParseError, match="total work exceeds 2") as err:
+        parse_standard(f"3 1\n0 1\n0 {2**52}\n0 {2**52}")
+    assert err.value.line_no == 4
+    with pytest.raises(ParseError, match="total work exceeds 2") as err:
+        parse_taillard(f"2 1\n{2**52}\n{2**52 + 1}\n1\n1")
+    assert err.value.line_no == 3
 
 
 def test_parse_error_carries_line_number():
