@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 
 from . import bo, dsl, pdr, search, sim
-from .instance import Instance, load_bks, load_instance_file
+from .instance import Instance, instance_name, load_bks, load_instance_file
 
 USAGE_ERROR = 2
 IO_ERROR = 3
@@ -254,8 +254,8 @@ def cmd_bench(args) -> int:
     if not paths:
         raise UsageError(f"no instance files in {args.dir!r}")
     named: dict[str, str] = {}
-    for path in paths:  # the instance name load_instance_file gives each file
-        name = os.path.splitext(path.name)[0]
+    for path in paths:
+        name = instance_name(path)
         if name in named:
             raise UsageError(f"{named[name]} and {path.name} in --dir both name instance {name!r}")
         named[name] = path.name

@@ -13,11 +13,13 @@ Every feature lies in [0, 1]. Whenever a (max - min) / max ratio has max = 0
 the feature is defined as 0 (nothing left in that dimension reads as
 perfectly balanced).
 
-`extract` reads remaining machine loads, job work and duration bounds from
-the running totals on `SimState`: O(n + m) per vector for n jobs and m
-machines, with no rescan of the jobs' unscheduled suffixes. It is the only
-source of `ConceptVector`s in the program, so the vector checks nothing when
-built; the property suites check the range of the vectors `extract` makes.
+`extract` reads remaining machine loads and job work from the running totals
+on `SimState`, and the duration bounds and the count of unscheduled
+operations from its sorted list of unscheduled durations: O(n + m) per
+vector for n jobs and m machines, with no rescan of the jobs' suffixes. It
+is the only source of `ConceptVector`s in the program, so the vector checks
+nothing when built; the property suites check the range of the vectors
+`extract` makes.
 """
 
 from __future__ import annotations
@@ -46,16 +48,16 @@ def _spread(max_value: float, min_value: float) -> float:
 def extract(state: SimState, instance: Instance, ready: Sequence[ReadyOp]) -> ConceptVector:
     """Compute the concept vector for the pending decision; `ready` is the
     simulator's startable set at the clock."""
-    unscheduled = instance.total_operations - state.scheduled_count
-    if unscheduled <= 0:
+    durations = state.durations
+    if not durations:
         raise ValueError("all operations scheduled; no decision pending")
 
     clock = state.clock
     am = len([t for t in state.machine_free_at if t <= clock]) / instance.num_machines
-    ao = len(ready) / unscheduled
+    ao = len(ready) / len(durations)
     loads = state.machine_load
     ld = _spread(max(loads), min(loads))
     work = [w for w in state.job_work if w]  # jobs with nothing left are excluded
     jd = _spread(max(work), min(work)) if len(work) > 1 else 0.0
-    st = _spread(state.duration_max, state.duration_min)
+    st = _spread(durations[-1], durations[0])
     return ConceptVector(ld=ld, am=am, ao=ao, jd=jd, st=st)

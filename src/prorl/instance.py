@@ -7,15 +7,16 @@ duration matrix, then an n x m machine matrix with 1-based machines).
 The two are ambiguous to sniff apart for square instances, so callers
 pick the parser explicitly. Lines starting with '#' are treated as
 comments in every format. Integers are ASCII digits with an optional sign
-(`int()` alone would read `1_0` as 10 and a fullwidth digit as its value),
-and an instance's total work is at most 2**53, so every makespan, and the
-`float` of one, is exact.
+(`int()` alone would read `1_0` as 10 and a fullwidth digit as its value).
+An instance's total work is at most 2**53, so every makespan, and the
+`float` of one, is exact: `Instance` itself refuses more, and the parsers
+refuse it first, naming the line where the running total crosses the bound.
 """
 
 from __future__ import annotations
 
+import os
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -42,7 +43,9 @@ class Operation:
 
 @dataclass(frozen=True)
 class Instance:
-    """An immutable job-shop problem: jobs are ordered chains of operations."""
+    """An immutable job-shop problem: jobs are ordered chains of operations,
+    each job visiting a machine at most once, with total work at most
+    MAX_TOTAL_WORK."""
 
     name: str
     num_jobs: int
@@ -52,6 +55,7 @@ class Instance:
     def __post_init__(self):
         if self.num_jobs != len(self.jobs):
             raise ValueError(f"{self.name}: job count mismatch")
+        work = 0
         for i, job in enumerate(self.jobs):
             seen = set()
             for op in job:
@@ -65,6 +69,9 @@ class Instance:
                 if op.machine in seen:
                     raise ValueError(f"{self.name}: job {i} visits machine {op.machine} twice")
                 seen.add(op.machine)
+                work += op.duration
+        if work > MAX_TOTAL_WORK:
+            raise ValueError(f"{self.name}: total work exceeds 2**53")
 
     # Derived tables, cached on first use; the simulator reads them per decision.
     @cached_property
@@ -86,9 +93,9 @@ class Instance:
         return tuple(sum(o.duration for o in ops if o.machine == m) for m in range(self.num_machines))
 
     @cached_property
-    def duration_counts(self) -> tuple[tuple[int, int], ...]:
-        """The multiset of operation durations as sorted (duration, count) pairs."""
-        return tuple(sorted(Counter(op.duration for job in self.jobs for op in job).items()))
+    def durations(self) -> tuple[int, ...]:
+        """Every operation's duration, sorted ascending; one entry per operation."""
+        return tuple(sorted(op.duration for job in self.jobs for op in job))
 
 
 def _data_lines(text: str):
@@ -151,12 +158,15 @@ def parse_standard(text: str, name: str = "unnamed") -> Instance:
         values = _ints(line_no, tokens)
         if len(values) != 2 * m:
             raise ParseError(line_no, f"expected {2 * m} values, got {len(values)}")
-        ops = []
+        ops, seen = [], set()
         for machine, duration in zip(values[0::2], values[1::2]):
             if not 0 <= machine < m:
                 raise ParseError(line_no, f"machine index {machine} out of range 0..{m - 1}")
             if duration < 1:
                 raise ParseError(line_no, f"duration {duration} must be >= 1")
+            if machine in seen:
+                raise ParseError(line_no, f"machine {machine} visited twice")
+            seen.add(machine)
             ops.append(Operation(machine, duration))
         work = _add_work(line_no, work, values[1::2])
         jobs.append(tuple(ops))
@@ -194,7 +204,7 @@ def parse_taillard(text: str, name: str = "unnamed") -> Instance:
 
     jobs, work = [], 0
     for i, ((times_no, durations), (machines_no, row)) in enumerate(zip(times, machines)):
-        ops = []
+        ops, seen = [], set()
         for machine, duration in zip(row, durations):
             if machine == 0:
                 raise ParseError(machines_no, f"machine index 0 in 1-based matrix (job {i})")
@@ -202,6 +212,9 @@ def parse_taillard(text: str, name: str = "unnamed") -> Instance:
                 raise ParseError(machines_no, f"machine index {machine} out of range 1..{m}")
             if duration < 1:
                 raise ParseError(times_no, f"duration {duration} must be >= 1")
+            if machine in seen:
+                raise ParseError(machines_no, f"machine {machine} visited twice")
+            seen.add(machine)
             ops.append(Operation(machine - 1, duration))
         work = _add_work(times_no, work, durations)
         jobs.append(tuple(ops))
@@ -231,14 +244,17 @@ def load_bks(text: str) -> dict[str, int]:
     return entries
 
 
-def load_instance_file(path: str, fmt: str) -> Instance:
-    """Read an instance file in the given format ('standard' or 'taillard');
-    the instance is named after the file, without its extension."""
-    import os
+def instance_name(path: str | os.PathLike) -> str:
+    """The name of the instance a file holds: the file's name without its extension."""
+    return os.path.splitext(os.path.basename(path))[0]
 
+
+def load_instance_file(path: str, fmt: str) -> Instance:
+    """Read an instance file in the given format ('standard' or 'taillard'),
+    named by `instance_name`."""
     with open(path, "r", encoding="utf-8-sig") as fh:  # drops a leading BOM
         text = fh.read()
-    name = os.path.splitext(os.path.basename(path))[0]
+    name = instance_name(path)
     if fmt == "standard":
         return parse_standard(text, name)
     if fmt == "taillard":

@@ -9,12 +9,16 @@ operation becomes startable (the smallest max(job ready, machine free) over
 pending next-operations). Episodes therefore make exactly one policy call
 per operation and produce non-delay schedules.
 
-`SimState` also keeps running totals for the concepts: remaining load per
-machine, remaining work per job, and the unscheduled durations with their
-min and max. `reset` seeds them from the instance's cached tables and
-`step` updates them, so a decision costs O(n + m) for n jobs and m
-machines: one `ready_set` pass, the concept read-out, and one pass in
-`step` that both looks for a startable operation and finds the next event.
+`SimState` holds only what the next decision reads: the clock, when each
+machine and job is next free, each job's next operation, and running
+totals for the concepts (remaining load per machine, remaining work per
+job, and the sorted durations of the unscheduled operations, whose ends
+are their bounds and whose length counts the operations left). `reset`
+seeds them from the instance's cached tables and `step` updates them, so
+a decision costs O(n + m) for n jobs and m machines, plus one deletion
+from the sorted list: one `ready_set` pass, the concept read-out, and one
+pass in `step` that both looks for a startable operation and finds the
+next event. Start times are not state; `run_episode` records them.
 
 A policy only picks a dispatching rule from the concept vector, and is a
 pure function of it; `run_episode` applies that rule to the ready set and
@@ -31,6 +35,7 @@ the trie neither reads its concepts nor calls the policy there.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -46,14 +51,10 @@ class SimState:
     clock: int
     machine_free_at: list[int]
     job_next_op: list[int]
-    job_ready_at: list[int]
-    start_times: list[list[int | None]]
-    scheduled_count: int
+    job_ready_at: list[int]  # end of each job's last dispatched operation
     machine_load: list[int]  # unscheduled processing time per machine
     job_work: list[int]  # unscheduled processing time per job
-    duration_count: dict[int, int]  # unscheduled durations -> multiplicity
-    duration_min: int  # min/max key of duration_count; 0 once it is empty
-    duration_max: int
+    durations: list[int]  # of the unscheduled operations, sorted; empty at the end
 
 
 class ReadyOp(NamedTuple):
@@ -80,25 +81,20 @@ Policy = Callable[[ConceptVector], pdr.Heuristic]
 
 def reset(instance: Instance) -> SimState:
     """Fresh state: clock 0, all machines free, every job at its first operation."""
-    durations = dict(instance.duration_counts)
     return SimState(
         clock=0,
         machine_free_at=[0] * instance.num_machines,
         job_next_op=[0] * instance.num_jobs,
         job_ready_at=[0] * instance.num_jobs,
-        start_times=[[None] * len(job) for job in instance.jobs],
-        scheduled_count=0,
         machine_load=list(instance.machine_loads),
         job_work=[work[0] for work in instance.suffix_work],
-        duration_count=durations,
-        duration_min=min(durations, default=0),
-        duration_max=max(durations, default=0),
+        durations=list(instance.durations),
     )
 
 
 def ready_set(state: SimState, instance: Instance) -> list[ReadyOp]:
     """Operations startable now, ordered by job index for determinism."""
-    if state.scheduled_count >= instance.total_operations:
+    if not state.durations:
         raise ValueError("all operations scheduled")
     clock, free_at = state.clock, state.machine_free_at
     ready = []
@@ -127,22 +123,13 @@ def step(state: SimState, instance: Instance, pick: ReadyOp) -> SimState:
 
     d = op.duration
     end = clock + d
-    state.start_times[job][k] = clock
     free_at[op.machine] = end
     job_ready_at[job] = end
     state.job_next_op[job] = k + 1
-    state.scheduled_count += 1
     state.machine_load[op.machine] -= d
     state.job_work[job] -= d
-    counts = state.duration_count
-    if counts[d] > 1:
-        counts[d] -= 1
-    else:
-        del counts[d]
-        if d == state.duration_min:
-            state.duration_min = min(counts, default=0)
-        if d == state.duration_max:
-            state.duration_max = max(counts, default=0)
+    durations = state.durations
+    del durations[bisect_left(durations, d)]
 
     # One pass over the jobs' next operations: stay at the clock if any is
     # startable, else jump to the earliest time one becomes startable.
@@ -167,7 +154,7 @@ def _decisions(state: SimState, instance: Instance, policy: Policy, trace: bool)
     has been stepped. Without `trace`, a forced decision (one ready op) takes
     that op without reading the concepts or calling the policy, and yields
     None for both."""
-    for _ in range(instance.total_operations - state.scheduled_count):
+    for _ in range(len(state.durations)):
         ready = ready_set(state, instance)
         if trace or len(ready) > 1:
             cv = extract(state, instance, ready)
@@ -183,11 +170,16 @@ def _decisions(state: SimState, instance: Instance, policy: Policy, trace: bool)
 def run_episode(instance: Instance, policy: Policy) -> ScheduleResult:
     """Run one full episode; the episode return is -makespan (reward at the end)."""
     state = reset(instance)
-    decisions = [(cv, rule.value) for _, cv, rule, _ in _decisions(state, instance, policy, True)]
+    starts = [[0] * len(job) for job in instance.jobs]
+    decisions = []
+    for _, cv, rule, pick in _decisions(state, instance, policy, True):
+        # the pick started at the clock of its decision and ends at its job's ready time
+        starts[pick.job][pick.op_index] = state.job_ready_at[pick.job] - pick.duration
+        decisions.append((cv, rule.value))
     # machines run their operations in dispatch order, so the last one ends last
     return ScheduleResult(
         makespan=max(state.machine_free_at),
-        start_times=tuple(map(tuple, state.start_times)),
+        start_times=tuple(map(tuple, starts)),
         decisions=tuple(decisions),
     )
 

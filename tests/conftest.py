@@ -1,12 +1,14 @@
 """Shared fixtures: tiny instances, random-instance generation, instance
-writers for the parser round trips, brute-force and reference oracles (a
-tree-walking program router, a tree-walking program size, a schedule
-feasibility check, a BO inner loop that refits its GP every round), and
-one-query helpers over the library."""
+writers for the parser round trips, a seeded text mutator for the boundary
+fuzz, brute-force and reference oracles (a tree-walking program router, a
+tree-walking program size, a schedule feasibility check, a BO inner loop
+that refits its GP every round), and one-query helpers over the library."""
 
 from __future__ import annotations
 
 import random
+import re
+import string
 from pathlib import Path
 from typing import Callable
 
@@ -78,6 +80,37 @@ def to_taillard(instance: Instance) -> str:
     return "\n".join(out) + "\n"
 
 
+# What the boundary fuzz inserts into a text, and the characters it deletes.
+FUZZ_INSERTS = tuple(string.digits + "+-") + (" ", "\t", "\n", ",", ".", "_", "\ufeff", "nan")
+_FUZZ_DELETABLE = frozenset(string.digits + "+- \t\n,._")
+_FUZZ_INTEGER = re.compile(r"[0-9]+")
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """`text` after one to three seeded edits, each one of: delete a digit,
+    sign or separator; insert one of FUZZ_INSERTS (digits, signs,
+    separators, a byte-order mark, `nan`) anywhere; replace one integer with
+    a 400-digit one, which lands on a duration about as often as the file
+    holds durations."""
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.randrange(3)
+        if edit == 0:
+            spots = [i for i, char in enumerate(text) if char in _FUZZ_DELETABLE]
+            if spots:
+                i = rng.choice(spots)
+                text = text[:i] + text[i + 1:]
+        elif edit == 1:
+            i = rng.randint(0, len(text))
+            text = text[:i] + rng.choice(FUZZ_INSERTS) + text[i:]
+        else:
+            integers = list(_FUZZ_INTEGER.finditer(text))
+            if integers:
+                match = rng.choice(integers)
+                huge = str(rng.randint(1, 9)) + "".join(rng.choices(string.digits, k=399))
+                text = text[:match.start()] + huge + text[match.end():]
+    return text
+
+
 def all_nondelay_makespans(instance: Instance) -> set[int]:
     """Enumerate every non-delay dispatch sequence; independent of the simulator.
 
@@ -143,7 +176,7 @@ def reference_concepts(state, instance: Instance) -> tuple[float, float, float, 
     def spread(max_value, min_value):
         return (max_value - min_value) / max_value if max_value > 0 else 0.0
 
-    unscheduled = instance.total_operations - state.scheduled_count
+    unscheduled = sum(len(job) - k for job, k in zip(instance.jobs, state.job_next_op))
     m = instance.num_machines
     am = sum(1 for t in state.machine_free_at if t <= state.clock) / m
 

@@ -48,7 +48,7 @@ def test_single_remaining_job_jd_zero(inst_2x2):
     # dispatch until exactly one job still has operations left
     while sum(1 for j in range(2) if state.job_next_op[j] < 2) > 1:
         sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0])
-    assert state.scheduled_count < inst_2x2.total_operations
+    assert sum(len(job) - k for job, k in zip(inst_2x2.jobs, state.job_next_op)) > 0
     assert extract(state, inst_2x2, sim.ready_set(state, inst_2x2)).jd == 0.0
 
 
@@ -78,7 +78,7 @@ def test_ao_denominator_depletes_by_one_per_step(inst_2x2):
     state = sim.reset(inst_2x2)
     denominators = []
     for _ in range(inst_2x2.total_operations):
-        denominators.append(inst_2x2.total_operations - state.scheduled_count)
+        denominators.append(sum(len(job) - k for job, k in zip(inst_2x2.jobs, state.job_next_op)))
         sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0])
     assert denominators == [4, 3, 2, 1]
 

@@ -14,6 +14,7 @@ concept vector and a pick map, forced decisions included.
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
@@ -42,6 +43,12 @@ PDR_GOLDEN = {
     ("ta01", "MWR"): (1491, "171c37d7d676ea5826780db9c11dd9f45c7b76519ac0e7f2c1c73c21991c92cc", "85ff6d8ea0a17f4b461c533676e744583588f0f0d7b573f28266adf33b2c947f"),
     ("ta01", "LOR"): (1737, "db3e89d30853eaf6da2857a65ad77fec57ef0be767075df8fa2b7a35a72a9302", "a1d5a4706d9ccbd0e22bf0635e58375393ae5e2fa55b9f10e02e1c21f87963b3"),
 }
+
+# sha256 over trace_csv then schedule_csv of run_episode under make_policy of
+# random_program(random.Random(seed)), for seeds 0-19 on ft06, ft10 and ta01 in
+# turn: the episodes `prorl eval` runs, frozen before SimState dropped its
+# start times and its duration multiset
+RANDOM_PROGRAM_EPISODES = "f64fd6444487eaba092807e1518d60f05e52aa1f44222843ee96dd4eaf9f7f26"
 
 # train(ft06, budget=200, seed=0): sha256 of serialize(program) and training_log_csv
 TRAIN_GOLDEN = (
@@ -90,6 +97,17 @@ def test_pdr_outputs_match_golden(name):
         result = run_pdr(instance, rule)
         got = (result.makespan, _sha(sim.trace_csv(result)), _sha(sim.schedule_csv(result, instance)))
         assert got == PDR_GOLDEN[(name, rule.value)], f"{name} {rule.value}"
+
+
+def test_random_program_episodes_match_golden():
+    digest = hashlib.sha256()
+    for name in ("ft06", "ft10", "ta01"):
+        instance = _load(name)
+        for seed in range(20):
+            result = sim.run_episode(instance, dsl.make_policy(dsl.random_program(random.Random(seed))))
+            digest.update(sim.trace_csv(result).encode())
+            digest.update(sim.schedule_csv(result, instance).encode())
+    assert digest.hexdigest() == RANDOM_PROGRAM_EPISODES
 
 
 def test_training_matches_golden():

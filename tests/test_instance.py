@@ -46,6 +46,7 @@ def test_parse_standard_comments_skipped():
         ("2 2\n0 3 1\n1 2 0 4", "expected 4 values"),
         ("2 2\n0 3 5 2\n1 2 0 4", "machine index 5"),
         ("2 2\n0 0 1 2\n1 2 0 4", "duration 0"),
+        ("2 2\n0 3 0 2\n1 2 0 4", "line 2: machine 0 visited twice"),
         ("2 2\n0 3 1 2", "expected 2 job lines"),
         ("", "empty input"),
     ],
@@ -67,6 +68,16 @@ def test_total_work_is_bounded_by_2_53():
     with pytest.raises(ParseError, match="total work exceeds 2") as err:
         parse_taillard(f"2 1\n{2**52}\n{2**52 + 1}\n1\n1")
     assert err.value.line_no == 3
+
+
+def test_instance_refuses_total_work_past_2_53():
+    # an Instance built in code, not parsed, meets the same bound
+    with pytest.raises(ValueError, match="x: total work exceeds 2"):
+        Instance("x", 2, 2, ((Operation(0, 3), Operation(1, 2)), (Operation(1, 10**400), Operation(0, 4))))
+    with pytest.raises(ValueError, match="total work exceeds 2"):
+        Instance("over", 2, 1, ((Operation(0, 2**52),), (Operation(0, 2**52 + 1),)))
+    edge = Instance("edge", 2, 1, ((Operation(0, 2**52),), (Operation(0, 2**52),)))
+    assert sum(edge.durations) == 2**53
 
 
 def test_parse_error_carries_line_number():
@@ -104,7 +115,8 @@ def test_parse_taillard_dimension_error():
     ("2 2\n5 0\n3 4\n1 2\n2 1", 2, "duration 0"),  # a times row
     ("2 2\n5 3\n3 4\n9 2\n2 1", 4, "machine index 9"),  # a machines row
     ("# comment\n2 2\n3 2\n2 4\n0 2\n2 1", 5, "machine index 0"),  # lines count comments
-], ids=["times-row", "machines-row", "leading-comment"])
+    ("2 2\n3 2\n2 4\n1 1\n2 1", 4, "machine 1 visited twice"),  # as the file numbers it
+], ids=["times-row", "machines-row", "leading-comment", "repeated-machine"])
 def test_parse_taillard_names_the_line_of_the_bad_value(text, line_no, fragment):
     with pytest.raises(ParseError) as err:
         parse_taillard(text)
@@ -174,7 +186,7 @@ def test_derived_tables_2x2():
     assert inst.total_operations == 4
     assert inst.suffix_work == ((5, 2, 0), (6, 4, 0))
     assert inst.machine_loads == (7, 4)
-    assert inst.duration_counts == ((2, 2), (3, 1), (4, 1))
+    assert inst.durations == (2, 2, 3, 4)
 
 
 def test_instance_rejects_repeated_machine_visit():

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 
 import pytest
 
-from conftest import all_nondelay_makespans, random_instance, verify_feasible
+from conftest import DATA_DIR, all_nondelay_makespans, random_instance, verify_feasible
 from prorl import sim
 from prorl.dsl import make_policy, random_program
 from prorl.concepts import extract
+from prorl.instance import parse_taillard
 from prorl.pdr import HEURISTICS, Heuristic, apply, random_rule_policy
 from prorl.sim import run_pdr
+
+SCRIPTS_DIR = DATA_DIR.parent / "scripts"
 
 
 def test_reset(inst_2x2):
@@ -19,7 +23,10 @@ def test_reset(inst_2x2):
     assert state.clock == 0
     assert state.machine_free_at == [0, 0]
     assert state.job_next_op == [0, 0]
-    assert state.scheduled_count == 0
+    assert state.job_ready_at == [0, 0]
+    assert state.machine_load == [7, 4]
+    assert state.job_work == [5, 6]
+    assert state.durations == [2, 2, 3, 4]
     assert sim.reset(inst_2x2) == state  # idempotent
 
 
@@ -103,9 +110,43 @@ def test_policy_picks_a_rule_and_the_episode_applies_it():
             assert result == run_pdr(inst, rule)
             assert {label for _, label in result.decisions} == {rule.value}
             state = sim.reset(inst)
+            starts = [[None] * len(job) for job in inst.jobs]
             for _ in range(inst.total_operations):
-                sim.step(state, inst, apply(rule, sim.ready_set(state, inst), inst))
-            assert result.start_times == tuple(map(tuple, state.start_times))
+                pick = apply(rule, sim.ready_set(state, inst), inst)
+                starts[pick.job][pick.op_index] = state.clock  # a pick starts at its decision
+                sim.step(state, inst, pick)
+            assert result.start_times == tuple(map(tuple, starts))
+
+
+def _unscheduled_durations(state, inst) -> list[int]:
+    """The durations of the unscheduled operations, sorted, read afresh
+    from each job's next operation."""
+    return sorted(op.duration for job, k in zip(inst.jobs, state.job_next_op) for op in job[k:])
+
+
+def _taillard(n: int, m: int, time_seed: int, machine_seed: int):
+    """The n x m instance `scripts/make_taillard.py` prints for these seeds."""
+    spec = importlib.util.spec_from_file_location("make_taillard", SCRIPTS_DIR / "make_taillard.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    durations, machines = script.generate(n, m, time_seed, machine_seed)
+    return parse_taillard(script.render("gen", n, m, durations, machines), f"gen{n}x{m}")
+
+
+def test_state_durations_are_the_sorted_unscheduled_ones():
+    # after every step the sorted list equals a fresh count over the jobs'
+    # unscheduled suffixes, on small random instances and on 50x20 and 100x20
+    rng = random.Random(14)
+    instances = [random_instance(rng, max_jobs=6, max_machines=5) for _ in range(100)]
+    instances += [_taillard(50, 20, 12345, 67890), _taillard(100, 20, 12345, 67890)]
+    for inst in instances:
+        state = sim.reset(inst)
+        assert state.durations == _unscheduled_durations(state, inst)
+        for _ in range(inst.total_operations):
+            ready = sim.ready_set(state, inst)
+            sim.step(state, inst, ready[rng.randrange(len(ready))])
+            assert state.durations == _unscheduled_durations(state, inst)
+        assert state.durations == []
 
 
 def test_random_rule_policy_labels_follow_the_seeded_draws(inst_2x2):
