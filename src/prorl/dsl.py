@@ -48,8 +48,10 @@ WEIGHT_LOW = -2.0
 WEIGHT_HIGH = 2.0
 WEIGHTS_LEN = 1 + len(CONCEPT_NAMES)
 
+# an if-node's own tokens: the keyword, its weights and the comparison
+_IF_TOKENS = 1 + WEIGHTS_LEN + 1
 # minimal token cost of an if-node with two leaves
-_IF_MIN_TOKENS = 1 + 7 + 1 + 1
+_IF_MIN_TOKENS = _IF_TOKENS + 1 + 1
 
 
 class PolicyFormatError(ValueError):
@@ -87,7 +89,7 @@ def depth(node: Node) -> int:
 def node_tokens(node: Node) -> int:
     if isinstance(node, Heuristic):
         return 1
-    return 1 + 7 + node_tokens(node.then_branch) + node_tokens(node.else_branch)
+    return _IF_TOKENS + node_tokens(node.then_branch) + node_tokens(node.else_branch)
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ class Program:
             raise ValueError(f"program has {t} tokens, limit {MAX_TOKENS}")
         object.__setattr__(self, "depth", d)
         object.__setattr__(self, "tokens", t)
-        object.__setattr__(self, "n_params", WEIGHTS_LEN * ((t - 1) // 9))
+        object.__setattr__(self, "n_params", WEIGHTS_LEN * ((t - 1) // (_IF_TOKENS + 1)))
 
 
 def _compile(node: Node, weights_of: Callable[[If], Sequence[float]]) -> Policy:
@@ -158,9 +160,9 @@ def _random_node(rng: random.Random, depth_budget: int, token_budget: int) -> No
     if can_branch and rng.random() < 0.5:
         # drawn before the branches
         weights = tuple(rng.uniform(WEIGHT_LOW, WEIGHT_HIGH) for _ in range(WEIGHTS_LEN))
-        then_budget = token_budget - 9 - 1  # reserve one token for the else leaf
+        then_budget = token_budget - _IF_TOKENS - 1  # reserve one token for the else leaf
         then_branch = _random_node(rng, depth_budget - 1, then_budget)
-        else_budget = token_budget - 9 - node_tokens(then_branch)
+        else_budget = token_budget - _IF_TOKENS - node_tokens(then_branch)
         else_branch = _random_node(rng, depth_budget - 1, else_budget)
         return If(weights, then_branch, else_branch)
     return rng.choice(HEURISTICS)

@@ -5,12 +5,16 @@ Two on-disk formats are supported: the OR-Library "standard" format
 0-based machines) and Taillard's native format (n m header, an n x m
 duration matrix, then an n x m machine matrix with 1-based machines).
 The two are ambiguous to sniff apart for square instances, so callers
-pick the parser explicitly. Lines starting with '#' are treated as
-comments in every format. Integers are ASCII digits with an optional sign
-(`int()` alone would read `1_0` as 10 and a fullwidth digit as its value).
-An instance's total work is at most 2**53, so every makespan, and the
-`float` of one, is exact: `Instance` itself refuses more, and the parsers
-refuse it first, naming the line where the running total crosses the bound.
+pick the parser explicitly. Lines starting with '#' are comments, counted
+in line numbers. Integers are ASCII digits with an optional sign (`int()`
+alone would read `1_0` as 10 and a fullwidth digit as its value). Both
+formats share one reader: `_rows` reads rows of integers and `_jobs`
+checks each job's (machine, duration) pairs. A standard file is checked
+job line by job line; a Taillard file is read in full first, then a bad
+machine names its machines row and a bad duration its times row. Total
+work is at most 2**53, so every makespan, and its `float`, is exact:
+`Instance` refuses more, and the parsers refuse it first, naming the line
+where the running total crosses the bound.
 """
 
 from __future__ import annotations
@@ -43,9 +47,9 @@ class Operation:
 
 @dataclass(frozen=True)
 class Instance:
-    """An immutable job-shop problem: jobs are ordered chains of operations,
-    each job visiting a machine at most once, with total work at most
-    MAX_TOTAL_WORK."""
+    """An immutable job-shop problem of at least one job and one machine:
+    jobs are ordered chains of operations, each job visiting a machine at
+    most once, with total work at most MAX_TOTAL_WORK."""
 
     name: str
     num_jobs: int
@@ -53,6 +57,8 @@ class Instance:
     jobs: tuple[tuple[Operation, ...], ...]
 
     def __post_init__(self):
+        if self.num_jobs < 1 or self.num_machines < 1:
+            raise ValueError(f"{self.name}: bad dimensions {self.num_jobs}x{self.num_machines}")
         if self.num_jobs != len(self.jobs):
             raise ValueError(f"{self.name}: job count mismatch")
         work = 0
@@ -74,10 +80,6 @@ class Instance:
             raise ValueError(f"{self.name}: total work exceeds 2**53")
 
     # Derived tables, cached on first use; the simulator reads them per decision.
-    @cached_property
-    def total_operations(self) -> int:
-        return sum(len(job) for job in self.jobs)
-
     @cached_property
     def suffix_work(self) -> tuple[tuple[int, ...], ...]:
         """suffix_work[j][k]: total duration of job j's operations from k on (0 past the end)."""
@@ -121,14 +123,6 @@ def _ints(line_no: int, tokens: list[str]) -> list[int]:
     raise ParseError(line_no, f"invalid integer {bad!r}")
 
 
-def _add_work(line_no: int, total: int, durations: list[int]) -> int:
-    """`total` plus a job's durations, rejected past MAX_TOTAL_WORK."""
-    total += sum(durations)
-    if total > MAX_TOTAL_WORK:
-        raise ParseError(line_no, "total work exceeds 2**53")
-    return total
-
-
 def _header(lines) -> tuple[int, int, int]:
     """Read the "n m" header line; returns (line_no, n, m)."""
     try:
@@ -144,81 +138,69 @@ def _header(lines) -> tuple[int, int, int]:
     return line_no, n, m
 
 
+def _rows(lines, count: int, width: int, label: str, line_no: int):
+    """Lazily yield (line_no, values) for the next `count` lines, each of
+    exactly `width` integers. Input that ends early is blamed on the last
+    line read, `line_no` before the first row."""
+    for got in range(count):
+        try:
+            line_no, tokens = next(lines)
+        except StopIteration:
+            raise ParseError(line_no, f"expected {count} {label} lines, got {got}") from None
+        values = _ints(line_no, tokens)
+        if len(values) != width:
+            raise ParseError(line_no, f"{label} row: expected {width} values, got {len(values)}")
+        yield line_no, values
+
+
+def _jobs(rows, m: int, base: int) -> tuple[tuple[Operation, ...], ...]:
+    """The jobs from `rows` of (machine_no, duration_no, pairs): each job's
+    (machine, duration) pairs, machines numbered from `base` as the file
+    numbers them, and the lines to blame for a bad machine and for a bad
+    duration or the running total of work passing MAX_TOTAL_WORK."""
+    jobs, work = [], 0
+    for machine_no, duration_no, pairs in rows:
+        ops, seen = [], set()
+        for machine, duration in pairs:
+            if not base <= machine < base + m:
+                raise ParseError(
+                    machine_no, f"machine index {machine} out of range {base}..{base + m - 1}"
+                )
+            if duration < 1:
+                raise ParseError(duration_no, f"duration {duration} must be >= 1")
+            if machine in seen:
+                raise ParseError(machine_no, f"machine {machine} visited twice")
+            seen.add(machine)
+            ops.append(Operation(machine - base, duration))
+            work += duration
+        if work > MAX_TOTAL_WORK:
+            raise ParseError(duration_no, "total work exceeds 2**53")
+        jobs.append(tuple(ops))
+    return tuple(jobs)
+
+
 def parse_standard(text: str, name: str = "unnamed") -> Instance:
     """Parse the OR-Library standard format (0-based machine indices)."""
     lines = _data_lines(text)
     line_no, n, m = _header(lines)
-
-    jobs, work = [], 0
-    for _ in range(n):
-        try:
-            line_no, tokens = next(lines)
-        except StopIteration:
-            raise ParseError(line_no, f"expected {n} job lines, got {len(jobs)}") from None
-        values = _ints(line_no, tokens)
-        if len(values) != 2 * m:
-            raise ParseError(line_no, f"expected {2 * m} values, got {len(values)}")
-        ops, seen = [], set()
-        for machine, duration in zip(values[0::2], values[1::2]):
-            if not 0 <= machine < m:
-                raise ParseError(line_no, f"machine index {machine} out of range 0..{m - 1}")
-            if duration < 1:
-                raise ParseError(line_no, f"duration {duration} must be >= 1")
-            if machine in seen:
-                raise ParseError(line_no, f"machine {machine} visited twice")
-            seen.add(machine)
-            ops.append(Operation(machine, duration))
-        work = _add_work(line_no, work, values[1::2])
-        jobs.append(tuple(ops))
+    rows = _rows(lines, n, 2 * m, "job", line_no)
+    jobs = _jobs(((no, no, zip(row[0::2], row[1::2])) for no, row in rows), m, 0)
     for line_no, _ in lines:
         raise ParseError(line_no, "trailing content after last job line")
-    return Instance(name, n, m, tuple(jobs))
+    return Instance(name, n, m, jobs)
 
 
 def parse_taillard(text: str, name: str = "unnamed") -> Instance:
     """Parse Taillard's native format (times matrix then 1-based machines matrix)."""
     lines = _data_lines(text)
     line_no, n, m = _header(lines)
-
-    def read_matrix(label: str) -> list[tuple[int, list[int]]]:
-        """The matrix's n rows, each with its own line number."""
-        rows = []
-        nonlocal line_no
-        for _ in range(n):
-            try:
-                line_no, tokens = next(lines)
-            except StopIteration:
-                raise ParseError(
-                    line_no, f"{label} matrix has {len(rows)} rows, expected {n}"
-                ) from None
-            row = _ints(line_no, tokens)
-            if len(row) != m:
-                raise ParseError(line_no, f"{label} row has {len(row)} values, expected {m}")
-            rows.append((line_no, row))
-        return rows
-
-    times = read_matrix("times")
-    machines = read_matrix("machines")
-    for extra_no, _ in lines:
-        raise ParseError(extra_no, "trailing content after machines matrix")
-
-    jobs, work = [], 0
-    for i, ((times_no, durations), (machines_no, row)) in enumerate(zip(times, machines)):
-        ops, seen = [], set()
-        for machine, duration in zip(row, durations):
-            if machine == 0:
-                raise ParseError(machines_no, f"machine index 0 in 1-based matrix (job {i})")
-            if not 1 <= machine <= m:
-                raise ParseError(machines_no, f"machine index {machine} out of range 1..{m}")
-            if duration < 1:
-                raise ParseError(times_no, f"duration {duration} must be >= 1")
-            if machine in seen:
-                raise ParseError(machines_no, f"machine {machine} visited twice")
-            seen.add(machine)
-            ops.append(Operation(machine - 1, duration))
-        work = _add_work(times_no, work, durations)
-        jobs.append(tuple(ops))
-    return Instance(name, n, m, tuple(jobs))
+    times = list(_rows(lines, n, m, "times", line_no))
+    machines = list(_rows(lines, n, m, "machines", times[-1][0]))
+    for line_no, _ in lines:
+        raise ParseError(line_no, "trailing content after machines matrix")
+    rows = zip(times, machines)
+    jobs = _jobs(((m_no, t_no, zip(mrow, trow)) for (t_no, trow), (m_no, mrow) in rows), m, 1)
+    return Instance(name, n, m, jobs)
 
 
 def load_bks(text: str) -> dict[str, int]:

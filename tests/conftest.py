@@ -117,7 +117,7 @@ def all_nondelay_makespans(instance: Instance) -> set[int]:
     Exhaustive DFS over ready choices with the same readiness/advance rules,
     written against plain state tuples rather than the sim module.
     """
-    total = instance.total_operations
+    total = len(instance.durations)
     results: set[int] = set()
 
     def ready_ops(clock, mfree, jnext, jready):

@@ -64,7 +64,7 @@ def test_ranges_and_am_exactness_along_episodes():
     for _ in range(150):
         inst = random_instance(rng)
         state = sim.reset(inst)
-        for _ in range(inst.total_operations):
+        for _ in range(len(inst.durations)):
             ready = sim.ready_set(state, inst)
             cv = extract(state, inst, ready)
             for value in cv:
@@ -77,7 +77,7 @@ def test_ranges_and_am_exactness_along_episodes():
 def test_ao_denominator_depletes_by_one_per_step(inst_2x2):
     state = sim.reset(inst_2x2)
     denominators = []
-    for _ in range(inst_2x2.total_operations):
+    for _ in range(len(inst_2x2.durations)):
         denominators.append(sum(len(job) - k for job, k in zip(inst_2x2.jobs, state.job_next_op)))
         sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0])
     assert denominators == [4, 3, 2, 1]
@@ -94,7 +94,7 @@ def test_scale_invariance_of_normalized_concepts():
             tuple(tuple(Operation(op.machine, op.duration * 5) for op in job) for job in inst.jobs),
         )
         state_a, state_b = sim.reset(inst), sim.reset(big)
-        for _ in range(inst.total_operations):
+        for _ in range(len(inst.durations)):
             ready_a = sim.ready_set(state_a, inst)
             ready_b = sim.ready_set(state_b, big)
             cv_a = extract(state_a, inst, ready_a)
@@ -117,7 +117,7 @@ def test_incremental_concepts_match_from_scratch_oracle():
     for _ in range(300):
         inst = random_instance(rng, max_jobs=6, max_machines=5, max_duration=12, square=False)
         state = sim.reset(inst)
-        for _ in range(inst.total_operations):
+        for _ in range(len(inst.durations)):
             expected = reference_concepts(state, inst)
             ready = sim.ready_set(state, inst)
             assert extract(state, inst, ready) == expected

@@ -219,6 +219,27 @@ def test_random_program_invariants_and_leaf_coverage():
     assert seen == set(HEURISTICS)
 
 
+class _AlwaysBranch:
+    """A random source that grows an if-node wherever one fits."""
+
+    def random(self):
+        return 0.0
+
+    def uniform(self, low, high):
+        return 0.0
+
+    def choice(self, options):
+        return options[0]
+
+
+def test_random_program_reaches_the_token_limit_exactly():
+    # an if-node and its extra leaf add 9 tokens, so a limit of 1 + 9c holds
+    # c conditions; the depth limit caps a full tree at 7 of them (64 tokens)
+    for limit in range(1, MAX_TOKENS + 1):
+        tokens = random_program(_AlwaysBranch(), MAX_DEPTH, limit).tokens
+        assert tokens == min(1 + 9 * ((limit - 1) // 9), 64), limit
+
+
 def _has_leaf(node, heuristic) -> bool:
     if isinstance(node, Heuristic):
         return node is heuristic

@@ -166,9 +166,24 @@ def _references(tree: ast.AST) -> Counter:
     return found
 
 
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of the module's functions and classes, and of
+    its classes' methods and properties other than dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    yield f"{node.name}.{member.name}", member
+
+
 def unreferenced_definitions(package_dir: Path) -> list[str]:
-    """Module-level functions and classes that no code in the package refers
-    to outside their own definition: code only the tests run."""
+    """Module-level functions and classes, and methods and properties of
+    classes, that no code in the package refers to outside their own
+    definition: code only the tests run."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in package_dir.glob("*.py")}
     total: Counter = Counter()
     for tree in trees.values():
@@ -177,17 +192,21 @@ def unreferenced_definitions(package_dir: Path) -> list[str]:
     for module, tree in sorted(trees.items()):
         if module == "__init__":
             continue
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if total[node.name] == _references(node)[node.name]:
-                    unused.append(f"{module}.{node.name}")
+        for qualified, node in _definitions(tree):
+            if total[node.name] == _references(node)[node.name]:
+                unused.append(f"{module}.{qualified}")
     return unused
 
 
 def test_unreferenced_definitions_sees_self_reference(tmp_path):
-    (tmp_path / "a.py").write_text("def used():\n    pass\n\ndef walk(n):\n    return walk(n - 1)\n")
-    (tmp_path / "b.py").write_text("from .a import used\n")
-    assert unreferenced_definitions(tmp_path) == ["a.walk"]
+    (tmp_path / "a.py").write_text(
+        "def used():\n    pass\n\ndef walk(n):\n    return walk(n - 1)\n\n"
+        "class Box:\n    def __init__(self):\n        self.size = self.read()\n\n"
+        "    def read(self):\n        return 1\n\n"
+        "    @property\n    def spare(self):\n        return self.spare\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import Box, used\n")
+    assert unreferenced_definitions(tmp_path) == ["a.walk", "a.Box.spare"]
 
 
 def test_package_holds_no_test_only_code():

@@ -48,6 +48,7 @@ def test_parse_standard_comments_skipped():
         ("2 2\n0 0 1 2\n1 2 0 4", "duration 0"),
         ("2 2\n0 3 0 2\n1 2 0 4", "line 2: machine 0 visited twice"),
         ("2 2\n0 3 1 2", "expected 2 job lines"),
+        ("2 2\n0 3 5 2\n1 2 0", "line 2: machine index 5"),  # checked before line 3 is read
         ("", "empty input"),
     ],
 )
@@ -116,7 +117,8 @@ def test_parse_taillard_dimension_error():
     ("2 2\n5 3\n3 4\n9 2\n2 1", 4, "machine index 9"),  # a machines row
     ("# comment\n2 2\n3 2\n2 4\n0 2\n2 1", 5, "machine index 0"),  # lines count comments
     ("2 2\n3 2\n2 4\n1 1\n2 1", 4, "machine 1 visited twice"),  # as the file numbers it
-], ids=["times-row", "machines-row", "leading-comment", "repeated-machine"])
+    ("2 2\n5 0\n3 4\n1 2\n2", 5, "machines row"),  # both matrices are read before any value
+], ids=["times-row", "machines-row", "leading-comment", "repeated-machine", "short-row-first"])
 def test_parse_taillard_names_the_line_of_the_bad_value(text, line_no, fragment):
     with pytest.raises(ParseError) as err:
         parse_taillard(text)
@@ -132,12 +134,12 @@ def test_parse_taillard_missing_matrix_rows():
 def test_ta01_file_loads_as_15x15():
     inst = load_instance_file(str(INSTANCE_DIR / "ta01.txt"), "taillard")
     assert inst.num_jobs == 15 and inst.num_machines == 15
-    assert inst.total_operations == 225
+    assert len(inst.durations) == 225
 
 
 def test_ft06_file_has_36_ops_all_machines():
     inst = load_instance_file(str(INSTANCE_DIR / "ft06.txt"), "standard")
-    assert inst.total_operations == 36
+    assert len(inst.durations) == 36
     for job in inst.jobs:
         assert sorted(op.machine for op in job) == list(range(6))
 
@@ -183,10 +185,17 @@ def test_formats_agree_on_same_problem():
 def test_derived_tables_2x2():
     # J0 = (M0,3)(M1,2), J1 = (M1,2)(M0,4)
     inst = parse_standard(TINY_2X2, "tiny")
-    assert inst.total_operations == 4
     assert inst.suffix_work == ((5, 2, 0), (6, 4, 0))
     assert inst.machine_loads == (7, 4)
     assert inst.durations == (2, 2, 3, 4)
+
+
+def test_instance_refuses_empty_dimensions():
+    # as the header's check does; simulating or training on one would fail late
+    with pytest.raises(ValueError, match="z: bad dimensions 0x0"):
+        Instance("z", 0, 0, ())
+    with pytest.raises(ValueError, match="bad dimensions 1x0"):
+        Instance("z", 1, 0, ((),))
 
 
 def test_instance_rejects_repeated_machine_visit():

@@ -148,7 +148,7 @@ def test_count_rules_invariant_under_duration_scaling(rule):
         def dispatch_sequence(instance):
             seq = []
             state = sim.reset(instance)
-            for _ in range(instance.total_operations):
+            for _ in range(len(instance.durations)):
                 pick = apply(rule, sim.ready_set(state, instance), instance)
                 seq.append((pick.job, pick.op_index))
                 sim.step(state, instance, pick)

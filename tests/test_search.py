@@ -204,7 +204,7 @@ def test_search_state_reports_the_episode_trie(ft06):
     _, state = train(ft06, SearchConfig(episode_budget=200, seed=0))
     assert state.episodes_used == 200
     assert 1 <= state.distinct_episodes <= state.episodes_used
-    assert 1 <= state.trie_nodes <= state.distinct_episodes * ft06.total_operations
+    assert 1 <= state.trie_nodes <= state.distinct_episodes * len(ft06.durations)
 
 
 def test_training_log_csv(inst):

@@ -90,7 +90,7 @@ def test_run_episode_single_op(inst_1x1):
 
 def test_episode_decision_count_and_labels(inst_2x2):
     result = run_pdr(inst_2x2, Heuristic.FIFO)
-    assert len(result.decisions) == inst_2x2.total_operations
+    assert len(result.decisions) == len(inst_2x2.durations)
     assert all(label == "FIFO" for _, label in result.decisions)
 
 
@@ -111,7 +111,7 @@ def test_policy_picks_a_rule_and_the_episode_applies_it():
             assert {label for _, label in result.decisions} == {rule.value}
             state = sim.reset(inst)
             starts = [[None] * len(job) for job in inst.jobs]
-            for _ in range(inst.total_operations):
+            for _ in range(len(inst.durations)):
                 pick = apply(rule, sim.ready_set(state, inst), inst)
                 starts[pick.job][pick.op_index] = state.clock  # a pick starts at its decision
                 sim.step(state, inst, pick)
@@ -142,7 +142,7 @@ def test_state_durations_are_the_sorted_unscheduled_ones():
     for inst in instances:
         state = sim.reset(inst)
         assert state.durations == _unscheduled_durations(state, inst)
-        for _ in range(inst.total_operations):
+        for _ in range(len(inst.durations)):
             ready = sim.ready_set(state, inst)
             sim.step(state, inst, ready[rng.randrange(len(ready))])
             assert state.durations == _unscheduled_durations(state, inst)
@@ -152,7 +152,7 @@ def test_state_durations_are_the_sorted_unscheduled_ones():
 def test_random_rule_policy_labels_follow_the_seeded_draws(inst_2x2):
     result = sim.run_episode(inst_2x2, random_rule_policy(random.Random(5)))
     rng = random.Random(5)
-    expected = [rng.choice(HEURISTICS).value for _ in range(inst_2x2.total_operations)]
+    expected = [rng.choice(HEURISTICS).value for _ in range(len(inst_2x2.durations))]
     assert [label for _, label in result.decisions] == expected
 
 
@@ -200,7 +200,7 @@ def test_non_delay_property():
         inst = random_instance(rng, square=True)
         result = run_pdr(inst, Heuristic.SPT)
         state = sim.reset(inst)
-        for _ in range(inst.total_operations):
+        for _ in range(len(inst.durations)):
             ready = sim.ready_set(state, inst)
             assert ready, "decision point with an empty ready set"
             scheduled_now = [
@@ -216,14 +216,14 @@ def test_schedule_csv_sorted(inst_2x2):
     assert lines[0] == "job,op,machine,start,end"
     starts = [int(line.split(",")[3]) for line in lines[1:]]
     assert starts == sorted(starts)
-    assert len(lines) == 1 + inst_2x2.total_operations
+    assert len(lines) == 1 + len(inst_2x2.durations)
 
 
 def test_trace_csv_shape(inst_2x2):
     result = run_pdr(inst_2x2, Heuristic.SPT)
     lines = sim.trace_csv(result).strip().splitlines()
     assert lines[0] == "t,ld,am,ao,jd,st,action"
-    assert len(lines) == 1 + inst_2x2.total_operations
+    assert len(lines) == 1 + len(inst_2x2.durations)
     assert lines[1].endswith(",SPT")
 
 
@@ -246,7 +246,7 @@ def test_trie_makespans_equal_run_episode():
             assert trie.makespan(policy) == sim.run_episode(inst, policy).makespan
         # a policy already queried is answered from the trie
         assert 1 <= trie.misses <= len(policies)
-        assert trie.nodes <= trie.misses * inst.total_operations
+        assert trie.nodes <= trie.misses * len(inst.durations)
 
 
 @pytest.mark.parametrize("cap", [0, 1, 5])
@@ -265,11 +265,11 @@ def _choices(inst, policy) -> tuple[int, int]:
     """Decisions of `run_episode(inst, policy)` with more than one ready op,
     and those with exactly one."""
     state, choices = sim.reset(inst), 0
-    for _ in range(inst.total_operations):
+    for _ in range(len(inst.durations)):
         ready = sim.ready_set(state, inst)
         choices += len(ready) > 1
         sim.step(state, inst, apply(policy(extract(state, inst, ready)), ready, inst))
-    return choices, inst.total_operations - choices
+    return choices, len(inst.durations) - choices
 
 
 @pytest.mark.parametrize("cap", [sim.TRIE_MAX_NODES, 0])
