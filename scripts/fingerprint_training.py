@@ -7,7 +7,8 @@ trainings with the default configuration), it prints one JSON object keyed
 by "instance/budget/seed". Each entry holds the sha256 of `serialize` of the
 learned program, of `training_log_csv` and of `repr(state.history)` (which
 carries every candidate's dims and charges), plus `episodes_used`,
-`distinct_episodes` and `trie_nodes`. Point PYTHONPATH at another
+`distinct_episodes` (the episodes the trie simulated) and `trie_nodes`
+(the decisions it took in, forced ones included). Point PYTHONPATH at another
 checkout's `src/` to fingerprint that version; equal output means the two
 versions train bit-identically on these runs.
 """

@@ -28,6 +28,10 @@ KNOWN_SEEDS = {
 
 
 def make_rng(seed: int):
+    # the states of a Lehmer stream are 1..2^31 - 2: from 0 it stays at 0, and
+    # a seed past the modulus draws values outside [low, high]
+    if not 1 <= seed < MODULUS:
+        raise ValueError(f"seed {seed} outside 1..{MODULUS - 1}")
     state = seed
 
     def next_int(low: int, high: int) -> int:
@@ -83,9 +87,14 @@ def main(argv=None) -> int:
         if None in (args.n, args.m, args.time_seed, args.machine_seed):
             parser.error("need a known instance name or all of --n --m --time-seed --machine-seed")
         n, m, ts, ms = args.n, args.m, args.time_seed, args.machine_seed
+        if n < 1 or m < 1:
+            parser.error(f"need at least 1 job and 1 machine, got --n {n} --m {m}")
         name = f"custom_{n}x{m}"
 
-    durations, machines = generate(n, m, ts, ms)
+    try:
+        durations, machines = generate(n, m, ts, ms)
+    except ValueError as exc:
+        parser.error(str(exc))
     sys.stdout.write(render(name, n, m, durations, machines))
     return 0
 

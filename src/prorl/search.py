@@ -81,7 +81,7 @@ class SearchState:
     episodes_used: int
     history: list[GenerationRecord] = field(default_factory=list)
     distinct_episodes: int = 0  # evaluations the episode trie could not answer
-    trie_nodes: int = 0
+    trie_nodes: int = 0  # decisions the trie took in, forced ones included
 
 
 def _seed_key(seed: int, *scope) -> str:

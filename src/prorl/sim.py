@@ -27,10 +27,10 @@ records its name in the decision trace.
 Training asks for makespans only, and most of its episodes repeat an
 earlier dispatch sequence. `EpisodeTrie` caches the decisions of every
 episode it runs and answers a repeat by walking them, re-simulating only
-from the first new decision on; it holds at most `TRIE_MAX_NODES` nodes.
+from the first new decision on; it counts at most `TRIE_MAX_NODES` decisions.
 Both it and `run_episode` simulate through the one loop in `_decisions`.
-A decision with a single ready op is forced: every rule picks that op, so
-the trie neither reads its concepts nor calls the policy there.
+A decision with a single ready op is forced: every rule picks it, so the
+trie keeps only that op and neither reads concepts nor calls the policy.
 """
 
 from __future__ import annotations
@@ -189,44 +189,29 @@ def run_pdr(instance: Instance, rule: pdr.Heuristic) -> ScheduleResult:
     return run_episode(instance, lambda cv: rule)
 
 
-# Node cap of an EpisodeTrie. tracemalloc puts the trie of a budget-1000
-# training at 410-450 B per node on ft06, ft10 and ta01: about 160 B for a
-# forced decision, about 850 B for one with a choice (ready set, concepts,
-# edges). A full trie thus holds about 22 MB; ta01 needs 33k nodes.
+# Cap on the decisions an EpisodeTrie takes in, forced ones included.
+# tracemalloc puts the trie of a budget-1000 training at 387 B per decision
+# on ft06 and 415 B on ta01, which needs 33k: 0.9-1.0 kB per decision with
+# a choice (ready set, concepts, edges, and the forced run before it).
 TRIE_MAX_NODES = 50_000
 
 
 class _Branch:
-    """A decision with a choice: its ready set and concepts, and one dict of
-    edges from each rule tried here to the op it picks and from each picked
-    job to the child it leads to (a node, or the makespan when the pick ends
-    the episode). Rules and job numbers never compare equal, and one dict
-    costs half what two do; almost every such node sees one rule and one
-    child."""
+    """A decision with a choice: the forced picks that lead to it from the
+    pick before it, its ready set and concepts, and one dict of edges from
+    each rule tried here to the op it picks and from each picked job to the
+    next decision with a choice, or to the makespan once none is left.
+    Rules and job numbers never compare equal; one dict costs half what two
+    do, and almost every node sees one rule and one child."""
 
-    __slots__ = ("ready", "cv", "edges")
+    __slots__ = ("lead", "ready", "cv", "edges")
 
-    def __init__(self, ready: list[ReadyOp], cv: ConceptVector, rule: pdr.Heuristic, pick: ReadyOp):
+    def __init__(self, lead: tuple[ReadyOp, ...], ready: list[ReadyOp], cv: ConceptVector,
+                 rule: pdr.Heuristic, pick: ReadyOp):
+        self.lead = lead
         self.ready = ready
         self.cv = cv
         self.edges: dict = {rule: pick}
-
-    def put(self, job: int, child: _Branch | _Forced | int) -> None:
-        self.edges[job] = child
-
-
-class _Forced:
-    """A decision with one ready op, which every rule picks: that op and the
-    one child it leads to (None until an episode has gone past it)."""
-
-    __slots__ = ("pick", "child")
-
-    def __init__(self, pick: ReadyOp | None):
-        self.pick = pick
-        self.child: _Branch | _Forced | int | None = None
-
-    def put(self, job: int | None, child: _Branch | _Forced | int) -> None:
-        self.child = child
 
 
 class EpisodeTrie:
@@ -234,58 +219,60 @@ class EpisodeTrie:
 
     Episodes are deterministic: the state at a decision is a function of the
     ops dispatched before it, and a policy is a pure function of the concept
-    vector. A policy therefore walks the trie from the root, evaluating only
-    its own rule choices at decisions with a choice and taking the lone op at
-    forced ones, down to a leaf (a cached makespan) or to the first edge no
-    earlier episode took. There the state is rebuilt by stepping along the
-    known picks from `reset`, and the rest of the episode runs through the
-    same loop as `run_episode`, adding one node per decision. Once the trie
-    holds `TRIE_MAX_NODES` nodes it stops growing, and the rest of each miss
-    is simulated without being stored.
+    vector. A policy therefore walks the trie from the root, taking each
+    node's forced lead and evaluating its own rule at the node's choice, down
+    to a leaf (a cached makespan) or to the first edge no earlier episode
+    took. There the state is rebuilt by stepping along the known picks from
+    `reset`, and the rest of the episode runs through the same loop as
+    `run_episode`, storing each decision with a choice as a node that
+    carries the forced run before it. `nodes` counts every decision taken
+    in; once it reaches `TRIE_MAX_NODES` the trie stops growing, and the
+    rest of each miss is simulated without being stored. A forced run that
+    ends the episode, or that the cap cuts off, is counted but not stored:
+    no walk reads it.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self._top = _Forced(None)  # its child is the root
+        self._top: dict = {}  # maps None to the root
         self.nodes = 0
         self.misses = 0  # evaluations that had to simulate
 
     def makespan(self, policy: Policy) -> int:
         """The makespan of `run_episode(instance, policy)`."""
         instance = self.instance
-        parent, key, path = self._top, None, []
-        node = parent.child
+        edges, key, path = self._top, None, []
+        node = edges.get(key)
         while node is not None:
-            cls = node.__class__
-            if cls is _Forced:
-                pick = node.pick
-                child = node.child
-            elif cls is int:
+            if node.__class__ is int:
                 return node
-            else:
-                rule, edges = policy(node.cv), node.edges
-                pick = edges.get(rule)
-                if pick is None:
-                    pick = edges[rule] = pdr.apply(rule, node.ready, instance)
-                child = edges.get(pick.job)
+            path += node.lead
+            rule, edges = policy(node.cv), node.edges
+            pick = edges.get(rule)
+            if pick.__class__ is not ReadyOp:  # a rule new here, or a job number
+                pick = edges[rule] = pdr.apply(rule, node.ready, instance)
             path.append(pick)
-            parent, key, node = node, pick.job, child
+            key = pick.job
+            node = edges.get(key)
 
         self.misses += 1
         state = reset(instance)
         for pick in path:
             step(state, instance, pick)
+        lead = []
         for ready, cv, rule, pick in _decisions(state, instance, policy, False):
-            if parent is None or self.nodes >= TRIE_MAX_NODES:
-                parent = None
+            if edges is None or self.nodes >= TRIE_MAX_NODES:
+                edges = None
                 continue
-            node = _Forced(pick) if cv is None else _Branch(ready, cv, rule, pick)
-            parent.put(key, node)
             self.nodes += 1
-            parent, key = node, pick.job
+            if cv is None:
+                lead.append(pick)
+            else:
+                node = edges[key] = _Branch(tuple(lead), ready, cv, rule, pick)
+                edges, key, lead = node.edges, pick.job, []
         makespan = max(state.machine_free_at)
-        if parent is not None:
-            parent.put(key, makespan)
+        if edges is not None:
+            edges[key] = makespan
         return makespan
 
 

@@ -157,7 +157,9 @@ FT06_TRAIN_1000_GOLDEN = {
 
 
 # train(instance, budget=1000, seed): (state.distinct_episodes, state.trie_nodes),
-# the episodes the trie had to simulate and the decision nodes it kept
+# the episodes the trie had to simulate and the decisions it took in, forced
+# ones included (a node holds a decision with a choice and the forced run
+# before it)
 TRIE_COUNTS_1000 = {
     ("ft06", 0): (161, 2699),
     ("ft06", 1): (93, 1541),

@@ -1,5 +1,5 @@
-"""The measuring scripts run on the current API, and a fingerprint is what
-an in-process training of the same run gives."""
+"""The scripts run on the current API and refuse bad input, and a
+fingerprint is what an in-process training of the same run gives."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from conftest import DATA_DIR
 from prorl.dsl import serialize
@@ -24,6 +26,30 @@ def run_script(name: str, *args: str) -> dict:
     out = subprocess.run([sys.executable, str(SCRIPTS_DIR / name), *args],
                          capture_output=True, check=True, env=env, text=True).stdout
     return json.loads(out)
+
+
+@pytest.mark.parametrize("n, m, time_seed, machine_seed, message", [
+    (3, 3, 0, 7, "seed 0 outside"),
+    (3, 3, 2**31 - 1, 7, "seed 2147483647 outside"),
+    (3, 3, 7, 2**40, "seed 1099511627776 outside"),
+    (3, 3, -5, 7, "seed -5 outside"),
+    (0, 3, 5, 7, "at least 1 job"),
+    (3, 0, 5, 7, "at least 1 job"),
+])
+def test_make_taillard_refuses_a_seed_or_size_out_of_range(n, m, time_seed, machine_seed, message):
+    args = ["--n", str(n), "--m", str(m),
+            "--time-seed", str(time_seed), "--machine-seed", str(machine_seed)]
+    done = subprocess.run([sys.executable, str(SCRIPTS_DIR / "make_taillard.py"), *args],
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert message in done.stderr
+
+
+def test_make_taillard_takes_the_ends_of_the_seed_range():
+    args = ["--n", "2", "--m", "2", "--time-seed", "1", "--machine-seed", str(2**31 - 2)]
+    done = subprocess.run([sys.executable, str(SCRIPTS_DIR / "make_taillard.py"), *args],
+                          capture_output=True, check=True, text=True)
+    assert done.stdout.splitlines()[1] == "2 2"
 
 
 def test_time_gp_reports_every_shape():

@@ -261,15 +261,38 @@ def test_trie_past_its_node_cap_simulates_plainly(monkeypatch, cap):
             assert trie.misses == len(queries)
 
 
+def _picks(inst, policy) -> list[tuple[int, int]]:
+    """The job picked at each decision of `run_episode(inst, policy)`, with
+    the number of ops that were ready there."""
+    state, picks = sim.reset(inst), []
+    for _ in range(len(inst.durations)):
+        ready = sim.ready_set(state, inst)
+        pick = apply(policy(extract(state, inst, ready)), ready, inst)
+        picks.append((pick.job, len(ready)))
+        sim.step(state, inst, pick)
+    return picks
+
+
 def _choices(inst, policy) -> tuple[int, int]:
     """Decisions of `run_episode(inst, policy)` with more than one ready op,
     and those with exactly one."""
-    state, choices = sim.reset(inst), 0
-    for _ in range(len(inst.durations)):
-        ready = sim.ready_set(state, inst)
-        choices += len(ready) > 1
-        sim.step(state, inst, apply(policy(extract(state, inst, ready)), ready, inst))
+    choices = sum(n > 1 for _, n in _picks(inst, policy))
     return choices, len(inst.durations) - choices
+
+
+@pytest.mark.parametrize("cap", [sim.TRIE_MAX_NODES, 0, 1, 5, 17])
+def test_trie_nodes_count_the_distinct_decisions_up_to_the_cap(monkeypatch, cap):
+    # a decision is identified by the jobs picked before it, so the trie has
+    # taken in one per distinct prefix of the episodes queried, forced
+    # decisions included, whether it stores them as nodes or not
+    monkeypatch.setattr(sim, "TRIE_MAX_NODES", cap)
+    for inst, _, queries in _trie_queries(random.Random(83)):
+        trie, prefixes = sim.EpisodeTrie(inst), set()
+        for policy in queries:
+            trie.makespan(policy)
+            jobs = tuple(job for job, _ in _picks(inst, policy))
+            prefixes.update(jobs[:i] for i in range(len(jobs)))
+            assert trie.nodes == min(cap, len(prefixes))
 
 
 @pytest.mark.parametrize("cap", [sim.TRIE_MAX_NODES, 0])
