@@ -6,7 +6,8 @@ linear congruential RNG (16807, modulus 2^31 - 1, Schrage's method) drives
 both the duration matrix (uniform integers in [1, 99], job-major) and the
 per-job machine permutations (forward swap shuffle). An instance is fully
 determined by its published (time seed, machine seed) pair, so shipping the
-seeds plus this script is equivalent to shipping the files.
+seeds plus this script is equivalent to shipping the files. A known name
+fixes its size and seeds, so it takes none of --n, --m and the seed flags.
 
 Usage:
     python scripts/make_taillard.py ta01 > data/instances/ta01.txt
@@ -77,14 +78,19 @@ def main(argv=None) -> int:
     parser.add_argument("--time-seed", type=int)
     parser.add_argument("--machine-seed", type=int)
     args = parser.parse_args(argv)
+    custom = {"--n": args.n, "--m": args.m,
+              "--time-seed": args.time_seed, "--machine-seed": args.machine_seed}
 
     if args.name:
         if args.name not in KNOWN_SEEDS:
             parser.error(f"unknown instance {args.name!r}")
+        given = [flag for flag, value in custom.items() if value is not None]
+        if given:  # a known instance is fixed by its published seeds
+            parser.error(f"{' '.join(given)} cannot change known instance {args.name}")
         n, m, ts, ms = KNOWN_SEEDS[args.name]
         name = args.name
     else:
-        if None in (args.n, args.m, args.time_seed, args.machine_seed):
+        if None in custom.values():
             parser.error("need a known instance name or all of --n --m --time-seed --machine-seed")
         n, m, ts, ms = args.n, args.m, args.time_seed, args.machine_seed
         if n < 1 or m < 1:

@@ -57,10 +57,11 @@ class RunReport:
     CSV_HEADER = "instance,method,makespan,gap_percent,seed,episodes"
 
     def _makespan_text(self) -> str:
-        # :g alone would print 1234567 as 1.23457e+06; below 10**6 the two agree
+        # :g would print 1234567 as 1.23457e+06; repr prints every digit of a
+        # mean from 10**6 to 2**52, past which every float is integral
         if float(self.makespan).is_integer():
             return str(int(self.makespan))
-        return f"{self.makespan:g}"
+        return f"{self.makespan:g}" if self.makespan < 10**6 else repr(float(self.makespan))
 
     def csv_row(self) -> str:
         """One CSV line, without its newline; the csv module quotes a name as needed."""

@@ -1,7 +1,7 @@
 """The five priority dispatching rules forming the policy action set.
 
 Rule keys over a ready operation (ties broken by lowest job index, then
-lowest operation index, everywhere):
+lowest operation index, everywhere); all but FIFO read the instance's tables:
 
   FIFO  earliest arrival (completion of the job predecessor, 0 for first ops)
   SPT   smallest duration of the candidate operation
@@ -47,22 +47,21 @@ HEURISTICS = tuple(Heuristic)
 
 
 def apply(rule: Heuristic, ready: Sequence[ReadyOp], instance: Instance) -> ReadyOp:
-    """Return the best candidate under the rule's key; MWR reads the cached
-    suffix work, MOR and LOR count the job's length less the op's index."""
+    """Return the best candidate under the rule's key; SPT reads the op's
+    duration, MWR the cached suffix work, MOR and LOR the ops left."""
     if not ready:
         raise ValueError("empty ready set")
+    jobs = instance.jobs
     if rule is Heuristic.FIFO:
         key = lambda c: (c.arrival, c.job, c.op_index)
     elif rule is Heuristic.SPT:
-        key = lambda c: (c.duration, c.job, c.op_index)
+        key = lambda c: (jobs[c.job][c.op_index].duration, c.job, c.op_index)
     elif rule is Heuristic.MWR:
         work = instance.suffix_work
         key = lambda c: (-work[c.job][c.op_index], c.job, c.op_index)
     elif rule is Heuristic.MOR:
-        jobs = instance.jobs
         key = lambda c: (c.op_index - len(jobs[c.job]), c.job, c.op_index)
     elif rule is Heuristic.LOR:
-        jobs = instance.jobs
         key = lambda c: (len(jobs[c.job]) - c.op_index, c.job, c.op_index)
     else:
         raise ValueError(f"not a dispatching rule: {rule!r}")

@@ -7,7 +7,8 @@ starts immediately. After a dispatch, if no operation is startable at the
 clock but work remains, the clock jumps to the earliest time at which some
 operation becomes startable (the smallest max(job ready, machine free) over
 pending next-operations). Episodes therefore make exactly one policy call
-per operation and produce non-delay schedules.
+per operation and produce non-delay schedules. A job starts only its next
+operation, so a dispatch is named by its job: `step` takes a job number.
 
 `SimState` holds only what the next decision reads: the clock, when each
 machine and job is next free, each job's next operation, and running
@@ -30,7 +31,7 @@ episode it runs and answers a repeat by walking them, re-simulating only
 from the first new decision on; it counts at most `TRIE_MAX_NODES` decisions.
 Both it and `run_episode` simulate through the one loop in `_decisions`.
 A decision with a single ready op is forced: every rule picks it, so the
-trie keeps only that op and neither reads concepts nor calls the policy.
+trie keeps only its job and neither reads concepts nor calls the policy.
 """
 
 from __future__ import annotations
@@ -58,11 +59,10 @@ class SimState:
 
 
 class ReadyOp(NamedTuple):
-    """An operation startable now; its machine is `instance.jobs[job][op_index]`'s."""
+    """Job `job`'s next operation, `instance.jobs[job][op_index]`, startable now."""
 
     job: int
     op_index: int
-    duration: int
     arrival: int  # completion time of the job predecessor; 0 for first ops
 
 
@@ -100,26 +100,23 @@ def ready_set(state: SimState, instance: Instance) -> list[ReadyOp]:
     ready = []
     pending = zip(instance.jobs, state.job_next_op, state.job_ready_at)
     for job, (ops, k, arrival) in enumerate(pending):
-        if arrival <= clock and k < len(ops):
-            op = ops[k]
-            free = free_at[op.machine]
-            if free <= clock:
-                ready.append(ReadyOp(job, k, op.duration, arrival))
+        if arrival <= clock and k < len(ops) and free_at[ops[k].machine] <= clock:
+            ready.append(ReadyOp(job, k, arrival))
     return ready
 
 
-def step(state: SimState, instance: Instance, pick: ReadyOp) -> SimState:
-    """Dispatch `pick` at the clock, update the running totals, and advance
-    the clock to the next decision point if nothing else is startable now."""
-    job = pick.job
+def step(state: SimState, instance: Instance, job: int) -> SimState:
+    """Dispatch `job`'s next operation at the clock, update the running totals,
+    and advance the clock to the next decision point if nothing else is
+    startable now."""
     k = state.job_next_op[job]
     ops = instance.jobs[job]
-    if k != pick.op_index or k >= len(ops):
-        raise ValueError(f"pick J{job}-op{pick.op_index} is not the job's next operation")
+    if k >= len(ops):
+        raise ValueError(f"job {job} has no operation left")
     op = ops[k]
     clock, free_at, job_ready_at = state.clock, state.machine_free_at, state.job_ready_at
     if max(job_ready_at[job], free_at[op.machine]) > clock:
-        raise ValueError(f"pick J{job}-op{pick.op_index} is not startable at t={clock}")
+        raise ValueError(f"job {job}'s next operation J{job}-op{k} is not startable at t={clock}")
 
     d = op.duration
     end = clock + d
@@ -150,10 +147,9 @@ def step(state: SimState, instance: Instance, pick: ReadyOp) -> SimState:
 
 def _decisions(state: SimState, instance: Instance, policy: Policy, trace: bool):
     """The simulation loop: drive `state` to the end of its episode under
-    `policy`, yielding (ready, cv, rule, pick) for each decision once `pick`
-    has been stepped. Without `trace`, a forced decision (one ready op) takes
-    that op without reading the concepts or calling the policy, and yields
-    None for both."""
+    `policy`, yielding (ready, cv, rule, pick) at each decision and stepping
+    `pick`'s job on resuming. Without `trace`, a forced decision (one ready
+    op) takes it without reading the concepts or calling the policy."""
     for _ in range(len(state.durations)):
         ready = ready_set(state, instance)
         if trace or len(ready) > 1:
@@ -163,8 +159,8 @@ def _decisions(state: SimState, instance: Instance, policy: Policy, trace: bool)
         else:
             cv = rule = None
             pick = ready[0]
-        step(state, instance, pick)
         yield ready, cv, rule, pick
+        step(state, instance, pick.job)
 
 
 def run_episode(instance: Instance, policy: Policy) -> ScheduleResult:
@@ -173,8 +169,7 @@ def run_episode(instance: Instance, policy: Policy) -> ScheduleResult:
     starts = [[0] * len(job) for job in instance.jobs]
     decisions = []
     for _, cv, rule, pick in _decisions(state, instance, policy, True):
-        # the pick started at the clock of its decision and ends at its job's ready time
-        starts[pick.job][pick.op_index] = state.job_ready_at[pick.job] - pick.duration
+        starts[pick.job][pick.op_index] = state.clock  # a pick starts at its decision
         decisions.append((cv, rule.value))
     # machines run their operations in dispatch order, so the last one ends last
     return ScheduleResult(
@@ -190,23 +185,23 @@ def run_pdr(instance: Instance, rule: pdr.Heuristic) -> ScheduleResult:
 
 
 # Cap on the decisions an EpisodeTrie takes in, forced ones included.
-# tracemalloc puts the trie of a budget-1000 training at 387 B per decision
-# on ft06 and 415 B on ta01, which needs 33k: 0.9-1.0 kB per decision with
-# a choice (ready set, concepts, edges, and the forced run before it).
+# scripts/trie_bytes.py puts the trie of a budget-1000 training at 344 B per
+# decision on ft06 and 354 B on ta01, which needs 33k: 0.8-0.9 kB per decision
+# with a choice (ready set, concepts, edges, and the forced jobs before it).
 TRIE_MAX_NODES = 50_000
 
 
 class _Branch:
-    """A decision with a choice: the forced picks that lead to it from the
-    pick before it, its ready set and concepts, and one dict of edges from
-    each rule tried here to the op it picks and from each picked job to the
-    next decision with a choice, or to the makespan once none is left.
-    Rules and job numbers never compare equal; one dict costs half what two
-    do, and almost every node sees one rule and one child."""
+    """A decision with a choice: the jobs of the forced picks that lead to it
+    from the pick before it, its ready set and concepts, and one dict of edges
+    from each rule tried here to the op of `ready` it picks and from each
+    picked job to the next decision with a choice, or to the makespan once
+    none is left. Rules and job numbers never compare equal; one dict costs
+    half what two do, and almost every node sees one rule and one child."""
 
     __slots__ = ("lead", "ready", "cv", "edges")
 
-    def __init__(self, lead: tuple[ReadyOp, ...], ready: list[ReadyOp], cv: ConceptVector,
+    def __init__(self, lead: tuple[int, ...], ready: list[ReadyOp], cv: ConceptVector,
                  rule: pdr.Heuristic, pick: ReadyOp):
         self.lead = lead
         self.ready = ready
@@ -222,14 +217,14 @@ class EpisodeTrie:
     vector. A policy therefore walks the trie from the root, taking each
     node's forced lead and evaluating its own rule at the node's choice, down
     to a leaf (a cached makespan) or to the first edge no earlier episode
-    took. There the state is rebuilt by stepping along the known picks from
-    `reset`, and the rest of the episode runs through the same loop as
+    took. There the state is rebuilt by stepping the jobs picked on the way
+    from `reset`, and the rest of the episode runs through the same loop as
     `run_episode`, storing each decision with a choice as a node that
-    carries the forced run before it. `nodes` counts every decision taken
-    in; once it reaches `TRIE_MAX_NODES` the trie stops growing, and the
-    rest of each miss is simulated without being stored. A forced run that
-    ends the episode, or that the cap cuts off, is counted but not stored:
-    no walk reads it.
+    carries the jobs of the forced run before it. `nodes` counts every
+    decision taken in; once it reaches `TRIE_MAX_NODES` the trie stops
+    growing, and the rest of each miss is simulated without being stored. A
+    forced run that ends the episode, or that the cap cuts off, is counted
+    but not stored: no walk reads it.
     """
 
     def __init__(self, instance: Instance):
@@ -251,14 +246,14 @@ class EpisodeTrie:
             pick = edges.get(rule)
             if pick.__class__ is not ReadyOp:  # a rule new here, or a job number
                 pick = edges[rule] = pdr.apply(rule, node.ready, instance)
-            path.append(pick)
             key = pick.job
+            path.append(key)
             node = edges.get(key)
 
         self.misses += 1
         state = reset(instance)
-        for pick in path:
-            step(state, instance, pick)
+        for job in path:
+            step(state, instance, job)
         lead = []
         for ready, cv, rule, pick in _decisions(state, instance, policy, False):
             if edges is None or self.nodes >= TRIE_MAX_NODES:
@@ -266,7 +261,7 @@ class EpisodeTrie:
                 continue
             self.nodes += 1
             if cv is None:
-                lead.append(pick)
+                lead.append(pick.job)
             else:
                 node = edges[key] = _Branch(tuple(lead), ready, cv, rule, pick)
                 edges, key, lead = node.edges, pick.job, []

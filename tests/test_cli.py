@@ -396,9 +396,27 @@ def test_reports_print_large_makespans_in_full(tmp_path, capsys):
     assert bench_csv.read_text().splitlines()[1] == "big,spt,1234567,,,1"
     table = capsys.readouterr().out
     assert table.count(" 1234567 ") == 2 and "e+06" not in table
-    # a non-integral mean of the random agent keeps its short form
+    # a non-integral mean of the random agent prints every digit too
     mean = cli.RunReport("big", "random", 1234567.5, None, 0, 0.0, 2)
-    assert mean.csv_row() == "big,random,1.23457e+06,,0,2"
+    assert mean.csv_row() == "big,random,1234567.5,,0,2"
+
+
+def test_a_mean_makespan_past_a_million_prints_every_digit(tmp_path, capsys, ft06):
+    # ft06 with every duration times 20011: two random episodes average
+    # 1230676.5, which :g printed as 1.23068e+06
+    scaled = tmp_path / "big06.txt"
+    rows = [" ".join(f"{op.machine} {op.duration * 20011}" for op in job) for job in ft06.jobs]
+    scaled.write_text(f"{ft06.num_jobs} {ft06.num_machines}\n" + "\n".join(rows) + "\n")
+    out_csv = tmp_path / "random.csv"
+    assert main(["random", "--instance", str(scaled), "--seed", "0", "--episodes", "2",
+                 "--csv", str(out_csv)]) == 0
+    assert out_csv.read_text().splitlines()[1] == "big06,random,1230676.5,,0,2"
+    row = capsys.readouterr().out.splitlines()[-1].split()
+    assert row[:3] == ["big06", "random", "1230676.5"]
+    # below 10**6 and at integral values the short form stays
+    for makespan, text in [(999999.25, "999999"), (12345.67, "12345.7"), (1230676.0, "1230676"),
+                           (65.5, "65.5"), (2**60, str(2**60))]:
+        assert cli.RunReport("x", "random", makespan, None, 0, 0.0, 2).csv_row() == f"x,random,{text},,0,2"
 
 
 def test_csv_quotes_an_instance_name_holding_a_comma(tmp_path, capsys):

@@ -45,7 +45,7 @@ def test_rules_key_dicts_by_identity():
 
 def test_spt_picks_shorter(inst_2x2):
     pick = apply(Heuristic.SPT, ready(inst_2x2), inst_2x2)
-    assert (pick.job, pick.duration) == (1, 2)
+    assert (pick.job, inst_2x2.jobs[pick.job][pick.op_index].duration) == (1, 2)
 
 
 def test_mwr_picks_heavier_job(inst_2x2):
@@ -71,13 +71,13 @@ def test_count_rules_on_jobs_of_uneven_length():
     assert [(c.job, c.op_index) for c in first] == [(0, 0), (1, 0)]
     assert apply(Heuristic.MOR, first, inst).job == 0  # 3 operations left against 1
     assert apply(Heuristic.LOR, first, inst).job == 1
-    sim.step(state, inst, first[0])
+    sim.step(state, inst, first[0].job)
     later = sim.ready_set(state, inst)
     assert state.clock == 1 and [(c.job, c.op_index) for c in later] == [(0, 1), (1, 0)]
     assert apply(Heuristic.MOR, later, inst).job == 0  # 2 left against 1
     assert apply(Heuristic.LOR, later, inst).job == 1
     # J0's last operation leaves 1, as J1's only one does: a tie, to job 0
-    last = [ReadyOp(0, 2, 1, 2), ReadyOp(1, 0, 1, 0)]
+    last = [ReadyOp(0, 2, 2), ReadyOp(1, 0, 0)]
     assert apply(Heuristic.MOR, last, inst).job == apply(Heuristic.LOR, last, inst).job == 0
     assert run_pdr(inst, Heuristic.MOR).start_times == ((0, 1, 2), (1,))
     assert run_pdr(inst, Heuristic.LOR).start_times == ((1, 2, 3), (0,))
@@ -152,7 +152,7 @@ def test_count_rules_invariant_under_duration_scaling(rule):
             for _ in range(len(instance.durations)):
                 pick = apply(rule, sim.ready_set(state, instance), instance)
                 seq.append((pick.job, pick.op_index))
-                sim.step(state, instance, pick)
+                sim.step(state, instance, pick.job)
             return seq
 
         assert dispatch_sequence(inst) == dispatch_sequence(big)
@@ -165,6 +165,6 @@ def test_spt_on_single_machine_sorts_by_duration():
     order = []
     for _ in range(3):
         pick = apply(Heuristic.SPT, sim.ready_set(state, inst), inst)
-        order.append(pick.duration)
-        sim.step(state, inst, pick)
+        order.append(inst.jobs[pick.job][pick.op_index].duration)
+        sim.step(state, inst, pick.job)
     assert order == [2, 5, 7]

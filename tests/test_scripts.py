@@ -45,6 +45,16 @@ def test_make_taillard_refuses_a_seed_or_size_out_of_range(n, m, time_seed, mach
     assert message in done.stderr
 
 
+@pytest.mark.parametrize("flag", ["--n", "--m", "--time-seed", "--machine-seed"])
+def test_make_taillard_refuses_a_flag_with_a_known_name(flag):
+    # ta01 is fixed by its published seeds: a flag meant to change it is an
+    # error, not dropped in silence
+    done = subprocess.run([sys.executable, str(SCRIPTS_DIR / "make_taillard.py"), "ta01", flag, "5"],
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert f"error: {flag} cannot change known instance ta01" in done.stderr
+
+
 def test_make_taillard_takes_the_ends_of_the_seed_range():
     args = ["--n", "2", "--m", "2", "--time-seed", "1", "--machine-seed", str(2**31 - 2)]
     done = subprocess.run([sys.executable, str(SCRIPTS_DIR / "make_taillard.py"), *args],
@@ -62,6 +72,19 @@ def test_time_gp_reports_every_shape():
         assert list(row) == ["add_us", "draw_us", "propose_us", "round_us"]
         assert all(value > 0 for value in row.values())
         assert abs(row["round_us"] - row["add_us"] - row["propose_us"]) <= 0.11
+
+
+def test_trie_bytes_reports_every_instance():
+    sizes = run_script("trie_bytes.py", "--budget", "10")
+    assert list(sizes) == ["ft06", "ft10", "ta01"]
+    for entry in sizes.values():
+        assert list(entry) == ["trie_bytes", "trie_nodes", "distinct_episodes", "bytes_per_decision"]
+        assert entry["trie_bytes"] > 0 and entry["trie_nodes"] > 0
+        assert entry["bytes_per_decision"] == round(entry["trie_bytes"] / entry["trie_nodes"], 1)
+    instance = load_instance_file(str(DATA_DIR / "instances" / "ft06.txt"), "standard")
+    _, state = train(instance, SearchConfig(episode_budget=10, seed=0))
+    assert (sizes["ft06"]["trie_nodes"], sizes["ft06"]["distinct_episodes"]) == (
+        state.trie_nodes, state.distinct_episodes)
 
 
 def test_fingerprint_matches_an_in_process_training():

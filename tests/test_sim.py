@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import importlib.util
 import random
 
@@ -11,7 +12,7 @@ from conftest import DATA_DIR, all_nondelay_makespans, random_instance, verify_f
 from prorl import sim
 from prorl.dsl import make_policy, random_program
 from prorl.concepts import extract
-from prorl.instance import parse_taillard
+from prorl.instance import Instance, Operation, parse_taillard
 from prorl.pdr import HEURISTICS, Heuristic, apply, random_rule_policy
 from prorl.sim import run_pdr
 
@@ -32,14 +33,15 @@ def test_reset(inst_2x2):
 
 def test_ready_set_initial(inst_2x2):
     ready = sim.ready_set(sim.reset(inst_2x2), inst_2x2)
-    assert [(r.job, r.op_index, r.duration) for r in ready] == [(0, 0, 3), (1, 0, 2)]
+    ops = [(r.job, r.op_index, inst_2x2.jobs[r.job][r.op_index].duration) for r in ready]
+    assert ops == [(0, 0, 3), (1, 0, 2)]
     assert all(r.arrival == 0 for r in ready)
 
 
 def test_ready_set_after_one_dispatch(inst_2x2):
     state = sim.reset(inst_2x2)
     ready = sim.ready_set(state, inst_2x2)
-    sim.step(state, inst_2x2, ready[1])  # J1-op0 on M1, duration 2
+    sim.step(state, inst_2x2, ready[1].job)  # J1-op0 on M1, duration 2
     assert state.machine_free_at[1] == 2
     assert state.job_ready_at[1] == 2
     remaining = sim.ready_set(state, inst_2x2)
@@ -48,7 +50,7 @@ def test_ready_set_after_one_dispatch(inst_2x2):
 
 def test_ready_set_error_when_everything_scheduled(inst_1x1):
     state = sim.reset(inst_1x1)
-    sim.step(state, inst_1x1, sim.ready_set(state, inst_1x1)[0])
+    sim.step(state, inst_1x1, sim.ready_set(state, inst_1x1)[0].job)
     with pytest.raises(ValueError):
         sim.ready_set(state, inst_1x1)
 
@@ -58,8 +60,8 @@ def test_clock_advance_matches_hand_simulation(inst_2x2):
     # at 2) but is job-ready at 3; J1-op1 needs M0 (free at 3) and is
     # job-ready at 2 -> next decision at t=3 with both ops ready
     state = sim.reset(inst_2x2)
-    sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0])
-    sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0])
+    sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0].job)
+    sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0].job)
     assert state.clock == 3
     ready = sim.ready_set(state, inst_2x2)
     assert [(r.job, r.op_index) for r in ready] == [(0, 1), (1, 1)]
@@ -68,9 +70,43 @@ def test_clock_advance_matches_hand_simulation(inst_2x2):
 def test_step_rejects_non_ready_pick(inst_2x2):
     state = sim.reset(inst_2x2)
     ready = sim.ready_set(state, inst_2x2)
-    sim.step(state, inst_2x2, ready[0])
+    sim.step(state, inst_2x2, ready[0].job)
     with pytest.raises(ValueError):
-        sim.step(state, inst_2x2, ready[0])  # stale pick: J0 already advanced
+        sim.step(state, inst_2x2, ready[0].job)  # stale pick: J0 already advanced
+
+
+def test_step_rejects_a_job_with_no_operation_left(inst_2x2):
+    state = sim.reset(inst_2x2)
+    for _ in range(len(inst_2x2.durations)):
+        sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0].job)
+    done = copy.deepcopy(state)
+    for job in (0, 1):
+        with pytest.raises(ValueError, match=f"^job {job} has no operation left"):
+            sim.step(state, inst_2x2, job)
+    assert state == done
+
+
+def test_step_rejects_a_job_whose_next_operation_is_not_startable():
+    # J0 = (M0,5) holds M0 from t = 0 while J2 = (M1,1) keeps the clock at 0:
+    # J1 = (M0,1), (M1,1) is waiting for its machine, and after J1's first
+    # operation its second is waiting for the first to end
+    inst = Instance("busy", 3, 2, (
+        (Operation(0, 5),),
+        (Operation(0, 1), Operation(1, 1)),
+        (Operation(1, 1),),
+    ))
+    state = sim.reset(inst)
+    sim.step(state, inst, 0)
+    assert state.clock == 0 and [r.job for r in sim.ready_set(state, inst)] == [2]
+    before = copy.deepcopy(state)
+    with pytest.raises(ValueError, match=r"^job 1's next operation J1-op0 is not startable at t=0"):
+        sim.step(state, inst, 1)
+    assert state == before
+    state = sim.reset(inst)
+    sim.step(state, inst, 1)
+    assert state.clock == 0 and [r.job for r in sim.ready_set(state, inst)] == [2]
+    with pytest.raises(ValueError, match=r"^job 1's next operation J1-op1 is not startable at t=0"):
+        sim.step(state, inst, 1)
 
 
 def test_run_episode_spt_reaches_seven(inst_2x2):
@@ -114,7 +150,7 @@ def test_policy_picks_a_rule_and_the_episode_applies_it():
             for _ in range(len(inst.durations)):
                 pick = apply(rule, sim.ready_set(state, inst), inst)
                 starts[pick.job][pick.op_index] = state.clock  # a pick starts at its decision
-                sim.step(state, inst, pick)
+                sim.step(state, inst, pick.job)
             assert result.start_times == tuple(map(tuple, starts))
 
 
@@ -144,7 +180,7 @@ def test_state_durations_are_the_sorted_unscheduled_ones():
         assert state.durations == _unscheduled_durations(state, inst)
         for _ in range(len(inst.durations)):
             ready = sim.ready_set(state, inst)
-            sim.step(state, inst, ready[rng.randrange(len(ready))])
+            sim.step(state, inst, ready[rng.randrange(len(ready))].job)
             assert state.durations == _unscheduled_durations(state, inst)
         assert state.durations == []
 
@@ -207,7 +243,7 @@ def test_non_delay_property():
                 r for r in ready if result.start_times[r.job][r.op_index] == state.clock
             ]
             assert scheduled_now, "machine left idle while an operation was startable"
-            sim.step(state, inst, scheduled_now[0])
+            sim.step(state, inst, scheduled_now[0].job)
 
 
 def test_schedule_csv_sorted(inst_2x2):
@@ -269,7 +305,7 @@ def _picks(inst, policy) -> list[tuple[int, int]]:
         ready = sim.ready_set(state, inst)
         pick = apply(policy(extract(state, inst, ready)), ready, inst)
         picks.append((pick.job, len(ready)))
-        sim.step(state, inst, pick)
+        sim.step(state, inst, pick.job)
     return picks
 
 
