@@ -7,9 +7,13 @@ the given budget and seed, and prints one JSON object keyed by instance.
 Each entry holds `trie_bytes`, the bytes tracemalloc traces with the
 training's trie alive less those traced once it is dropped; the training's
 `trie_nodes` (decisions the trie took in) and `distinct_episodes`; and
-`bytes_per_decision`, their ratio. The script keeps the trie alive by
-wrapping `prorl.search.EpisodeTrie` and edits nothing in the package, so
-pointing PYTHONPATH at another checkout's `src/` measures that version.
+`bytes_per_decision`, their ratio; and `step_calls` and `ready_set_calls`,
+the training's calls of `prorl.sim.step` and `prorl.sim.ready_set`, which
+price what the trie does not store. The script keeps the trie alive by
+wrapping `prorl.search.EpisodeTrie`, counts the calls by wrapping the two
+functions in `prorl.sim`'s module globals, and edits nothing in the
+package, so pointing PYTHONPATH at another checkout's `src/` measures that
+version.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import json
 import tracemalloc
 from pathlib import Path
 
-from prorl import search
+from prorl import search, sim
 from prorl.instance import load_instance_file
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "data" / "instances"
@@ -30,6 +34,17 @@ INSTANCES = {"ft06": "standard", "ft10": "standard", "ta01": "taillard"}
 def traced_bytes() -> int:
     gc.collect()
     return tracemalloc.get_traced_memory()[0]
+
+
+def count_calls(name: str, counts: dict[str, int]) -> None:
+    """Wrap `prorl.sim.<name>` so that each call adds one to `counts[name]`."""
+    real = getattr(sim, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return real(*args)
+
+    setattr(sim, name, counted)
 
 
 def main() -> None:
@@ -47,10 +62,14 @@ def main() -> None:
         return trie
 
     search.EpisodeTrie = kept_trie
+    counts = {"step": 0, "ready_set": 0}
+    for name in counts:
+        count_calls(name, counts)
     results = {}
     for name, fmt in INSTANCES.items():
         instance = load_instance_file(str(INSTANCE_DIR / f"{name}.txt"), fmt)
         config = search.SearchConfig(episode_budget=args.budget, seed=args.seed)
+        counts.update(dict.fromkeys(counts, 0))
         tracemalloc.start()
         _, state = search.train(instance, config)
         alive = traced_bytes()
@@ -62,6 +81,8 @@ def main() -> None:
             "trie_nodes": state.trie_nodes,
             "distinct_episodes": state.distinct_episodes,
             "bytes_per_decision": round(trie_bytes / max(state.trie_nodes, 1), 1),
+            "step_calls": counts["step"],
+            "ready_set_calls": counts["ready_set"],
         }
     print(json.dumps(results, indent=1))
 

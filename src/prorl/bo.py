@@ -61,6 +61,9 @@ if TYPE_CHECKING:
 
 _JITTER_CEILING = 1e-2
 MAX_CANDIDATES = 65_536  # one draw at d = 42 is then 22 MB
+# kernel settings every tuning can factor; the README gives the reasons
+LENGTH_SCALE_RANGE = (1e-3, 1e150)
+MAX_SIGNAL_VAR = 1e4
 
 
 @dataclass(frozen=True)
@@ -75,9 +78,13 @@ class BoConfig:
 
     def __post_init__(self):
         # comparisons are negated so that NaN fails them
-        if not (0 < self.length_scale < math.inf and 0 < self.signal_var < math.inf
-                and 0 < self.jitter < math.inf):
-            raise ValueError("kernel hyperparameters must be positive and finite")
+        low, high = LENGTH_SCALE_RANGE
+        if not low <= self.length_scale <= high:
+            raise ValueError(f"length_scale must be in [{low:g}, {high:g}]")
+        if not 0 < self.signal_var <= MAX_SIGNAL_VAR:
+            raise ValueError(f"signal_var must be in (0, {MAX_SIGNAL_VAR:g}]")
+        if not 0 < self.jitter < math.inf:
+            raise ValueError("jitter must be positive and finite")
         if not 0 <= self.beta < math.inf:
             raise ValueError("beta must be >= 0 and finite")
         if not (self.candidates >= 1 and self.init_points >= 1 and self.iterations >= 0):

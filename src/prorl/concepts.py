@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .instance import Instance
-    from .sim import ReadyOp, SimState
+    from .sim import SimState
 
 CONCEPT_NAMES = ("LD", "AM", "AO", "JD", "ST")
 
@@ -45,9 +45,9 @@ def _spread(max_value: float, min_value: float) -> float:
     return (max_value - min_value) / max_value if max_value > 0 else 0.0
 
 
-def extract(state: SimState, instance: Instance, ready: Sequence[ReadyOp]) -> ConceptVector:
+def extract(state: SimState, instance: Instance, ready: Sequence[int]) -> ConceptVector:
     """Compute the concept vector for the pending decision; `ready` is the
-    simulator's startable set at the clock."""
+    simulator's ready set of jobs at the clock."""
     durations = state.durations
     if not durations:
         raise ValueError("all operations scheduled; no decision pending")

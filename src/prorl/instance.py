@@ -23,7 +23,6 @@ import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 MAX_TOTAL_WORK = 2**53
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -81,12 +80,9 @@ class Instance:
 
     # Derived tables, cached on first use; the simulator reads them per decision.
     @cached_property
-    def suffix_work(self) -> tuple[tuple[int, ...], ...]:
-        """suffix_work[j][k]: total duration of job j's operations from k on (0 past the end)."""
-        return tuple(
-            tuple(accumulate((op.duration for op in reversed(job)), initial=0))[::-1]
-            for job in self.jobs
-        )
+    def job_work(self) -> tuple[int, ...]:
+        """Total processing time per job."""
+        return tuple(sum(op.duration for op in job) for job in self.jobs)
 
     @cached_property
     def machine_loads(self) -> tuple[int, ...]:

@@ -1,7 +1,7 @@
 """The five priority dispatching rules forming the policy action set.
 
-Rule keys over a ready operation (ties broken by lowest job index, then
-lowest operation index, everywhere); all but FIFO read the instance's tables:
+Rule keys over a ready job, whose candidate is its next operation (each
+key ends in the job, so ties go to the lowest job everywhere):
 
   FIFO  earliest arrival (completion of the job predecessor, 0 for first ops)
   SPT   smallest duration of the candidate operation
@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from .instance import Instance
-    from .sim import Policy, ReadyOp
+    from .sim import Policy, SimState
 
 
 class Heuristic(enum.Enum):
@@ -46,23 +46,24 @@ class Heuristic(enum.Enum):
 HEURISTICS = tuple(Heuristic)
 
 
-def apply(rule: Heuristic, ready: Sequence[ReadyOp], instance: Instance) -> ReadyOp:
-    """Return the best candidate under the rule's key; SPT reads the op's
-    duration, MWR the cached suffix work, MOR and LOR the ops left."""
+def apply(rule: Heuristic, ready: Sequence[int], state: SimState, instance: Instance) -> int:
+    """The ready job best under the rule's key; FIFO and MWR read the state,
+    SPT the candidate's duration, and MOR and LOR the job's operations left."""
     if not ready:
         raise ValueError("empty ready set")
-    jobs = instance.jobs
+    jobs, next_op = instance.jobs, state.job_next_op
     if rule is Heuristic.FIFO:
-        key = lambda c: (c.arrival, c.job, c.op_index)
+        arrival = state.job_ready_at
+        key = lambda j: (arrival[j], j)
     elif rule is Heuristic.SPT:
-        key = lambda c: (jobs[c.job][c.op_index].duration, c.job, c.op_index)
+        key = lambda j: (jobs[j][next_op[j]].duration, j)
     elif rule is Heuristic.MWR:
-        work = instance.suffix_work
-        key = lambda c: (-work[c.job][c.op_index], c.job, c.op_index)
+        work = state.job_work
+        key = lambda j: (-work[j], j)
     elif rule is Heuristic.MOR:
-        key = lambda c: (c.op_index - len(jobs[c.job]), c.job, c.op_index)
+        key = lambda j: (next_op[j] - len(jobs[j]), j)
     elif rule is Heuristic.LOR:
-        key = lambda c: (len(jobs[c.job]) - c.op_index, c.job, c.op_index)
+        key = lambda j: (len(jobs[j]) - next_op[j], j)
     else:
         raise ValueError(f"not a dispatching rule: {rule!r}")
     return min(ready, key=key)

@@ -8,7 +8,8 @@ clock but work remains, the clock jumps to the earliest time at which some
 operation becomes startable (the smallest max(job ready, machine free) over
 pending next-operations). Episodes therefore make exactly one policy call
 per operation and produce non-delay schedules. A job starts only its next
-operation, so a dispatch is named by its job: `step` takes a job number.
+operation, so a dispatch is named by its job: `ready_set` lists jobs, a
+rule picks one, and `step` takes its number.
 
 `SimState` holds only what the next decision reads: the clock, when each
 machine and job is next free, each job's next operation, and running
@@ -21,16 +22,12 @@ from the sorted list: one `ready_set` pass, the concept read-out, and one
 pass in `step` that both looks for a startable operation and finds the
 next event. Start times are not state; `run_episode` records them.
 
-A policy only picks a dispatching rule from the concept vector, and is a
-pure function of it; `run_episode` applies that rule to the ready set and
-records its name in the decision trace.
-
 Training asks for makespans only, and most of its episodes repeat an
 earlier dispatch sequence. `EpisodeTrie` caches the decisions of every
 episode it runs and answers a repeat by walking them, re-simulating only
 from the first new decision on; it counts at most `TRIE_MAX_NODES` decisions.
 Both it and `run_episode` simulate through the one loop in `_decisions`.
-A decision with a single ready op is forced: every rule picks it, so the
+A decision with a single ready job is forced: every rule picks it, so the
 trie keeps only its job and neither reads concepts nor calls the policy.
 """
 
@@ -38,7 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import pdr
 from .concepts import ConceptVector, extract
@@ -56,14 +53,6 @@ class SimState:
     machine_load: list[int]  # unscheduled processing time per machine
     job_work: list[int]  # unscheduled processing time per job
     durations: list[int]  # of the unscheduled operations, sorted; empty at the end
-
-
-class ReadyOp(NamedTuple):
-    """Job `job`'s next operation, `instance.jobs[job][op_index]`, startable now."""
-
-    job: int
-    op_index: int
-    arrival: int  # completion time of the job predecessor; 0 for first ops
 
 
 @dataclass(frozen=True)
@@ -87,22 +76,19 @@ def reset(instance: Instance) -> SimState:
         job_next_op=[0] * instance.num_jobs,
         job_ready_at=[0] * instance.num_jobs,
         machine_load=list(instance.machine_loads),
-        job_work=[work[0] for work in instance.suffix_work],
+        job_work=list(instance.job_work),
         durations=list(instance.durations),
     )
 
 
-def ready_set(state: SimState, instance: Instance) -> list[ReadyOp]:
-    """Operations startable now, ordered by job index for determinism."""
+def ready_set(state: SimState, instance: Instance) -> list[int]:
+    """The jobs whose next operation is startable now, in job order."""
     if not state.durations:
         raise ValueError("all operations scheduled")
     clock, free_at = state.clock, state.machine_free_at
-    ready = []
     pending = zip(instance.jobs, state.job_next_op, state.job_ready_at)
-    for job, (ops, k, arrival) in enumerate(pending):
-        if arrival <= clock and k < len(ops) and free_at[ops[k].machine] <= clock:
-            ready.append(ReadyOp(job, k, arrival))
-    return ready
+    return [job for job, (ops, k, arrival) in enumerate(pending)
+            if arrival <= clock and k < len(ops) and free_at[ops[k].machine] <= clock]
 
 
 def step(state: SimState, instance: Instance, job: int) -> SimState:
@@ -147,20 +133,20 @@ def step(state: SimState, instance: Instance, job: int) -> SimState:
 
 def _decisions(state: SimState, instance: Instance, policy: Policy, trace: bool):
     """The simulation loop: drive `state` to the end of its episode under
-    `policy`, yielding (ready, cv, rule, pick) at each decision and stepping
-    `pick`'s job on resuming. Without `trace`, a forced decision (one ready
-    op) takes it without reading the concepts or calling the policy."""
+    `policy`, yielding (cv, rule, pick) at each decision and stepping the
+    picked job on resuming. Without `trace`, a forced decision (one ready
+    job) takes it without reading the concepts or calling the policy."""
     for _ in range(len(state.durations)):
         ready = ready_set(state, instance)
         if trace or len(ready) > 1:
             cv = extract(state, instance, ready)
             rule = policy(cv)
-            pick = pdr.apply(rule, ready, instance)
+            pick = pdr.apply(rule, ready, state, instance)
         else:
             cv = rule = None
             pick = ready[0]
-        yield ready, cv, rule, pick
-        step(state, instance, pick.job)
+        yield cv, rule, pick
+        step(state, instance, pick)
 
 
 def run_episode(instance: Instance, policy: Policy) -> ScheduleResult:
@@ -168,8 +154,8 @@ def run_episode(instance: Instance, policy: Policy) -> ScheduleResult:
     state = reset(instance)
     starts = [[0] * len(job) for job in instance.jobs]
     decisions = []
-    for _, cv, rule, pick in _decisions(state, instance, policy, True):
-        starts[pick.job][pick.op_index] = state.clock  # a pick starts at its decision
+    for cv, rule, pick in _decisions(state, instance, policy, True):
+        starts[pick][state.job_next_op[pick]] = state.clock  # a pick starts at its decision
         decisions.append((cv, rule.value))
     # machines run their operations in dispatch order, so the last one ends last
     return ScheduleResult(
@@ -185,26 +171,24 @@ def run_pdr(instance: Instance, rule: pdr.Heuristic) -> ScheduleResult:
 
 
 # Cap on the decisions an EpisodeTrie takes in, forced ones included.
-# scripts/trie_bytes.py puts the trie of a budget-1000 training at 344 B per
-# decision on ft06 and 354 B on ta01, which needs 33k: 0.8-0.9 kB per decision
-# with a choice (ready set, concepts, edges, and the forced jobs before it).
+# scripts/trie_bytes.py puts the trie of a budget-1000 training at 227 B per
+# decision on ft06 and 217 B on ta01, which needs 33k: about half a kB per
+# decision with a choice (concepts, edges, and the forced jobs before it).
 TRIE_MAX_NODES = 50_000
 
 
 class _Branch:
     """A decision with a choice: the jobs of the forced picks that lead to it
-    from the pick before it, its ready set and concepts, and one dict of edges
-    from each rule tried here to the op of `ready` it picks and from each
-    picked job to the next decision with a choice, or to the makespan once
-    none is left. Rules and job numbers never compare equal; one dict costs
-    half what two do, and almost every node sees one rule and one child."""
+    from the pick before it, its concepts, and one dict of edges from each
+    rule tried here to the job it picks and from each picked job to the next
+    decision with a choice, or to the makespan once none is left. Rules and
+    job numbers never compare equal; one dict costs half what two do, and
+    almost every node sees one rule and one child."""
 
-    __slots__ = ("lead", "ready", "cv", "edges")
+    __slots__ = ("lead", "cv", "edges")
 
-    def __init__(self, lead: tuple[int, ...], ready: list[ReadyOp], cv: ConceptVector,
-                 rule: pdr.Heuristic, pick: ReadyOp):
+    def __init__(self, lead: tuple[int, ...], cv: ConceptVector, rule: pdr.Heuristic, pick: int):
         self.lead = lead
-        self.ready = ready
         self.cv = cv
         self.edges: dict = {rule: pick}
 
@@ -213,18 +197,19 @@ class EpisodeTrie:
     """Makespans of policies on one instance, cached as a trie of decisions.
 
     Episodes are deterministic: the state at a decision is a function of the
-    ops dispatched before it, and a policy is a pure function of the concept
+    jobs dispatched before it, and a policy is a pure function of the concept
     vector. A policy therefore walks the trie from the root, taking each
     node's forced lead and evaluating its own rule at the node's choice, down
     to a leaf (a cached makespan) or to the first edge no earlier episode
-    took. There the state is rebuilt by stepping the jobs picked on the way
-    from `reset`, and the rest of the episode runs through the same loop as
-    `run_episode`, storing each decision with a choice as a node that
-    carries the jobs of the forced run before it. `nodes` counts every
-    decision taken in; once it reaches `TRIE_MAX_NODES` the trie stops
-    growing, and the rest of each miss is simulated without being stored. A
-    forced run that ends the episode, or that the cap cuts off, is counted
-    but not stored: no walk reads it.
+    took. A node keeps no state: the walk builds one only when it needs it,
+    and `_catch_up` steps it along the jobs picked on the way. A rule new at
+    a known node picks from its ready set, and a miss runs the rest of the
+    episode from it through the same loop as `run_episode`, storing each
+    decision with a choice as a node that carries the jobs of the forced
+    run before it. `nodes` counts every decision taken in; once it reaches
+    `TRIE_MAX_NODES` the trie stops growing, and the rest of each miss is
+    simulated without being stored. A forced run that ends the episode, or
+    that the cap cuts off, is counted but not stored: no walk reads it.
     """
 
     def __init__(self, instance: Instance):
@@ -236,39 +221,47 @@ class EpisodeTrie:
     def makespan(self, policy: Policy) -> int:
         """The makespan of `run_episode(instance, policy)`."""
         instance = self.instance
-        edges, key, path = self._top, None, []
+        edges, key, path, state = self._top, None, [], None
         node = edges.get(key)
         while node is not None:
             if node.__class__ is int:
                 return node
             path += node.lead
             rule, edges = policy(node.cv), node.edges
-            pick = edges.get(rule)
-            if pick.__class__ is not ReadyOp:  # a rule new here, or a job number
-                pick = edges[rule] = pdr.apply(rule, node.ready, instance)
-            key = pick.job
+            key = edges.get(rule)
+            if key is None or rule.__class__ is not pdr.Heuristic:  # new here, or no rule
+                state = self._catch_up(state, path)
+                key = edges[rule] = pdr.apply(rule, ready_set(state, instance), state, instance)
             path.append(key)
             node = edges.get(key)
 
         self.misses += 1
-        state = reset(instance)
-        for job in path:
-            step(state, instance, job)
+        state = self._catch_up(state, path)
         lead = []
-        for ready, cv, rule, pick in _decisions(state, instance, policy, False):
+        for cv, rule, pick in _decisions(state, instance, policy, False):
             if edges is None or self.nodes >= TRIE_MAX_NODES:
                 edges = None
                 continue
             self.nodes += 1
             if cv is None:
-                lead.append(pick.job)
+                lead.append(pick)
             else:
-                node = edges[key] = _Branch(tuple(lead), ready, cv, rule, pick)
-                edges, key, lead = node.edges, pick.job, []
+                node = edges[key] = _Branch(tuple(lead), cv, rule, pick)
+                edges, key, lead = node.edges, pick, []
         makespan = max(state.machine_free_at)
         if edges is not None:
             edges[key] = makespan
         return makespan
+
+    def _catch_up(self, state: SimState | None, path: list[int]) -> SimState:
+        """`state` (a fresh one if None) stepped along the jobs of `path` it
+        has not taken; it has taken one per scheduled operation."""
+        instance = self.instance
+        if state is None:
+            state = reset(instance)
+        for job in path[len(instance.durations) - len(state.durations):]:
+            step(state, instance, job)
+        return state
 
 
 def schedule_csv(result: ScheduleResult, instance: Instance) -> str:

@@ -339,13 +339,24 @@ def recording_attempts(monkeypatch) -> list[tuple[int, float]]:
     return tried
 
 
+def unchecked_config(**fields) -> BoConfig:
+    """A BoConfig holding values its checks refuse, set after them."""
+    config = BoConfig()
+    for name, value in fields.items():
+        object.__setattr__(config, name, value)
+    return config
+
+
 def test_jitter_past_the_ceiling_raises(monkeypatch):
     # at signal_var 1e30 every jitter up to the ceiling vanishes against the
-    # kernel values, so copies of one input stay singular at each step
+    # kernel values, so copies of one input stay singular at each step; that
+    # is why BoConfig refuses it, and the model is given it past the check
+    with pytest.raises(ValueError, match="signal_var must be in"):
+        BoConfig(signal_var=1e30)
     tried = recording_attempts(monkeypatch)
     points = dataset_from([((0.0,) * 6, -1.0), ((0.0,) * 6, -2.0), ((0.0,) * 6, -3.0)])
     with pytest.raises(RuntimeError, match="maximum jitter"):
-        fit(points, BoConfig(signal_var=1e30))
+        fit(points, unchecked_config(signal_var=1e30))
     # the first point factors; the second fails at its own row, then from row
     # 0 at 1e-5, 1e-4, 1e-3 and the ceiling, 1e-2
     assert [start for start, _ in tried] == [0, 1, 0, 0, 0, 0]
@@ -358,7 +369,7 @@ def test_jitter_from_a_tiny_start_still_tries_the_ceiling(monkeypatch):
     tried = recording_attempts(monkeypatch)
     points = dataset_from([((0.0,) * 6, -1.0), ((0.0,) * 6, -2.0), ((0.0,) * 6, -3.0)])
     with pytest.raises(RuntimeError, match="maximum jitter"):
-        fit(points, BoConfig(signal_var=1e30, jitter=1e-16))
+        fit(points, unchecked_config(signal_var=1e30, jitter=1e-16))
     assert len(tried) == 1 + 15  # 1e-16 up to 1e-2
     assert tried[-1][1] == pytest.approx(_JITTER_CEILING, rel=1e-12)
 

@@ -6,6 +6,8 @@ import concurrent.futures
 import csv
 import math
 import os
+import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,6 +149,52 @@ def test_bad_set_value_is_usage_error(tmp_path, capsys, tiny_path, pair, command
         argv = ["bench", "--dir", str(inst_dir), "--methods", method, "--budget", "4"]
     assert main(argv + ["--set", pair]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+def _training_argv(tmp_path, command: str, seed: int = 0) -> list[str]:
+    """A budget-40 training on ft06 with one candidate per generation, so
+    that its tunings fit and grow a GP, run by `train` or by `bench`."""
+    if command == "train":
+        argv = ["train", "--instance", FT06, "--seed", str(seed)]
+    else:
+        inst_dir = tmp_path / "instances"
+        inst_dir.mkdir(exist_ok=True)
+        (inst_dir / "ft06.txt").write_text(Path(FT06).read_text())
+        argv = ["bench", "--dir", str(inst_dir), "--methods", "prorl", "--seeds", str(seed)]
+    return argv + ["--budget", "40", "--set", "search.lambda=1"]
+
+
+@pytest.mark.parametrize("pairs, field", [
+    (["bo.length_scale=1e-200"], "length_scale"),  # l**2 underflows to 0: a NaN kernel
+    (["bo.length_scale=1e-162"], "length_scale"),
+    (["bo.length_scale=1e200"], "length_scale"),  # l**2 raises OverflowError
+    (["bo.length_scale=1.4e154"], "length_scale"),
+    (["bo.signal_var=1e308", "bo.jitter=1e308"], "signal_var"),  # no jitter can factor it
+])
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_gp_settings_no_tuning_can_factor_are_usage_errors(tmp_path, capsys, pairs, field, command):
+    # each of these once trained and failed with the internal-error exit 4
+    sets = [arg for pair in pairs for arg in ("--set", pair)]
+    assert main(_training_argv(tmp_path, command) + sets) == 2
+    assert f"usage error: {field} must be in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, low, high", [
+    ("length_scale", *bo.LENGTH_SCALE_RANGE),
+    ("signal_var", math.ulp(0.0), bo.MAX_SIGNAL_VAR),
+    ("jitter", math.ulp(0.0), sys.float_info.max),
+])
+def test_gp_settings_across_their_accepted_range_train(tmp_path, capsys, field, low, high):
+    # both ends and seeded log-uniform draws between them train; the
+    # neighbouring doubles outside the range are usage errors
+    rng = random.Random(f"gp {field}")
+    values = [low, high] + [10 ** rng.uniform(math.log10(low), math.log10(high)) for _ in range(6)]
+    for value in values:
+        argv = _training_argv(tmp_path, "train", seed=rng.randrange(1000))
+        assert main(argv + ["--set", f"bo.{field}={value!r}"]) == 0, value
+    for value in (math.nextafter(low, -math.inf), math.nextafter(high, math.inf)):
+        assert main(_training_argv(tmp_path, "train") + ["--set", f"bo.{field}={value!r}"]) == 2, value
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["train", "bench", "bench-fifo"])
@@ -363,6 +411,45 @@ def test_eval_malformed_policy_io_error(tmp_path, capsys, tiny_path, doc, fragme
     assert main(["eval", "--instance", tiny_path, "--policy", str(bad)]) == 3
     err = capsys.readouterr().err
     assert fragment in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ("[1]", "expected an object node, got list"),
+    ('{"kind": "if", "weights": [1, 0, 0, 0, 0, 0], "then": ' + SPT_LEAF + "}",
+     "if-node needs 'then' and 'else' branches"),
+], ids=["list-document", "no-else"])
+def test_eval_policy_missing_a_node_io_error(tmp_path, capsys, tiny_path, doc, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    assert main(["eval", "--instance", tiny_path, "--policy", str(bad)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["pdr", "train"])
+def test_instance_with_a_line_after_the_last_job_io_error(tmp_path, capsys, command):
+    path = tmp_path / "long.txt"
+    path.write_text(TINY_2X2 + "\n0 1 1 1\n")
+    extra = ["--rule", "spt"] if command == "pdr" else ["--budget", "0"]
+    assert main([command, "--instance", str(path)] + extra) == 3
+    assert capsys.readouterr().err == "error: line 4: trailing content after last job line\n"
+
+
+def test_bks_line_with_no_instance_name_io_error(tmp_path, capsys, tiny_path):
+    bks = tmp_path / "bks.csv"
+    bks.write_text(",5\n")
+    assert main(["pdr", "--instance", tiny_path, "--rule", "spt", "--bks", str(bks)]) == 3
+    assert capsys.readouterr().err == "error: line 1: empty instance name\n"
+
+
+@pytest.mark.parametrize("pair, message", [
+    ("bo.beta", "--set expects key=value, got 'bo.beta'"),
+    ("bo.init_points=0", "bad acquisition/iteration settings"),
+])
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_set_without_a_value_or_init_points_usage_error(tmp_path, capsys, pair, message, command):
+    argv = _training_argv(tmp_path, command)
+    assert main(argv + ["--set", pair]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_bench_table_and_csv(tmp_path, capsys, bks_path):

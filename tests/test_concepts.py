@@ -47,14 +47,14 @@ def test_single_remaining_job_jd_zero(inst_2x2):
     state = sim.reset(inst_2x2)
     # dispatch until exactly one job still has operations left
     while sum(1 for j in range(2) if state.job_next_op[j] < 2) > 1:
-        sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0].job)
+        sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0])
     assert sum(len(job) - k for job, k in zip(inst_2x2.jobs, state.job_next_op)) > 0
     assert extract(state, inst_2x2, sim.ready_set(state, inst_2x2)).jd == 0.0
 
 
 def test_error_when_all_scheduled(inst_1x1):
     state = sim.reset(inst_1x1)
-    sim.step(state, inst_1x1, sim.ready_set(state, inst_1x1)[0].job)
+    sim.step(state, inst_1x1, sim.ready_set(state, inst_1x1)[0])
     with pytest.raises(ValueError):
         extract(state, inst_1x1, [])
 
@@ -71,7 +71,7 @@ def test_ranges_and_am_exactness_along_episodes():
                 assert 0.0 <= value <= 1.0
             free = sum(1 for t in state.machine_free_at if t <= state.clock)
             assert cv.am * inst.num_machines == pytest.approx(free)
-            sim.step(state, inst, ready[rng.randrange(len(ready))].job)
+            sim.step(state, inst, ready[rng.randrange(len(ready))])
 
 
 def test_ao_denominator_depletes_by_one_per_step(inst_2x2):
@@ -79,7 +79,7 @@ def test_ao_denominator_depletes_by_one_per_step(inst_2x2):
     denominators = []
     for _ in range(len(inst_2x2.durations)):
         denominators.append(sum(len(job) - k for job, k in zip(inst_2x2.jobs, state.job_next_op)))
-        sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0].job)
+        sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0])
     assert denominators == [4, 3, 2, 1]
 
 
@@ -103,11 +103,11 @@ def test_scale_invariance_of_normalized_concepts():
             assert cv_a.jd == pytest.approx(cv_b.jd)
             assert cv_a.st == pytest.approx(cv_b.st)
             # drive both with the same count-based rule to stay in lockstep
-            pick_a = apply(Heuristic.MOR, ready_a, inst)
-            pick_b = apply(Heuristic.MOR, ready_b, big)
-            assert (pick_a.job, pick_a.op_index) == (pick_b.job, pick_b.op_index)
-            sim.step(state_a, inst, pick_a.job)
-            sim.step(state_b, big, pick_b.job)
+            pick_a = apply(Heuristic.MOR, ready_a, state_a, inst)
+            pick_b = apply(Heuristic.MOR, ready_b, state_b, big)
+            assert (pick_a, state_a.job_next_op[pick_a]) == (pick_b, state_b.job_next_op[pick_b])
+            sim.step(state_a, inst, pick_a)
+            sim.step(state_b, big, pick_b)
 
 
 def test_incremental_concepts_match_from_scratch_oracle():
@@ -121,4 +121,4 @@ def test_incremental_concepts_match_from_scratch_oracle():
             expected = reference_concepts(state, inst)
             ready = sim.ready_set(state, inst)
             assert extract(state, inst, ready) == expected
-            sim.step(state, inst, ready[rng.randrange(len(ready))].job)
+            sim.step(state, inst, ready[rng.randrange(len(ready))])

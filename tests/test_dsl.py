@@ -393,6 +393,16 @@ def test_deserialize_is_strict(doc, fragment):
         deserialize(doc)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ("[1]", "expected an object node, got list"),
+    ('{"kind": "if", "weights": [1, 0, 0, 0, 0, 0], "then": {"kind": "action", "heuristic": "SPT"}}',
+     "if-node needs 'then' and 'else' branches"),
+], ids=["list-document", "no-else"])
+def test_deserialize_names_a_missing_node(doc, message):
+    with pytest.raises(PolicyFormatError, match=f"^{message}$"):
+        deserialize(doc)
+
+
 def test_deserialize_rejects_depth_violation():
     obj = '{"kind": "action", "heuristic": "SPT"}'
     for _ in range(5):

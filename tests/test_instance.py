@@ -185,7 +185,7 @@ def test_formats_agree_on_same_problem():
 def test_derived_tables_2x2():
     # J0 = (M0,3)(M1,2), J1 = (M1,2)(M0,4)
     inst = parse_standard(TINY_2X2, "tiny")
-    assert inst.suffix_work == ((5, 2, 0), (6, 4, 0))
+    assert inst.job_work == (5, 6)
     assert inst.machine_loads == (7, 4)
     assert inst.durations == (2, 2, 3, 4)
 
@@ -196,6 +196,23 @@ def test_instance_refuses_empty_dimensions():
         Instance("z", 0, 0, ())
     with pytest.raises(ValueError, match="bad dimensions 1x0"):
         Instance("z", 1, 0, ((),))
+
+
+def test_parse_standard_refuses_a_line_after_the_last_job():
+    with pytest.raises(ParseError, match=r"^line 4: trailing content after last job line$"):
+        parse_standard(TINY_2X2 + "\n0 1 1 1\n")
+
+
+@pytest.mark.parametrize("jobs, message", [
+    (((Operation(0, 1),),), "z: job count mismatch"),  # two jobs declared, one given
+    (((Operation(0, 1),), (Operation(2, 1),)), "z: job 1 uses machine 2, have 2"),
+    (((Operation(0, 1),), (Operation(1, 0),)), "z: job 1 has duration 0"),
+])
+def test_instance_built_in_code_is_checked(jobs, message):
+    # the parsers refuse these with a line number first, so only an
+    # Instance built in code reaches its own checks
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Instance("z", 2, 2, jobs)
 
 
 def test_instance_rejects_repeated_machine_visit():
@@ -209,6 +226,11 @@ def test_load_bks():
     assert "nope" not in table
     with pytest.raises(KeyError):
         table["nope"]
+
+
+def test_load_bks_refuses_an_empty_instance_name():
+    with pytest.raises(ParseError, match=r"^line 1: empty instance name$"):
+        load_bks(",5")
 
 
 @pytest.mark.parametrize(

@@ -11,11 +11,13 @@ from conftest import all_nondelay_makespans, random_instance
 from prorl import sim
 from prorl.instance import Instance, Operation, parse_standard
 from prorl.pdr import Heuristic, apply
-from prorl.sim import ReadyOp, run_pdr
+from prorl.sim import run_pdr
 
 
 def ready(inst):
-    return sim.ready_set(sim.reset(inst), inst)
+    """The initial ready set and the state it was read from, in `apply`'s order."""
+    state = sim.reset(inst)
+    return sim.ready_set(state, inst), state
 
 
 def test_parse_round_trip_case_insensitive():
@@ -44,19 +46,19 @@ def test_rules_key_dicts_by_identity():
 
 
 def test_spt_picks_shorter(inst_2x2):
-    pick = apply(Heuristic.SPT, ready(inst_2x2), inst_2x2)
-    assert (pick.job, inst_2x2.jobs[pick.job][pick.op_index].duration) == (1, 2)
+    pick = apply(Heuristic.SPT, *ready(inst_2x2), inst_2x2)
+    assert (pick, inst_2x2.jobs[pick][0].duration) == (1, 2)
 
 
 def test_mwr_picks_heavier_job(inst_2x2):
     # remaining work: J0 = 3 + 2 = 5, J1 = 2 + 4 = 6
-    pick = apply(Heuristic.MWR, ready(inst_2x2), inst_2x2)
-    assert pick.job == 1
+    pick = apply(Heuristic.MWR, *ready(inst_2x2), inst_2x2)
+    assert pick == 1
 
 
 def test_mor_tie_breaks_to_lowest_job(inst_2x2):
-    pick = apply(Heuristic.MOR, ready(inst_2x2), inst_2x2)
-    assert pick.job == 0
+    pick = apply(Heuristic.MOR, *ready(inst_2x2), inst_2x2)
+    assert pick == 0
 
 
 def test_count_rules_on_jobs_of_uneven_length():
@@ -68,24 +70,28 @@ def test_count_rules_on_jobs_of_uneven_length():
     ))
     state = sim.reset(inst)
     first = sim.ready_set(state, inst)
-    assert [(c.job, c.op_index) for c in first] == [(0, 0), (1, 0)]
-    assert apply(Heuristic.MOR, first, inst).job == 0  # 3 operations left against 1
-    assert apply(Heuristic.LOR, first, inst).job == 1
-    sim.step(state, inst, first[0].job)
+    assert [(j, state.job_next_op[j]) for j in first] == [(0, 0), (1, 0)]
+    assert apply(Heuristic.MOR, first, state, inst) == 0  # 3 operations left against 1
+    assert apply(Heuristic.LOR, first, state, inst) == 1
+    sim.step(state, inst, first[0])
     later = sim.ready_set(state, inst)
-    assert state.clock == 1 and [(c.job, c.op_index) for c in later] == [(0, 1), (1, 0)]
-    assert apply(Heuristic.MOR, later, inst).job == 0  # 2 left against 1
-    assert apply(Heuristic.LOR, later, inst).job == 1
+    assert state.clock == 1 and [(j, state.job_next_op[j]) for j in later] == [(0, 1), (1, 0)]
+    assert apply(Heuristic.MOR, later, state, inst) == 0  # 2 left against 1
+    assert apply(Heuristic.LOR, later, state, inst) == 1
     # J0's last operation leaves 1, as J1's only one does: a tie, to job 0
-    last = [ReadyOp(0, 2, 2), ReadyOp(1, 0, 0)]
-    assert apply(Heuristic.MOR, last, inst).job == apply(Heuristic.LOR, last, inst).job == 0
+    # (the rules read only the state, so both jobs are offered although
+    # J0's last operation waits for its second, which ends at t = 2)
+    sim.step(state, inst, later[0])
+    assert state.job_next_op == [2, 0] and state.job_ready_at == [2, 0]
+    last = [0, 1]
+    assert apply(Heuristic.MOR, last, state, inst) == apply(Heuristic.LOR, last, state, inst) == 0
     assert run_pdr(inst, Heuristic.MOR).start_times == ((0, 1, 2), (1,))
     assert run_pdr(inst, Heuristic.LOR).start_times == ((1, 2, 3), (0,))
 
 
 def test_apply_rejects_empty_ready(inst_2x2):
     with pytest.raises(ValueError):
-        apply(Heuristic.SPT, [], inst_2x2)
+        apply(Heuristic.SPT, [], sim.reset(inst_2x2), inst_2x2)
 
 
 @pytest.mark.parametrize("rule", ["MWR", "LOR", None, 3, 1])
@@ -95,7 +101,7 @@ def test_apply_rejects_a_rule_that_is_no_heuristic(ft06, rule):
     # run_episode failed later with an AttributeError; 1 is a job number,
     # which a trie node keys in the same dict as its rules
     with pytest.raises(ValueError, match="not a dispatching rule"):
-        apply(rule, ready(ft06), ft06)
+        apply(rule, *ready(ft06), ft06)
     policy = lambda cv: rule
     with pytest.raises(ValueError, match="not a dispatching rule"):
         sim.run_episode(ft06, policy)
@@ -110,7 +116,7 @@ def test_apply_rejects_a_rule_that_is_no_heuristic(ft06, rule):
 
 def test_apply_is_pure(inst_2x2):
     r = ready(inst_2x2)
-    picks = {apply(Heuristic.FIFO, r, inst_2x2) for _ in range(5)}
+    picks = {apply(Heuristic.FIFO, *r, inst_2x2) for _ in range(5)}
     assert len(picks) == 1
 
 
@@ -121,7 +127,7 @@ def test_chosen_always_in_ready_set():
         state = sim.reset(inst)
         r = sim.ready_set(state, inst)
         for rule in Heuristic:
-            assert apply(rule, r, inst) in r
+            assert apply(rule, r, state, inst) in r
 
 
 def test_all_rules_reach_seven_on_2x2(inst_2x2):
@@ -150,9 +156,9 @@ def test_count_rules_invariant_under_duration_scaling(rule):
             seq = []
             state = sim.reset(instance)
             for _ in range(len(instance.durations)):
-                pick = apply(rule, sim.ready_set(state, instance), instance)
-                seq.append((pick.job, pick.op_index))
-                sim.step(state, instance, pick.job)
+                pick = apply(rule, sim.ready_set(state, instance), state, instance)
+                seq.append((pick, state.job_next_op[pick]))
+                sim.step(state, instance, pick)
             return seq
 
         assert dispatch_sequence(inst) == dispatch_sequence(big)
@@ -164,7 +170,7 @@ def test_spt_on_single_machine_sorts_by_duration():
     state = sim.reset(inst)
     order = []
     for _ in range(3):
-        pick = apply(Heuristic.SPT, sim.ready_set(state, inst), inst)
-        order.append(inst.jobs[pick.job][pick.op_index].duration)
-        sim.step(state, inst, pick.job)
+        pick = apply(Heuristic.SPT, sim.ready_set(state, inst), state, inst)
+        order.append(inst.jobs[pick][state.job_next_op[pick]].duration)
+        sim.step(state, inst, pick)
     assert order == [2, 5, 7]

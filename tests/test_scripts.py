@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from conftest import DATA_DIR
+from prorl import sim
 from prorl.dsl import serialize
 from prorl.instance import load_instance_file
 from prorl.search import SearchConfig, train, training_log_csv
@@ -74,17 +75,36 @@ def test_time_gp_reports_every_shape():
         assert abs(row["round_us"] - row["add_us"] - row["propose_us"]) <= 0.11
 
 
-def test_trie_bytes_reports_every_instance():
+def test_trie_bytes_reports_every_instance(monkeypatch):
     sizes = run_script("trie_bytes.py", "--budget", "10")
     assert list(sizes) == ["ft06", "ft10", "ta01"]
     for entry in sizes.values():
-        assert list(entry) == ["trie_bytes", "trie_nodes", "distinct_episodes", "bytes_per_decision"]
+        assert list(entry) == ["trie_bytes", "trie_nodes", "distinct_episodes", "bytes_per_decision",
+                               "step_calls", "ready_set_calls"]
         assert entry["trie_bytes"] > 0 and entry["trie_nodes"] > 0
         assert entry["bytes_per_decision"] == round(entry["trie_bytes"] / entry["trie_nodes"], 1)
+        # every decision the trie took in was stepped and read by a miss
+        assert entry["step_calls"] >= entry["trie_nodes"]
+        assert entry["ready_set_calls"] >= entry["trie_nodes"]
+    counts = {"step": 0, "ready_set": 0}
+
+    def counting(name):
+        real = getattr(sim, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(sim, name, counting(name))
     instance = load_instance_file(str(DATA_DIR / "instances" / "ft06.txt"), "standard")
     _, state = train(instance, SearchConfig(episode_budget=10, seed=0))
     assert (sizes["ft06"]["trie_nodes"], sizes["ft06"]["distinct_episodes"]) == (
         state.trie_nodes, state.distinct_episodes)
+    assert (sizes["ft06"]["step_calls"], sizes["ft06"]["ready_set_calls"]) == (
+        counts["step"], counts["ready_set"])
 
 
 def test_fingerprint_matches_an_in_process_training():

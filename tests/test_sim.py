@@ -32,25 +32,27 @@ def test_reset(inst_2x2):
 
 
 def test_ready_set_initial(inst_2x2):
-    ready = sim.ready_set(sim.reset(inst_2x2), inst_2x2)
-    ops = [(r.job, r.op_index, inst_2x2.jobs[r.job][r.op_index].duration) for r in ready]
+    state = sim.reset(inst_2x2)
+    ready = sim.ready_set(state, inst_2x2)
+    assert ready == [0, 1]
+    ops = [(j, state.job_next_op[j], inst_2x2.jobs[j][state.job_next_op[j]].duration) for j in ready]
     assert ops == [(0, 0, 3), (1, 0, 2)]
-    assert all(r.arrival == 0 for r in ready)
+    assert all(state.job_ready_at[j] == 0 for j in ready)
 
 
 def test_ready_set_after_one_dispatch(inst_2x2):
     state = sim.reset(inst_2x2)
     ready = sim.ready_set(state, inst_2x2)
-    sim.step(state, inst_2x2, ready[1].job)  # J1-op0 on M1, duration 2
+    sim.step(state, inst_2x2, ready[1])  # J1-op0 on M1, duration 2
     assert state.machine_free_at[1] == 2
     assert state.job_ready_at[1] == 2
     remaining = sim.ready_set(state, inst_2x2)
-    assert [(r.job, r.op_index) for r in remaining] == [(0, 0)]
+    assert [(j, state.job_next_op[j]) for j in remaining] == [(0, 0)]
 
 
 def test_ready_set_error_when_everything_scheduled(inst_1x1):
     state = sim.reset(inst_1x1)
-    sim.step(state, inst_1x1, sim.ready_set(state, inst_1x1)[0].job)
+    sim.step(state, inst_1x1, sim.ready_set(state, inst_1x1)[0])
     with pytest.raises(ValueError):
         sim.ready_set(state, inst_1x1)
 
@@ -60,25 +62,25 @@ def test_clock_advance_matches_hand_simulation(inst_2x2):
     # at 2) but is job-ready at 3; J1-op1 needs M0 (free at 3) and is
     # job-ready at 2 -> next decision at t=3 with both ops ready
     state = sim.reset(inst_2x2)
-    sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0].job)
-    sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0].job)
+    sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0])
+    sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0])
     assert state.clock == 3
     ready = sim.ready_set(state, inst_2x2)
-    assert [(r.job, r.op_index) for r in ready] == [(0, 1), (1, 1)]
+    assert [(j, state.job_next_op[j]) for j in ready] == [(0, 1), (1, 1)]
 
 
 def test_step_rejects_non_ready_pick(inst_2x2):
     state = sim.reset(inst_2x2)
     ready = sim.ready_set(state, inst_2x2)
-    sim.step(state, inst_2x2, ready[0].job)
+    sim.step(state, inst_2x2, ready[0])
     with pytest.raises(ValueError):
-        sim.step(state, inst_2x2, ready[0].job)  # stale pick: J0 already advanced
+        sim.step(state, inst_2x2, ready[0])  # stale pick: J0 already advanced
 
 
 def test_step_rejects_a_job_with_no_operation_left(inst_2x2):
     state = sim.reset(inst_2x2)
     for _ in range(len(inst_2x2.durations)):
-        sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0].job)
+        sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0])
     done = copy.deepcopy(state)
     for job in (0, 1):
         with pytest.raises(ValueError, match=f"^job {job} has no operation left"):
@@ -97,14 +99,14 @@ def test_step_rejects_a_job_whose_next_operation_is_not_startable():
     ))
     state = sim.reset(inst)
     sim.step(state, inst, 0)
-    assert state.clock == 0 and [r.job for r in sim.ready_set(state, inst)] == [2]
+    assert state.clock == 0 and sim.ready_set(state, inst) == [2]
     before = copy.deepcopy(state)
     with pytest.raises(ValueError, match=r"^job 1's next operation J1-op0 is not startable at t=0"):
         sim.step(state, inst, 1)
     assert state == before
     state = sim.reset(inst)
     sim.step(state, inst, 1)
-    assert state.clock == 0 and [r.job for r in sim.ready_set(state, inst)] == [2]
+    assert state.clock == 0 and sim.ready_set(state, inst) == [2]
     with pytest.raises(ValueError, match=r"^job 1's next operation J1-op1 is not startable at t=0"):
         sim.step(state, inst, 1)
 
@@ -148,9 +150,9 @@ def test_policy_picks_a_rule_and_the_episode_applies_it():
             state = sim.reset(inst)
             starts = [[None] * len(job) for job in inst.jobs]
             for _ in range(len(inst.durations)):
-                pick = apply(rule, sim.ready_set(state, inst), inst)
-                starts[pick.job][pick.op_index] = state.clock  # a pick starts at its decision
-                sim.step(state, inst, pick.job)
+                pick = apply(rule, sim.ready_set(state, inst), state, inst)
+                starts[pick][state.job_next_op[pick]] = state.clock  # a pick starts at its decision
+                sim.step(state, inst, pick)
             assert result.start_times == tuple(map(tuple, starts))
 
 
@@ -180,7 +182,7 @@ def test_state_durations_are_the_sorted_unscheduled_ones():
         assert state.durations == _unscheduled_durations(state, inst)
         for _ in range(len(inst.durations)):
             ready = sim.ready_set(state, inst)
-            sim.step(state, inst, ready[rng.randrange(len(ready))].job)
+            sim.step(state, inst, ready[rng.randrange(len(ready))])
             assert state.durations == _unscheduled_durations(state, inst)
         assert state.durations == []
 
@@ -240,10 +242,10 @@ def test_non_delay_property():
             ready = sim.ready_set(state, inst)
             assert ready, "decision point with an empty ready set"
             scheduled_now = [
-                r for r in ready if result.start_times[r.job][r.op_index] == state.clock
+                j for j in ready if result.start_times[j][state.job_next_op[j]] == state.clock
             ]
             assert scheduled_now, "machine left idle while an operation was startable"
-            sim.step(state, inst, scheduled_now[0].job)
+            sim.step(state, inst, scheduled_now[0])
 
 
 def test_schedule_csv_sorted(inst_2x2):
@@ -299,18 +301,18 @@ def test_trie_past_its_node_cap_simulates_plainly(monkeypatch, cap):
 
 def _picks(inst, policy) -> list[tuple[int, int]]:
     """The job picked at each decision of `run_episode(inst, policy)`, with
-    the number of ops that were ready there."""
+    the number of jobs that were ready there."""
     state, picks = sim.reset(inst), []
     for _ in range(len(inst.durations)):
         ready = sim.ready_set(state, inst)
-        pick = apply(policy(extract(state, inst, ready)), ready, inst)
-        picks.append((pick.job, len(ready)))
-        sim.step(state, inst, pick.job)
+        pick = apply(policy(extract(state, inst, ready)), ready, state, inst)
+        picks.append((pick, len(ready)))
+        sim.step(state, inst, pick)
     return picks
 
 
 def _choices(inst, policy) -> tuple[int, int]:
-    """Decisions of `run_episode(inst, policy)` with more than one ready op,
+    """Decisions of `run_episode(inst, policy)` with more than one ready job,
     and those with exactly one."""
     choices = sum(n > 1 for _, n in _picks(inst, policy))
     return choices, len(inst.durations) - choices
@@ -333,7 +335,7 @@ def test_trie_nodes_count_the_distinct_decisions_up_to_the_cap(monkeypatch, cap)
 
 @pytest.mark.parametrize("cap", [sim.TRIE_MAX_NODES, 0])
 def test_trie_calls_the_policy_once_per_choice(monkeypatch, cap):
-    # a forced decision (one ready op) never reaches the policy, walked or
+    # a forced decision (one ready job) never reaches the policy, walked or
     # simulated; every decision with a choice reaches it exactly once
     monkeypatch.setattr(sim, "TRIE_MAX_NODES", cap)
     forced_seen = 0
@@ -353,3 +355,52 @@ def test_trie_calls_the_policy_once_per_choice(monkeypatch, cap):
                 assert trie.makespan(counting) == sim.run_episode(inst, policy).makespan
                 assert len(calls) == choices
     assert forced_seen > 0
+
+
+def test_trie_node_keeps_no_state():
+    # a node holds its forced lead, its concepts and its edges; the ready
+    # set is read from the walk's own state when a rule is new there
+    assert sim._Branch.__slots__ == ("lead", "cv", "edges")
+
+
+def test_trie_walks_that_try_a_new_rule_at_known_nodes(monkeypatch):
+    # after a base policy's episode is known, a policy that follows it but
+    # plays another rule at one of its decisions tries a rule new at a known
+    # node: the walk catches its state up there and goes on into a known
+    # child, a cached makespan or a miss. The counts must be those of the
+    # distinct episodes and decision prefixes, as if no node were shared
+    ready_calls = []
+    real_ready_set = sim.ready_set
+
+    def counted_ready_set(*args):
+        ready_calls.append(args)
+        return real_ready_set(*args)
+
+    monkeypatch.setattr(sim, "ready_set", counted_ready_set)
+    rng = random.Random(84)
+    cached_after_a_new_rule = 0
+    for inst, policies, queries in _trie_queries(random.Random(84)):
+        trie, episodes, prefixes = sim.EpisodeTrie(inst), set(), set()
+        for base in queries[:len(policies)]:
+            state, choices = sim.reset(inst), []
+            for _ in range(len(inst.durations)):
+                ready = real_ready_set(state, inst)
+                cv = extract(state, inst, ready)
+                if len(ready) > 1:
+                    choices.append(cv)
+                sim.step(state, inst, apply(base(cv), ready, state, inst))
+            walks = [base]
+            for at in rng.sample(choices, min(2, len(choices))):
+                walks += [lambda cv, at=at, rule=rule, base=base: rule if cv == at else base(cv)
+                          for rule in HEURISTICS]
+            for policy in walks:
+                misses = trie.misses
+                ready_calls.clear()
+                answer = trie.makespan(policy)
+                cached_after_a_new_rule += trie.misses == misses and bool(ready_calls)
+                assert answer == sim.run_episode(inst, policy).makespan
+                jobs = tuple(job for job, _ in _picks(inst, policy))
+                episodes.add(jobs)
+                prefixes.update(jobs[:i] for i in range(len(jobs)))
+        assert (trie.misses, trie.nodes) == (len(episodes), len(prefixes))
+    assert cached_after_a_new_rule > 0
