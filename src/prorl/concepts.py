@@ -41,10 +41,6 @@ class ConceptVector(NamedTuple):
     st: float
 
 
-def _spread(max_value: float, min_value: float) -> float:
-    return (max_value - min_value) / max_value if max_value > 0 else 0.0
-
-
 def extract(state: SimState, instance: Instance, ready: Sequence[int]) -> ConceptVector:
     """Compute the concept vector for the pending decision; `ready` is the
     simulator's ready set of jobs at the clock."""
@@ -56,8 +52,14 @@ def extract(state: SimState, instance: Instance, ready: Sequence[int]) -> Concep
     am = len([t for t in state.machine_free_at if t <= clock]) / instance.num_machines
     ao = len(ready) / len(durations)
     loads = state.machine_load
-    ld = _spread(max(loads), min(loads))
+    high, low = max(loads), min(loads)
+    ld = (high - low) / high if high > 0 else 0.0
+    # work left and durations are positive, so neither max below is 0
     work = [w for w in state.job_work if w]  # jobs with nothing left are excluded
-    jd = _spread(max(work), min(work)) if len(work) > 1 else 0.0
-    st = _spread(durations[-1], durations[0])
-    return ConceptVector(ld=ld, am=am, ao=ao, jd=jd, st=st)
+    jd = 0.0
+    if len(work) > 1:
+        high, low = max(work), min(work)
+        jd = (high - low) / high
+    st = (durations[-1] - durations[0]) / durations[-1]
+    # tuple.__new__ skips the keyword constructor, which costs four times as much
+    return tuple.__new__(ConceptVector, (ld, am, ao, jd, st))

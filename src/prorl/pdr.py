@@ -51,6 +51,10 @@ def apply(rule: Heuristic, ready: Sequence[int], state: SimState, instance: Inst
     SPT the candidate's duration, and MOR and LOR the job's operations left."""
     if not ready:
         raise ValueError("empty ready set")
+    if rule.__class__ is not Heuristic:
+        raise ValueError(f"not a dispatching rule: {rule!r}")
+    if len(ready) == 1:  # every key picks a lone job
+        return ready[0]
     jobs, next_op = instance.jobs, state.job_next_op
     if rule is Heuristic.FIFO:
         arrival = state.job_ready_at
@@ -62,10 +66,8 @@ def apply(rule: Heuristic, ready: Sequence[int], state: SimState, instance: Inst
         key = lambda j: (-work[j], j)
     elif rule is Heuristic.MOR:
         key = lambda j: (next_op[j] - len(jobs[j]), j)
-    elif rule is Heuristic.LOR:
+    else:  # LOR
         key = lambda j: (len(jobs[j]) - next_op[j], j)
-    else:
-        raise ValueError(f"not a dispatching rule: {rule!r}")
     return min(ready, key=key)
 
 

@@ -1,8 +1,9 @@
 """Shared fixtures: tiny instances, random-instance generation, instance
 writers for the parser round trips, a seeded text mutator for the boundary
-fuzz, brute-force and reference oracles (a tree-walking program router, a
-tree-walking program size, a schedule feasibility check, a BO inner loop
-that refits its GP every round), and one-query helpers over the library."""
+fuzz, brute-force and reference oracles (the ready set and the next event
+by a scan of every job, a tree-walking program router, a tree-walking
+program size, a schedule feasibility check, a BO inner loop that refits its
+GP every round), and one-query helpers over the library."""
 
 from __future__ import annotations
 
@@ -111,6 +112,36 @@ def mutate(text: str, rng: random.Random) -> str:
     return text
 
 
+def reference_ready(instance: Instance, clock: int, machine_free_at, job_next_op,
+                    job_ready_at) -> list[int]:
+    """The jobs whose next operation is startable at `clock`, in job order,
+    by a scan of every job: the simulator's ready-set predicate before it
+    kept the ready set on its state."""
+    out = []
+    for j in range(instance.num_jobs):
+        k = job_next_op[j]
+        if k < len(instance.jobs[j]):
+            op = instance.jobs[j][k]
+            if max(job_ready_at[j], machine_free_at[op.machine]) <= clock:
+                out.append(j)
+    return out
+
+
+def reference_next_event(instance: Instance, machine_free_at, job_next_op, job_ready_at) -> int | None:
+    """The earliest time some job's next operation becomes startable, the
+    smallest max(job ready, machine free), by a scan of every job; None once
+    every operation is scheduled."""
+    best = None
+    for j in range(instance.num_jobs):
+        k = job_next_op[j]
+        if k < len(instance.jobs[j]):
+            op = instance.jobs[j][k]
+            t = max(job_ready_at[j], machine_free_at[op.machine])
+            if best is None or t < best:
+                best = t
+    return best
+
+
 def all_nondelay_makespans(instance: Instance) -> set[int]:
     """Enumerate every non-delay dispatch sequence; independent of the simulator.
 
@@ -120,34 +151,13 @@ def all_nondelay_makespans(instance: Instance) -> set[int]:
     total = len(instance.durations)
     results: set[int] = set()
 
-    def ready_ops(clock, mfree, jnext, jready):
-        out = []
-        for j in range(instance.num_jobs):
-            k = jnext[j]
-            if k < len(instance.jobs[j]):
-                op = instance.jobs[j][k]
-                if max(jready[j], mfree[op.machine]) <= clock:
-                    out.append(j)
-        return out
-
-    def advance(clock, mfree, jnext, jready):
-        best = None
-        for j in range(instance.num_jobs):
-            k = jnext[j]
-            if k < len(instance.jobs[j]):
-                op = instance.jobs[j][k]
-                t = max(jready[j], mfree[op.machine])
-                if best is None or t < best:
-                    best = t
-        return best
-
     def walk(clock, mfree, jnext, jready, done):
         if done == total:
             results.add(max(mfree))
             return
-        choices = ready_ops(clock, mfree, jnext, jready)
+        choices = reference_ready(instance, clock, mfree, jnext, jready)
         if not choices:
-            walk(advance(clock, mfree, jnext, jready), mfree, jnext, jready, done)
+            walk(reference_next_event(instance, mfree, jnext, jready), mfree, jnext, jready, done)
             return
         for j in choices:
             k = jnext[j]
@@ -180,14 +190,9 @@ def reference_concepts(state, instance: Instance) -> tuple[float, float, float, 
     m = instance.num_machines
     am = sum(1 for t in state.machine_free_at if t <= state.clock) / m
 
-    ready_count = 0
-    for job in range(instance.num_jobs):
-        k = state.job_next_op[job]
-        if k < len(instance.jobs[job]):
-            op = instance.jobs[job][k]
-            if max(state.job_ready_at[job], state.machine_free_at[op.machine]) <= state.clock:
-                ready_count += 1
-    ao = ready_count / unscheduled
+    ready = reference_ready(instance, state.clock, state.machine_free_at, state.job_next_op,
+                            state.job_ready_at)
+    ao = len(ready) / unscheduled
 
     machine_load = [0] * m
     job_work = []

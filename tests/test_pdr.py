@@ -102,6 +102,8 @@ def test_apply_rejects_a_rule_that_is_no_heuristic(ft06, rule):
     # which a trie node keys in the same dict as its rules
     with pytest.raises(ValueError, match="not a dispatching rule"):
         apply(rule, *ready(ft06), ft06)
+    with pytest.raises(ValueError, match="not a dispatching rule"):
+        apply(rule, [0], sim.reset(ft06), ft06)  # a lone job is checked too
     policy = lambda cv: rule
     with pytest.raises(ValueError, match="not a dispatching rule"):
         sim.run_episode(ft06, policy)

@@ -75,6 +75,17 @@ def test_time_gp_reports_every_shape():
         assert abs(row["round_us"] - row["add_us"] - row["propose_us"]) <= 0.11
 
 
+def test_time_decisions_reports_every_size():
+    timings = run_script("time_decisions.py", "--sizes", "3x3", "5x2", "--repeat", "1")
+    assert list(timings) == ["3x3", "5x2"]
+    for size, row in timings.items():
+        n, m = map(int, size.split("x"))
+        assert list(row) == ["decisions", "run_pdr_us", "trie_miss_us", "trie_episodes"]
+        assert row["decisions"] == n * m
+        assert row["run_pdr_us"] > 0 and row["trie_miss_us"] > 0
+        assert 1 <= row["trie_episodes"] <= 20
+
+
 def test_trie_bytes_reports_every_instance(monkeypatch):
     sizes = run_script("trie_bytes.py", "--budget", "10")
     assert list(sizes) == ["ft06", "ft10", "ta01"]

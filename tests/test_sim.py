@@ -8,7 +8,8 @@ import random
 
 import pytest
 
-from conftest import DATA_DIR, all_nondelay_makespans, random_instance, verify_feasible
+from conftest import (DATA_DIR, all_nondelay_makespans, random_instance, reference_next_event,
+                      reference_ready, verify_feasible)
 from prorl import sim
 from prorl.dsl import make_policy, random_program
 from prorl.concepts import extract
@@ -185,6 +186,77 @@ def test_state_durations_are_the_sorted_unscheduled_ones():
             sim.step(state, inst, ready[rng.randrange(len(ready))])
             assert state.durations == _unscheduled_durations(state, inst)
         assert state.durations == []
+
+
+def _checked_step(state, inst, job, real_step=sim.step):
+    """`step`, then a check that the ready set and the clock the state
+    carries are what a scan of every job gives: stay at the clock while a
+    job is startable there, else jump to the next event. The ready set the
+    caller read before the step must not change."""
+    clock, before = state.clock, sim.ready_set(state, inst)
+    held = list(before)
+    real_step(state, inst, job)
+    tables = state.machine_free_at, state.job_next_op, state.job_ready_at
+    expected = clock
+    if not reference_ready(inst, clock, *tables) and state.durations:
+        expected = reference_next_event(inst, *tables)
+    assert state.clock == expected
+    assert state.ready == reference_ready(inst, expected, *tables)
+    assert state.next_machine == [ops[k].machine if k < len(ops) else -1
+                                  for ops, k in zip(inst.jobs, state.job_next_op)]
+    assert before == held
+    return state
+
+
+def test_ready_set_and_clock_match_a_scan_of_every_job():
+    # after every step of random episodes, on small random instances and on
+    # generated 30x20 and 100x20 ones; a rejected step changes nothing
+    rng = random.Random(15)
+    instances = [random_instance(rng, max_jobs=6, max_machines=5) for _ in range(150)]
+    instances += [_taillard(30, 20, 12345, 67890), _taillard(100, 20, 12345, 67890)]
+    for inst in instances:
+        state = sim.reset(inst)
+        assert state.ready == reference_ready(inst, 0, state.machine_free_at, state.job_next_op,
+                                              state.job_ready_at)
+        for _ in range(len(inst.durations)):
+            ready = sim.ready_set(state, inst)
+            # -1 and n are never ready; the others are done or not startable
+            job = rng.choice([j for j in range(-1, inst.num_jobs + 1) if j not in ready])
+            before = copy.deepcopy(state)
+            with pytest.raises(ValueError, match=rf"^job {job}\b"):
+                sim.step(state, inst, job)
+            assert state == before
+            _checked_step(state, inst, ready[rng.randrange(len(ready))])
+        assert state.ready == [] and state.durations == []
+
+
+def test_trie_replays_and_misses_keep_the_ready_set(monkeypatch):
+    # the trie steps a state along known picks to catch up with a walk and
+    # then simulates the miss; both go through `sim.step`. Some answers
+    # come from the trie after a catch-up alone
+    steps = []
+    monkeypatch.setattr(sim, "step", lambda *args: steps.append(args) or _checked_step(*args))
+    replays_only = 0
+    for inst, _, queries in _trie_queries(random.Random(85)):
+        trie = sim.EpisodeTrie(inst)
+        for policy in queries:
+            misses = trie.misses
+            steps.clear()
+            answer = trie.makespan(policy)
+            replays_only += trie.misses == misses and bool(steps)
+            assert answer == sim.run_episode(inst, policy).makespan
+    assert replays_only > 0
+
+
+@pytest.mark.parametrize("job", [-1, 6, 7, -7])
+def test_step_rejects_a_job_number_out_of_range(ft06, job):
+    # -1 once dispatched job 5, the last, and 6 raised an IndexError
+    state = sim.reset(ft06)
+    sim.step(state, ft06, sim.ready_set(state, ft06)[0])
+    before = copy.deepcopy(state)
+    with pytest.raises(ValueError, match=f"^job {job} is not among the 6 jobs of ft06"):
+        sim.step(state, ft06, job)
+    assert state == before
 
 
 def test_random_rule_policy_labels_follow_the_seeded_draws(inst_2x2):
