@@ -3,10 +3,12 @@
 For a frozen program architecture, condition weights are tuned by Bayesian
 optimization of the episode return (negative makespan; the simulator and
 policies are deterministic, so a single episode is an exact evaluation).
-The surrogate is a squared-exponential GP with fixed hyperparameters on
-standardized data: inputs are scaled from the weight box [-2, 2] to
-[-1, 1], targets to zero mean and unit variance. The acquisition argmax is
-approximated by scoring uniform random candidates.
+The surrogate is a GP on standardized data: inputs are scaled from the
+weight box [-2, 2] to [-1, 1], targets to zero mean and unit variance, and
+the kernel is the squared exponential exp(-|x - x'|^2 / 2) on the scaled
+inputs, with unit prior variance. Its length scale and signal variance are
+fixed at 1 because the standardization puts the data on that scale. The
+acquisition argmax is approximated by scoring uniform random candidates.
 
 A tuning takes a seed and draws its initial points and every round's
 candidates from a numpy `Generator(MT19937)` loaded with the state of
@@ -61,15 +63,10 @@ if TYPE_CHECKING:
 
 _JITTER_CEILING = 1e-2
 MAX_CANDIDATES = 65_536  # one draw at d = 42 is then 22 MB
-# kernel settings every tuning can factor; the README gives the reasons
-LENGTH_SCALE_RANGE = (1e-3, 1e150)
-MAX_SIGNAL_VAR = 1e4
 
 
 @dataclass(frozen=True)
 class BoConfig:
-    length_scale: float = 1.0
-    signal_var: float = 1.0
     jitter: float = 1e-6
     beta: float = 2.0
     candidates: int = 256
@@ -78,11 +75,6 @@ class BoConfig:
 
     def __post_init__(self):
         # comparisons are negated so that NaN fails them
-        low, high = LENGTH_SCALE_RANGE
-        if not low <= self.length_scale <= high:
-            raise ValueError(f"length_scale must be in [{low:g}, {high:g}]")
-        if not 0 < self.signal_var <= MAX_SIGNAL_VAR:
-            raise ValueError(f"signal_var must be in (0, {MAX_SIGNAL_VAR:g}]")
         if not 0 < self.jitter < math.inf:
             raise ValueError("jitter must be positive and finite")
         if not 0 <= self.beta < math.inf:
@@ -99,17 +91,14 @@ def _scale_inputs(x: np.ndarray) -> np.ndarray:
     return (x - mid) / half
 
 
-def _kernel(
-    a: np.ndarray, a_norms: np.ndarray, b: np.ndarray, b_norms: np.ndarray,
-    length_scale: float, signal_var: float,
-) -> np.ndarray:
+def _kernel(a: np.ndarray, a_norms: np.ndarray, b: np.ndarray, b_norms: np.ndarray) -> np.ndarray:
     # expanded form |a|^2 + |b|^2 - 2 a.b over the rows' squared norms: one
     # matmul, no (len(a), len(b), d) array; it differs from the difference
     # form by rounding only (see the module docstring), and the clip undoes
     # cancellation below 0
     sq = a_norms[:, None] + b_norms - 2.0 * (a @ b.T)
     np.maximum(sq, 0.0, out=sq)
-    return signal_var * np.exp(-0.5 * sq / (length_scale**2))
+    return np.exp(-0.5 * sq)
 
 
 class GpModel:
@@ -122,8 +111,6 @@ class GpModel:
         self.y = np.empty(0)  # raw returns
         self.chol = np.empty((0, 0))
         self.chol_inv = np.empty((0, 0))
-        self.length_scale = config.length_scale
-        self.signal_var = config.signal_var
         self.jitter = config.jitter
 
     @property
@@ -174,7 +161,7 @@ class GpModel:
         chol_inv[:start, :start] = self.chol_inv[:start, :start]
         for row in range(start, n):
             k = _kernel(self.x[row:row + 1], self.sq_norms[row:row + 1], self.x[:row + 1],
-                        self.sq_norms[:row + 1], self.length_scale, self.signal_var)[0]
+                        self.sq_norms[:row + 1])[0]
             lower, inv = chol[:row, :row], chol_inv[:row, :row]
             r = inv @ k[:row]
             r += inv @ (k[:row] - lower @ r)  # one refinement step against L
@@ -207,11 +194,10 @@ def posterior_batch(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np
     y_mean, y_std = model.y_stats()
     y = (model.y - y_mean) / y_std
     alpha = model.chol_inv.T @ (model.chol_inv @ y)
-    k_star = _kernel(q, np.sum(q * q, axis=1), model.x, model.sq_norms,
-                     model.length_scale, model.signal_var)
+    k_star = _kernel(q, np.sum(q * q, axis=1), model.x, model.sq_norms)
     mean_std = k_star @ alpha
     v = k_star @ model.chol_inv.T
-    var = model.signal_var - np.sum(v * v, axis=1)
+    var = 1.0 - np.sum(v * v, axis=1)
     np.maximum(var, 0.0, out=var)
     mean = mean_std * y_std + y_mean
     std = np.sqrt(var) * y_std

@@ -87,8 +87,11 @@ class Instance:
     @cached_property
     def machine_loads(self) -> tuple[int, ...]:
         """Total processing time per machine."""
-        ops = [op for job in self.jobs for op in job]
-        return tuple(sum(o.duration for o in ops if o.machine == m) for m in range(self.num_machines))
+        loads = [0] * self.num_machines
+        for job in self.jobs:
+            for op in job:
+                loads[op.machine] += op.duration
+        return tuple(loads)
 
     @cached_property
     def durations(self) -> tuple[int, ...]:

@@ -247,8 +247,8 @@ class EpisodeTrie:
                 return node
             path += node.lead
             rule, edges = policy(node.cv), node.edges
-            key = edges.get(rule)
-            if key is None or rule.__class__ is not pdr.Heuristic:  # new here, or no rule
+            key = edges.get(rule) if rule.__class__ is pdr.Heuristic else None
+            if key is None:  # new here, or no rule (which may not even hash)
                 state = self._catch_up(state, path)
                 key = edges[rule] = pdr.apply(rule, ready_set(state, instance), state, instance)
             path.append(key)

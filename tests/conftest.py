@@ -312,7 +312,7 @@ def reference_optimize_params(
 
     def kernel(a, b):
         sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1) - 2.0 * (a @ b.T)
-        return config.signal_var * np.exp(-0.5 * np.maximum(sq, 0.0) / config.length_scale**2)
+        return np.exp(-0.5 * np.maximum(sq, 0.0))
 
     def observe(params: tuple[float, ...]) -> None:
         tuned = set_params(program, params)
@@ -339,7 +339,7 @@ def reference_optimize_params(
         k_star = kernel(candidates / 2.0, x)
         mean = k_star @ (chol_inv.T @ (chol_inv @ ((y - y_mean) / y_std))) * y_std + y_mean
         v = k_star @ chol_inv.T
-        std = np.sqrt(np.maximum(config.signal_var - np.sum(v * v, axis=1), 0.0)) * y_std
+        std = np.sqrt(np.maximum(1.0 - np.sum(v * v, axis=1), 0.0)) * y_std
         observe(tuple(candidates[int(np.argmax(mean + config.beta * std))].tolist()))
 
     best_params, best_value = max(points, key=lambda point: point[1])

@@ -33,7 +33,7 @@ def dataset_from(pairs) -> list[tuple[tuple[float, ...], float]]:
     return [(tuple(x), float(y)) for x, y in pairs]
 
 
-def dense_oracle_batch(xs, ys, queries, length_scale=1.0, signal_var=1.0, jitter=1e-6):
+def dense_oracle_batch(xs, ys, queries, jitter=1e-6):
     """Posterior at each query row by direct dense solves, with squared
     distances summed from differences; mirrors only the standardization
     conventions (inputs halved into [-1, 1], targets to zero mean, unit
@@ -48,12 +48,12 @@ def dense_oracle_batch(xs, ys, queries, length_scale=1.0, signal_var=1.0, jitter
 
     def k(a, b):
         sq = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-        return signal_var * np.exp(-0.5 * sq / length_scale**2)
+        return np.exp(-0.5 * sq)
 
     gram = k(x, x) + jitter * np.eye(len(x))
     k_star = k(q, x)
     mean_z = k_star @ np.linalg.solve(gram, yz)
-    var_z = signal_var - np.sum(k_star * np.linalg.solve(gram, k_star.T).T, axis=1)
+    var_z = 1.0 - np.sum(k_star * np.linalg.solve(gram, k_star.T).T, axis=1)
     return mean_z * y_std + y_mean, np.sqrt(np.maximum(var_z, 0.0)) * y_std
 
 
@@ -140,7 +140,7 @@ def test_posterior_interpolation_and_variance_reduction():
             xs = [tuple(rng.uniform(-2, 2) for _ in range(dim)) for _ in range(n)]
             ys = [rng.uniform(-2400.0, -1600.0) for _ in range(n)]
             model = fit(dataset_from(zip(xs, ys)), BoConfig())
-            prior_std = math.sqrt(model.signal_var) * model.y_stats()[1]
+            prior_std = model.y_stats()[1]
             for x, y in zip(xs, ys):
                 mean, std = posterior(model, x)
                 assert mean == pytest.approx(y, rel=1e-4)
@@ -152,7 +152,7 @@ def test_far_query_recovers_prior():
     model = fit(dataset_from([((0.0,), ys[0]), ((1.0,), ys[1])]), BoConfig())
     mean, std = posterior(model, (50.0,))  # 25 length-scales away, scaled
     assert mean == pytest.approx(sum(ys) / 2, abs=1e-6)
-    assert std == pytest.approx(math.sqrt(model.signal_var) * model.y_stats()[1], rel=1e-6)
+    assert std == pytest.approx(model.y_stats()[1], rel=1e-6)
 
 
 def test_permutation_symmetry():
@@ -178,20 +178,18 @@ def test_kernel_blocks_equal_the_one_shot_form(rows, d, n):
     # the kernel once filled 64-row blocks, hence the row counts around 64; the
     # expanded |a|^2 + |b|^2 - 2ab form rounds apart from the one-shot summed
     # squared differences, so this is a tolerance, not an exact pin; the largest
-    # gap over 200 random shapes in [-1, 1]^d at unit length scale and variance
-    # was 7.8e-16
+    # gap over 200 random shapes in [-1, 1]^d was 7.8e-16
     rng = random.Random(rows * 1000 + d * 10 + n)
     a, b = _uniform_matrix(rng, rows, d), _uniform_matrix(rng, n, d)
-    length_scale, signal_var = 0.7, 1.3
     sq = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-    one_shot = signal_var * np.exp(-0.5 * sq / (length_scale**2))
+    one_shot = np.exp(-0.5 * sq)
     a_norms, b_norms = np.sum(a * a, axis=1), np.sum(b * b, axis=1)
-    got = _kernel(a, a_norms, b, b_norms, length_scale, signal_var)
+    got = _kernel(a, a_norms, b, b_norms)
     assert got.shape == (rows, n)
     assert np.max(np.abs(got - one_shot)) <= 1e-12
-    assert np.all((got >= 0.0) & (got <= signal_var))
-    diagonal = np.diag(_kernel(a, a_norms, a, a_norms, length_scale, signal_var))
-    assert np.max(np.abs(diagonal - signal_var)) <= 1e-12
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    diagonal = np.diag(_kernel(a, a_norms, a, a_norms))
+    assert np.max(np.abs(diagonal - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [6, 18, 42])
@@ -339,24 +337,19 @@ def recording_attempts(monkeypatch) -> list[tuple[int, float]]:
     return tried
 
 
-def unchecked_config(**fields) -> BoConfig:
-    """A BoConfig holding values its checks refuse, set after them."""
-    config = BoConfig()
-    for name, value in fields.items():
-        object.__setattr__(config, name, value)
-    return config
+def unfactorable_kernel(monkeypatch) -> None:
+    """Scale the kernel by 1e30: every jitter up to the ceiling then vanishes
+    against the kernel values, so copies of one input stay singular at each
+    step."""
+    monkeypatch.setattr(bo, "_kernel", lambda *args: 1e30 * _kernel(*args))
 
 
 def test_jitter_past_the_ceiling_raises(monkeypatch):
-    # at signal_var 1e30 every jitter up to the ceiling vanishes against the
-    # kernel values, so copies of one input stay singular at each step; that
-    # is why BoConfig refuses it, and the model is given it past the check
-    with pytest.raises(ValueError, match="signal_var must be in"):
-        BoConfig(signal_var=1e30)
+    unfactorable_kernel(monkeypatch)
     tried = recording_attempts(monkeypatch)
     points = dataset_from([((0.0,) * 6, -1.0), ((0.0,) * 6, -2.0), ((0.0,) * 6, -3.0)])
     with pytest.raises(RuntimeError, match="maximum jitter"):
-        fit(points, unchecked_config(signal_var=1e30))
+        fit(points, BoConfig())
     # the first point factors; the second fails at its own row, then from row
     # 0 at 1e-5, 1e-4, 1e-3 and the ceiling, 1e-2
     assert [start for start, _ in tried] == [0, 1, 0, 0, 0, 0]
@@ -366,10 +359,11 @@ def test_jitter_past_the_ceiling_raises(monkeypatch):
 def test_jitter_from_a_tiny_start_still_tries_the_ceiling(monkeypatch):
     # tenfold steps from 1e-16 reach 0.010000000000000005 by rounding: that
     # step is the ceiling and is tried, so the second point makes 15 attempts
+    unfactorable_kernel(monkeypatch)
     tried = recording_attempts(monkeypatch)
     points = dataset_from([((0.0,) * 6, -1.0), ((0.0,) * 6, -2.0), ((0.0,) * 6, -3.0)])
     with pytest.raises(RuntimeError, match="maximum jitter"):
-        fit(points, unchecked_config(signal_var=1e30, jitter=1e-16))
+        fit(points, BoConfig(jitter=1e-16))
     assert len(tried) == 1 + 15  # 1e-16 up to 1e-2
     assert tried[-1][1] == pytest.approx(_JITTER_CEILING, rel=1e-12)
 
@@ -378,9 +372,7 @@ def lapack_refit_jitter(points, config: BoConfig) -> float:
     """The jitter a refit reaches: tenfold steps from `config.jitter` until
     LAPACK factors K + jitter*I of all the points."""
     x = np.array([params for params, _ in points]) / 2.0
-    gram = config.signal_var * np.exp(
-        -0.5 * np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1) / config.length_scale**2
-    )
+    gram = np.exp(-0.5 * np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1))
     jitter = config.jitter
     while True:
         try:

@@ -118,7 +118,7 @@ def test_train_bad_set_key_usage_error(tiny_path, capsys):
 
 
 @pytest.mark.parametrize("pair", [
-    "bo.length_scale=nan",
+    "bo.jitter=nan",
     "bo.beta=nan",
     "bo.beta=inf",
     "bo.iterations=2.7",
@@ -165,23 +165,22 @@ def _training_argv(tmp_path, command: str, seed: int = 0) -> list[str]:
 
 
 @pytest.mark.parametrize("pairs, field", [
-    (["bo.length_scale=1e-200"], "length_scale"),  # l**2 underflows to 0: a NaN kernel
+    (["bo.length_scale=1e-200"], "length_scale"),
     (["bo.length_scale=1e-162"], "length_scale"),
-    (["bo.length_scale=1e200"], "length_scale"),  # l**2 raises OverflowError
+    (["bo.length_scale=1e200"], "length_scale"),
     (["bo.length_scale=1.4e154"], "length_scale"),
-    (["bo.signal_var=1e308", "bo.jitter=1e308"], "signal_var"),  # no jitter can factor it
+    (["bo.signal_var=1e308", "bo.jitter=1e308"], "signal_var"),
 ])
 @pytest.mark.parametrize("command", ["train", "bench"])
 def test_gp_settings_no_tuning_can_factor_are_usage_errors(tmp_path, capsys, pairs, field, command):
-    # each of these once trained and failed with the internal-error exit 4
+    # each of these once trained and failed with the internal-error exit 4;
+    # the kernel is fixed, so its length scale and signal variance are no keys
     sets = [arg for pair in pairs for arg in ("--set", pair)]
     assert main(_training_argv(tmp_path, command) + sets) == 2
-    assert f"usage error: {field} must be in" in capsys.readouterr().err
+    assert f"usage error: unknown config key 'bo.{field}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, low, high", [
-    ("length_scale", *bo.LENGTH_SCALE_RANGE),
-    ("signal_var", math.ulp(0.0), bo.MAX_SIGNAL_VAR),
     ("jitter", math.ulp(0.0), sys.float_info.max),
 ])
 def test_gp_settings_across_their_accepted_range_train(tmp_path, capsys, field, low, high):

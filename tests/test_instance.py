@@ -188,6 +188,15 @@ def test_derived_tables_2x2():
     assert inst.job_work == (5, 6)
     assert inst.machine_loads == (7, 4)
     assert inst.durations == (2, 2, 3, 4)
+    # and on random instances, against per-job and per-machine sums
+    rng = random.Random(185)
+    for _ in range(100):
+        inst = random_instance(rng, max_jobs=6, max_machines=6)
+        ops = [op for job in inst.jobs for op in job]
+        assert inst.job_work == tuple(sum(op.duration for op in job) for job in inst.jobs)
+        assert inst.machine_loads == tuple(sum(op.duration for op in ops if op.machine == m)
+                                           for m in range(inst.num_machines))
+        assert inst.durations == tuple(sorted(op.duration for op in ops))
 
 
 def test_instance_refuses_empty_dimensions():

@@ -94,12 +94,13 @@ def test_apply_rejects_empty_ready(inst_2x2):
         apply(Heuristic.SPT, [], sim.reset(inst_2x2), inst_2x2)
 
 
-@pytest.mark.parametrize("rule", ["MWR", "LOR", None, 3, 1])
+@pytest.mark.parametrize("rule", ["MWR", "LOR", None, 3, 1, []])
 def test_apply_rejects_a_rule_that_is_no_heuristic(ft06, rule):
     # a rule's name is not the rule: "MWR" once fell through to LOR's key,
     # so the trie gave LOR's 68 on ft06 where MWR makes 61, and
     # run_episode failed later with an AttributeError; 1 is a job number,
-    # which a trie node keys in the same dict as its rules
+    # which a trie node keys in the same dict as its rules; [] cannot key a
+    # dict at all, and a known node once raised TypeError on it
     with pytest.raises(ValueError, match="not a dispatching rule"):
         apply(rule, *ready(ft06), ft06)
     with pytest.raises(ValueError, match="not a dispatching rule"):

@@ -1,13 +1,16 @@
-"""The README's Quick start runs as written."""
+"""The README's Quick start runs as written, and its `--set` table names every key."""
 
 from __future__ import annotations
 
 import re
 import shlex
 import subprocess
+from dataclasses import fields
 
 from conftest import DATA_DIR
 from prorl import cli
+from prorl.bo import BoConfig
+from prorl.search import SearchConfig
 
 README = DATA_DIR.parent / "README.md"
 
@@ -36,3 +39,21 @@ def test_quick_start_runs(tmp_path, monkeypatch, capsys):
             subprocess.run(words, check=True)
     out = capsys.readouterr().out
     assert all(name in out for name in ("ft06", "ft10", "ta01"))  # every shipped instance
+
+
+def set_key_table() -> dict[str, str]:
+    """The rows of the README's `--set` table: each key and its default."""
+    table = README.read_text().split("| key | default | accepted values |", 1)[1]
+    rows = re.findall(r"^\| `([^`]+)` \| ([^|]+) \|", table.split("\n\n", 1)[0], re.M)
+    return {key: default.strip() for key, default in rows}
+
+
+def test_set_key_table_names_every_key_with_its_default():
+    table = set_key_table()
+    assert set(table) == ({f"bo.{f.name}" for f in fields(BoConfig)}
+                          | {f"search.{k}" for k in cli._SEARCH_KEYS})
+    defaults = SearchConfig(episode_budget=0)
+    for key, default in table.items():
+        section, name = key.split(".")
+        owner, attr = (defaults.bo, name) if section == "bo" else (defaults, cli._SEARCH_KEYS[name])
+        assert float(default) == getattr(owner, attr), key
