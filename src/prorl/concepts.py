@@ -24,10 +24,9 @@ nothing when built; the property suites check the range of the vectors
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
-    from .instance import Instance
     from .sim import SimState
 
 CONCEPT_NAMES = ("LD", "AM", "AO", "JD", "ST")
@@ -41,16 +40,15 @@ class ConceptVector(NamedTuple):
     st: float
 
 
-def extract(state: SimState, instance: Instance, ready: Sequence[int]) -> ConceptVector:
-    """Compute the concept vector for the pending decision; `ready` is the
-    simulator's ready set of jobs at the clock."""
+def extract(state: SimState) -> ConceptVector:
+    """Compute the concept vector for the decision pending at `state`."""
     durations = state.durations
     if not durations:
         raise ValueError("all operations scheduled; no decision pending")
 
     clock = state.clock
-    am = len([t for t in state.machine_free_at if t <= clock]) / instance.num_machines
-    ao = len(ready) / len(durations)
+    am = len([t for t in state.machine_free_at if t <= clock]) / state.instance.num_machines
+    ao = len(state.ready) / len(durations)
     loads = state.machine_load
     high, low = max(loads), min(loads)
     ld = (high - low) / high if high > 0 else 0.0

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .instance import Instance
     from .sim import Policy, SimState
 
 
@@ -46,16 +45,16 @@ class Heuristic(enum.Enum):
 HEURISTICS = tuple(Heuristic)
 
 
-def apply(rule: Heuristic, ready: Sequence[int], state: SimState, instance: Instance) -> int:
+def apply(rule: Heuristic, state: SimState) -> int:
     """The ready job best under the rule's key; FIFO and MWR read the state,
     SPT the candidate's duration, and MOR and LOR the job's operations left."""
+    ready, jobs, next_op = state.ready, state.instance.jobs, state.job_next_op
     if not ready:
         raise ValueError("empty ready set")
     if rule.__class__ is not Heuristic:
         raise ValueError(f"not a dispatching rule: {rule!r}")
     if len(ready) == 1:  # every key picks a lone job
         return ready[0]
-    jobs, next_op = instance.jobs, state.job_next_op
     if rule is Heuristic.FIFO:
         arrival = state.job_ready_at
         key = lambda j: (arrival[j], j)

@@ -39,7 +39,7 @@ trie keeps only its job and neither reads concepts nor calls the policy.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from . import pdr
@@ -53,6 +53,7 @@ class SimState:
     `step` changes it, and it rebinds `ready` rather than mutating it, so a
     ready set read before a step stays as it was."""
 
+    instance: Instance = field(repr=False, compare=False)  # the one `reset` was given
     clock: int
     machine_free_at: list[int]
     job_next_op: list[int]
@@ -80,6 +81,7 @@ Policy = Callable[[ConceptVector], pdr.Heuristic]
 def reset(instance: Instance) -> SimState:
     """Fresh state: clock 0, all machines free, every job at its first operation."""
     return SimState(
+        instance=instance,
         clock=0,
         machine_free_at=[0] * instance.num_machines,
         job_next_op=[0] * instance.num_jobs,
@@ -92,18 +94,19 @@ def reset(instance: Instance) -> SimState:
     )
 
 
-def ready_set(state: SimState, instance: Instance) -> list[int]:
+def ready_set(state: SimState) -> list[int]:
     """The jobs whose next operation is startable now, in job order."""
     if not state.durations:
         raise ValueError("all operations scheduled")
     return state.ready
 
 
-def step(state: SimState, instance: Instance, job: int) -> SimState:
+def step(state: SimState, job: int) -> SimState:
     """Dispatch `job`, which must be in the ready set, at the clock; update
     the running totals and the ready set, and if no job is left startable
     now, advance the clock to the next decision point. A job that is not
     ready raises ValueError and leaves the state as it was."""
+    instance = state.instance
     if job not in state.ready:
         if not 0 <= job < instance.num_jobs:
             raise ValueError(f"job {job} is not among the {instance.num_jobs} jobs of {instance.name}")
@@ -150,22 +153,22 @@ def step(state: SimState, instance: Instance, job: int) -> SimState:
     return state
 
 
-def _decisions(state: SimState, instance: Instance, policy: Policy, trace: bool):
+def _decisions(state: SimState, policy: Policy, trace: bool):
     """The simulation loop: drive `state` to the end of its episode under
     `policy`, yielding (cv, rule, pick) at each decision and stepping the
     picked job on resuming. Without `trace`, a forced decision (one ready
     job) takes it without reading the concepts or calling the policy."""
     for _ in range(len(state.durations)):
-        ready = ready_set(state, instance)
+        ready = ready_set(state)
         if trace or len(ready) > 1:
-            cv = extract(state, instance, ready)
+            cv = extract(state)
             rule = policy(cv)
-            pick = pdr.apply(rule, ready, state, instance)
+            pick = pdr.apply(rule, state)
         else:
             cv = rule = None
             pick = ready[0]
         yield cv, rule, pick
-        step(state, instance, pick)
+        step(state, pick)
 
 
 def run_episode(instance: Instance, policy: Policy) -> ScheduleResult:
@@ -173,7 +176,7 @@ def run_episode(instance: Instance, policy: Policy) -> ScheduleResult:
     state = reset(instance)
     starts = [[0] * len(job) for job in instance.jobs]
     decisions = []
-    for cv, rule, pick in _decisions(state, instance, policy, True):
+    for cv, rule, pick in _decisions(state, policy, True):
         starts[pick][state.job_next_op[pick]] = state.clock  # a pick starts at its decision
         decisions.append((cv, rule.value))
     # machines run their operations in dispatch order, so the last one ends last
@@ -239,7 +242,6 @@ class EpisodeTrie:
 
     def makespan(self, policy: Policy) -> int:
         """The makespan of `run_episode(instance, policy)`."""
-        instance = self.instance
         edges, key, path, state = self._top, None, [], None
         node = edges.get(key)
         while node is not None:
@@ -250,14 +252,14 @@ class EpisodeTrie:
             key = edges.get(rule) if rule.__class__ is pdr.Heuristic else None
             if key is None:  # new here, or no rule (which may not even hash)
                 state = self._catch_up(state, path)
-                key = edges[rule] = pdr.apply(rule, ready_set(state, instance), state, instance)
+                key = edges[rule] = pdr.apply(rule, state)
             path.append(key)
             node = edges.get(key)
 
         self.misses += 1
         state = self._catch_up(state, path)
         lead = []
-        for cv, rule, pick in _decisions(state, instance, policy, False):
+        for cv, rule, pick in _decisions(state, policy, False):
             if edges is None or self.nodes >= TRIE_MAX_NODES:
                 edges = None
                 continue
@@ -275,11 +277,10 @@ class EpisodeTrie:
     def _catch_up(self, state: SimState | None, path: list[int]) -> SimState:
         """`state` (a fresh one if None) stepped along the jobs of `path` it
         has not taken; it has taken one per scheduled operation."""
-        instance = self.instance
         if state is None:
-            state = reset(instance)
-        for job in path[len(instance.durations) - len(state.durations):]:
-            step(state, instance, job)
+            state = reset(self.instance)
+        for job in path[len(self.instance.durations) - len(state.durations):]:
+            step(state, job)
         return state
 
 

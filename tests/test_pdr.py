@@ -14,12 +14,6 @@ from prorl.pdr import Heuristic, apply
 from prorl.sim import run_pdr
 
 
-def ready(inst):
-    """The initial ready set and the state it was read from, in `apply`'s order."""
-    state = sim.reset(inst)
-    return sim.ready_set(state, inst), state
-
-
 def test_parse_round_trip_case_insensitive():
     for rule in Heuristic:
         assert Heuristic.parse(rule.value.lower()) is rule
@@ -46,18 +40,18 @@ def test_rules_key_dicts_by_identity():
 
 
 def test_spt_picks_shorter(inst_2x2):
-    pick = apply(Heuristic.SPT, *ready(inst_2x2), inst_2x2)
+    pick = apply(Heuristic.SPT, sim.reset(inst_2x2))
     assert (pick, inst_2x2.jobs[pick][0].duration) == (1, 2)
 
 
 def test_mwr_picks_heavier_job(inst_2x2):
     # remaining work: J0 = 3 + 2 = 5, J1 = 2 + 4 = 6
-    pick = apply(Heuristic.MWR, *ready(inst_2x2), inst_2x2)
+    pick = apply(Heuristic.MWR, sim.reset(inst_2x2))
     assert pick == 1
 
 
 def test_mor_tie_breaks_to_lowest_job(inst_2x2):
-    pick = apply(Heuristic.MOR, *ready(inst_2x2), inst_2x2)
+    pick = apply(Heuristic.MOR, sim.reset(inst_2x2))
     assert pick == 0
 
 
@@ -69,29 +63,51 @@ def test_count_rules_on_jobs_of_uneven_length():
         (Operation(0, 1),),
     ))
     state = sim.reset(inst)
-    first = sim.ready_set(state, inst)
+    first = sim.ready_set(state)
     assert [(j, state.job_next_op[j]) for j in first] == [(0, 0), (1, 0)]
-    assert apply(Heuristic.MOR, first, state, inst) == 0  # 3 operations left against 1
-    assert apply(Heuristic.LOR, first, state, inst) == 1
-    sim.step(state, inst, first[0])
-    later = sim.ready_set(state, inst)
+    assert apply(Heuristic.MOR, state) == 0  # 3 operations left against 1
+    assert apply(Heuristic.LOR, state) == 1
+    sim.step(state, first[0])
+    later = sim.ready_set(state)
     assert state.clock == 1 and [(j, state.job_next_op[j]) for j in later] == [(0, 1), (1, 0)]
-    assert apply(Heuristic.MOR, later, state, inst) == 0  # 2 left against 1
-    assert apply(Heuristic.LOR, later, state, inst) == 1
-    # J0's last operation leaves 1, as J1's only one does: a tie, to job 0
-    # (the rules read only the state, so both jobs are offered although
-    # J0's last operation waits for its second, which ends at t = 2)
-    sim.step(state, inst, later[0])
+    assert apply(Heuristic.MOR, state) == 0  # 2 left against 1
+    assert apply(Heuristic.LOR, state) == 1
+    # J0's last operation waits for its second, which ends at t = 2, so J1
+    # is left alone in the ready set
+    sim.step(state, later[0])
     assert state.job_next_op == [2, 0] and state.job_ready_at == [2, 0]
-    last = [0, 1]
-    assert apply(Heuristic.MOR, last, state, inst) == apply(Heuristic.LOR, last, state, inst) == 0
+    assert sim.ready_set(state) == [1]
+    assert apply(Heuristic.MOR, state) == apply(Heuristic.LOR, state) == 1
     assert run_pdr(inst, Heuristic.MOR).start_times == ((0, 1, 2), (1,))
     assert run_pdr(inst, Heuristic.LOR).start_times == ((1, 2, 3), (0,))
+    # J0's last operation leaves 1, as J1's only one does: a tie, to job 0.
+    # J2 = (M3,2) holds M3, J1's machine, until t = 2, when J0's last
+    # operation is startable too
+    inst = Instance("uneven3", 3, 4, inst.jobs[:1] + ((Operation(3, 1),), (Operation(3, 2),)))
+    state = sim.reset(inst)
+    for job in (2, 0, 0):
+        sim.step(state, job)
+    assert state.clock == 2 and state.job_next_op == [2, 0, 1]
+    assert sim.ready_set(state) == [0, 1]
+    assert apply(Heuristic.MOR, state) == apply(Heuristic.LOR, state) == 0
 
 
 def test_apply_rejects_empty_ready(inst_2x2):
+    state = sim.reset(inst_2x2)
+    for _ in range(len(inst_2x2.durations)):
+        sim.step(state, state.ready[0])
+    assert state.ready == []
     with pytest.raises(ValueError):
-        apply(Heuristic.SPT, [], sim.reset(inst_2x2), inst_2x2)
+        apply(Heuristic.SPT, state)
+
+
+def lone_job_state(inst):
+    """The first state whose ready set is one job, on the episode that
+    always dispatches the lowest ready job."""
+    state = sim.reset(inst)
+    while len(state.ready) > 1:
+        sim.step(state, state.ready[0])
+    return state
 
 
 @pytest.mark.parametrize("rule", ["MWR", "LOR", None, 3, 1, []])
@@ -102,9 +118,11 @@ def test_apply_rejects_a_rule_that_is_no_heuristic(ft06, rule):
     # which a trie node keys in the same dict as its rules; [] cannot key a
     # dict at all, and a known node once raised TypeError on it
     with pytest.raises(ValueError, match="not a dispatching rule"):
-        apply(rule, *ready(ft06), ft06)
+        apply(rule, sim.reset(ft06))
+    lone = lone_job_state(ft06)
+    assert len(lone.ready) == 1
     with pytest.raises(ValueError, match="not a dispatching rule"):
-        apply(rule, [0], sim.reset(ft06), ft06)  # a lone job is checked too
+        apply(rule, lone)  # a lone job is checked too
     policy = lambda cv: rule
     with pytest.raises(ValueError, match="not a dispatching rule"):
         sim.run_episode(ft06, policy)
@@ -118,8 +136,8 @@ def test_apply_rejects_a_rule_that_is_no_heuristic(ft06, rule):
 
 
 def test_apply_is_pure(inst_2x2):
-    r = ready(inst_2x2)
-    picks = {apply(Heuristic.FIFO, *r, inst_2x2) for _ in range(5)}
+    state = sim.reset(inst_2x2)
+    picks = {apply(Heuristic.FIFO, state) for _ in range(5)}
     assert len(picks) == 1
 
 
@@ -128,9 +146,9 @@ def test_chosen_always_in_ready_set():
     for _ in range(200):
         inst = random_instance(rng)
         state = sim.reset(inst)
-        r = sim.ready_set(state, inst)
+        r = sim.ready_set(state)
         for rule in Heuristic:
-            assert apply(rule, r, state, inst) in r
+            assert apply(rule, state) in r
 
 
 def test_all_rules_reach_seven_on_2x2(inst_2x2):
@@ -159,9 +177,9 @@ def test_count_rules_invariant_under_duration_scaling(rule):
             seq = []
             state = sim.reset(instance)
             for _ in range(len(instance.durations)):
-                pick = apply(rule, sim.ready_set(state, instance), state, instance)
+                pick = apply(rule, state)
                 seq.append((pick, state.job_next_op[pick]))
-                sim.step(state, instance, pick)
+                sim.step(state, pick)
             return seq
 
         assert dispatch_sequence(inst) == dispatch_sequence(big)
@@ -173,7 +191,7 @@ def test_spt_on_single_machine_sorts_by_duration():
     state = sim.reset(inst)
     order = []
     for _ in range(3):
-        pick = apply(Heuristic.SPT, sim.ready_set(state, inst), state, inst)
+        pick = apply(Heuristic.SPT, state)
         order.append(inst.jobs[pick][state.job_next_op[pick]].duration)
-        sim.step(state, inst, pick)
+        sim.step(state, pick)
     assert order == [2, 5, 7]

@@ -34,7 +34,7 @@ def test_reset(inst_2x2):
 
 def test_ready_set_initial(inst_2x2):
     state = sim.reset(inst_2x2)
-    ready = sim.ready_set(state, inst_2x2)
+    ready = sim.ready_set(state)
     assert ready == [0, 1]
     ops = [(j, state.job_next_op[j], inst_2x2.jobs[j][state.job_next_op[j]].duration) for j in ready]
     assert ops == [(0, 0, 3), (1, 0, 2)]
@@ -43,19 +43,19 @@ def test_ready_set_initial(inst_2x2):
 
 def test_ready_set_after_one_dispatch(inst_2x2):
     state = sim.reset(inst_2x2)
-    ready = sim.ready_set(state, inst_2x2)
-    sim.step(state, inst_2x2, ready[1])  # J1-op0 on M1, duration 2
+    ready = sim.ready_set(state)
+    sim.step(state, ready[1])  # J1-op0 on M1, duration 2
     assert state.machine_free_at[1] == 2
     assert state.job_ready_at[1] == 2
-    remaining = sim.ready_set(state, inst_2x2)
+    remaining = sim.ready_set(state)
     assert [(j, state.job_next_op[j]) for j in remaining] == [(0, 0)]
 
 
 def test_ready_set_error_when_everything_scheduled(inst_1x1):
     state = sim.reset(inst_1x1)
-    sim.step(state, inst_1x1, sim.ready_set(state, inst_1x1)[0])
+    sim.step(state, sim.ready_set(state)[0])
     with pytest.raises(ValueError):
-        sim.ready_set(state, inst_1x1)
+        sim.ready_set(state)
 
 
 def test_clock_advance_matches_hand_simulation(inst_2x2):
@@ -63,29 +63,29 @@ def test_clock_advance_matches_hand_simulation(inst_2x2):
     # at 2) but is job-ready at 3; J1-op1 needs M0 (free at 3) and is
     # job-ready at 2 -> next decision at t=3 with both ops ready
     state = sim.reset(inst_2x2)
-    sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0])
-    sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0])
+    sim.step(state, sim.ready_set(state)[0])
+    sim.step(state, sim.ready_set(state)[0])
     assert state.clock == 3
-    ready = sim.ready_set(state, inst_2x2)
+    ready = sim.ready_set(state)
     assert [(j, state.job_next_op[j]) for j in ready] == [(0, 1), (1, 1)]
 
 
 def test_step_rejects_non_ready_pick(inst_2x2):
     state = sim.reset(inst_2x2)
-    ready = sim.ready_set(state, inst_2x2)
-    sim.step(state, inst_2x2, ready[0])
+    ready = sim.ready_set(state)
+    sim.step(state, ready[0])
     with pytest.raises(ValueError):
-        sim.step(state, inst_2x2, ready[0])  # stale pick: J0 already advanced
+        sim.step(state, ready[0])  # stale pick: J0 already advanced
 
 
 def test_step_rejects_a_job_with_no_operation_left(inst_2x2):
     state = sim.reset(inst_2x2)
     for _ in range(len(inst_2x2.durations)):
-        sim.step(state, inst_2x2, sim.ready_set(state, inst_2x2)[0])
+        sim.step(state, sim.ready_set(state)[0])
     done = copy.deepcopy(state)
     for job in (0, 1):
         with pytest.raises(ValueError, match=f"^job {job} has no operation left"):
-            sim.step(state, inst_2x2, job)
+            sim.step(state, job)
     assert state == done
 
 
@@ -99,17 +99,17 @@ def test_step_rejects_a_job_whose_next_operation_is_not_startable():
         (Operation(1, 1),),
     ))
     state = sim.reset(inst)
-    sim.step(state, inst, 0)
-    assert state.clock == 0 and sim.ready_set(state, inst) == [2]
+    sim.step(state, 0)
+    assert state.clock == 0 and sim.ready_set(state) == [2]
     before = copy.deepcopy(state)
     with pytest.raises(ValueError, match=r"^job 1's next operation J1-op0 is not startable at t=0"):
-        sim.step(state, inst, 1)
+        sim.step(state, 1)
     assert state == before
     state = sim.reset(inst)
-    sim.step(state, inst, 1)
-    assert state.clock == 0 and sim.ready_set(state, inst) == [2]
+    sim.step(state, 1)
+    assert state.clock == 0 and sim.ready_set(state) == [2]
     with pytest.raises(ValueError, match=r"^job 1's next operation J1-op1 is not startable at t=0"):
-        sim.step(state, inst, 1)
+        sim.step(state, 1)
 
 
 def test_run_episode_spt_reaches_seven(inst_2x2):
@@ -151,9 +151,9 @@ def test_policy_picks_a_rule_and_the_episode_applies_it():
             state = sim.reset(inst)
             starts = [[None] * len(job) for job in inst.jobs]
             for _ in range(len(inst.durations)):
-                pick = apply(rule, sim.ready_set(state, inst), state, inst)
+                pick = apply(rule, state)
                 starts[pick][state.job_next_op[pick]] = state.clock  # a pick starts at its decision
-                sim.step(state, inst, pick)
+                sim.step(state, pick)
             assert result.start_times == tuple(map(tuple, starts))
 
 
@@ -182,20 +182,20 @@ def test_state_durations_are_the_sorted_unscheduled_ones():
         state = sim.reset(inst)
         assert state.durations == _unscheduled_durations(state, inst)
         for _ in range(len(inst.durations)):
-            ready = sim.ready_set(state, inst)
-            sim.step(state, inst, ready[rng.randrange(len(ready))])
+            ready = sim.ready_set(state)
+            sim.step(state, ready[rng.randrange(len(ready))])
             assert state.durations == _unscheduled_durations(state, inst)
         assert state.durations == []
 
 
-def _checked_step(state, inst, job, real_step=sim.step):
+def _checked_step(state, job, real_step=sim.step):
     """`step`, then a check that the ready set and the clock the state
     carries are what a scan of every job gives: stay at the clock while a
     job is startable there, else jump to the next event. The ready set the
     caller read before the step must not change."""
-    clock, before = state.clock, sim.ready_set(state, inst)
+    inst, clock, before = state.instance, state.clock, sim.ready_set(state)
     held = list(before)
-    real_step(state, inst, job)
+    real_step(state, job)
     tables = state.machine_free_at, state.job_next_op, state.job_ready_at
     expected = clock
     if not reference_ready(inst, clock, *tables) and state.durations:
@@ -219,14 +219,14 @@ def test_ready_set_and_clock_match_a_scan_of_every_job():
         assert state.ready == reference_ready(inst, 0, state.machine_free_at, state.job_next_op,
                                               state.job_ready_at)
         for _ in range(len(inst.durations)):
-            ready = sim.ready_set(state, inst)
+            ready = sim.ready_set(state)
             # -1 and n are never ready; the others are done or not startable
             job = rng.choice([j for j in range(-1, inst.num_jobs + 1) if j not in ready])
             before = copy.deepcopy(state)
             with pytest.raises(ValueError, match=rf"^job {job}\b"):
-                sim.step(state, inst, job)
+                sim.step(state, job)
             assert state == before
-            _checked_step(state, inst, ready[rng.randrange(len(ready))])
+            _checked_step(state, ready[rng.randrange(len(ready))])
         assert state.ready == [] and state.durations == []
 
 
@@ -252,10 +252,10 @@ def test_trie_replays_and_misses_keep_the_ready_set(monkeypatch):
 def test_step_rejects_a_job_number_out_of_range(ft06, job):
     # -1 once dispatched job 5, the last, and 6 raised an IndexError
     state = sim.reset(ft06)
-    sim.step(state, ft06, sim.ready_set(state, ft06)[0])
+    sim.step(state, sim.ready_set(state)[0])
     before = copy.deepcopy(state)
     with pytest.raises(ValueError, match=f"^job {job} is not among the 6 jobs of ft06"):
-        sim.step(state, ft06, job)
+        sim.step(state, job)
     assert state == before
 
 
@@ -311,13 +311,13 @@ def test_non_delay_property():
         result = run_pdr(inst, Heuristic.SPT)
         state = sim.reset(inst)
         for _ in range(len(inst.durations)):
-            ready = sim.ready_set(state, inst)
+            ready = sim.ready_set(state)
             assert ready, "decision point with an empty ready set"
             scheduled_now = [
                 j for j in ready if result.start_times[j][state.job_next_op[j]] == state.clock
             ]
             assert scheduled_now, "machine left idle while an operation was startable"
-            sim.step(state, inst, scheduled_now[0])
+            sim.step(state, scheduled_now[0])
 
 
 def test_schedule_csv_sorted(inst_2x2):
@@ -376,10 +376,10 @@ def _picks(inst, policy) -> list[tuple[int, int]]:
     the number of jobs that were ready there."""
     state, picks = sim.reset(inst), []
     for _ in range(len(inst.durations)):
-        ready = sim.ready_set(state, inst)
-        pick = apply(policy(extract(state, inst, ready)), ready, state, inst)
+        ready = sim.ready_set(state)
+        pick = apply(policy(extract(state)), state)
         picks.append((pick, len(ready)))
-        sim.step(state, inst, pick)
+        sim.step(state, pick)
     return picks
 
 
@@ -441,14 +441,14 @@ def test_trie_walks_that_try_a_new_rule_at_known_nodes(monkeypatch):
     # node: the walk catches its state up there and goes on into a known
     # child, a cached makespan or a miss. The counts must be those of the
     # distinct episodes and decision prefixes, as if no node were shared
-    ready_calls = []
-    real_ready_set = sim.ready_set
+    apply_calls = []
+    real_apply = sim.pdr.apply
 
-    def counted_ready_set(*args):
-        ready_calls.append(args)
-        return real_ready_set(*args)
+    def counted_apply(*args):
+        apply_calls.append(args)
+        return real_apply(*args)
 
-    monkeypatch.setattr(sim, "ready_set", counted_ready_set)
+    monkeypatch.setattr(sim.pdr, "apply", counted_apply)
     rng = random.Random(84)
     cached_after_a_new_rule = 0
     for inst, policies, queries in _trie_queries(random.Random(84)):
@@ -456,20 +456,19 @@ def test_trie_walks_that_try_a_new_rule_at_known_nodes(monkeypatch):
         for base in queries[:len(policies)]:
             state, choices = sim.reset(inst), []
             for _ in range(len(inst.durations)):
-                ready = real_ready_set(state, inst)
-                cv = extract(state, inst, ready)
-                if len(ready) > 1:
+                cv = extract(state)
+                if len(state.ready) > 1:
                     choices.append(cv)
-                sim.step(state, inst, apply(base(cv), ready, state, inst))
+                sim.step(state, apply(base(cv), state))
             walks = [base]
             for at in rng.sample(choices, min(2, len(choices))):
                 walks += [lambda cv, at=at, rule=rule, base=base: rule if cv == at else base(cv)
                           for rule in HEURISTICS]
             for policy in walks:
                 misses = trie.misses
-                ready_calls.clear()
+                apply_calls.clear()
                 answer = trie.makespan(policy)
-                cached_after_a_new_rule += trie.misses == misses and bool(ready_calls)
+                cached_after_a_new_rule += trie.misses == misses and bool(apply_calls)
                 assert answer == sim.run_episode(inst, policy).makespan
                 jobs = tuple(job for job, _ in _picks(inst, policy))
                 episodes.add(jobs)
