@@ -8,8 +8,12 @@ Each entry holds `trie_bytes`, the bytes tracemalloc traces with the
 training's trie alive less those traced once it is dropped; the training's
 `trie_nodes` (decisions the trie took in) and `distinct_episodes`; and
 `bytes_per_decision`, their ratio; and `step_calls` and `ready_set_calls`,
-the training's calls of `prorl.sim.step` and `prorl.sim.ready_set`, which
-price what the trie does not store. The script keeps the trie alive by
+the training's calls of `prorl.sim.step` and `prorl.sim.ready_set`. The
+simulation loop calls `ready_set` once per decision, so `ready_set_calls`
+counts the decisions the misses simulated, which is `trie_nodes` while the
+trie is below `TRIE_MAX_NODES`; `step_calls` adds to those the steps that
+catch a walk's state up along known picks, the price of a trie that keeps
+no states. The script keeps the trie alive by
 wrapping `prorl.search.EpisodeTrie`, counts the calls by wrapping the two
 functions in `prorl.sim`'s module globals, and edits nothing in the
 package, so pointing PYTHONPATH at another checkout's `src/` measures that

@@ -13,13 +13,14 @@ Every feature lies in [0, 1]. Whenever a (max - min) / max ratio has max = 0
 the feature is defined as 0 (nothing left in that dimension reads as
 perfectly balanced).
 
-`extract` reads remaining machine loads and job work from the running totals
-on `SimState`, and the duration bounds and the count of unscheduled
-operations from its sorted list of unscheduled durations: O(n + m) per
-vector for n jobs and m machines, with no rescan of the jobs' suffixes. It
-is the only source of `ConceptVector`s in the program, so the vector checks
-nothing when built; the property suites check the range of the vectors
-`extract` makes.
+`extract(state)` reads everything off the state alone: the ready set, the
+machine count from the instance the state keeps, remaining machine loads
+and job work from the running totals on `SimState`, and the duration
+bounds and the count of unscheduled operations from its sorted list of
+unscheduled durations: O(n + m) per vector for n jobs and m machines,
+with no rescan of the jobs' suffixes. It is the only source of
+`ConceptVector`s in the program, so the vector checks nothing when built;
+the property suites check the range of the vectors `extract` makes.
 """
 
 from __future__ import annotations

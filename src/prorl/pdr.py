@@ -8,6 +8,9 @@ key ends in the job, so ties go to the lowest job everywhere):
   MOR   most remaining operations of the job, the candidate included
   MWR   most remaining processing time of the job, the candidate included
   LOR   fewest remaining operations of the job, the candidate included
+
+`apply(rule, state)` picks from the state's ready set and reads the jobs'
+operations from the instance the state keeps.
 """
 
 from __future__ import annotations

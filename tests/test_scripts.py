@@ -94,9 +94,10 @@ def test_trie_bytes_reports_every_instance(monkeypatch):
                                "step_calls", "ready_set_calls"]
         assert entry["trie_bytes"] > 0 and entry["trie_nodes"] > 0
         assert entry["bytes_per_decision"] == round(entry["trie_bytes"] / entry["trie_nodes"], 1)
-        # every decision the trie took in was stepped and read by a miss
+        # every decision the trie took in was stepped and read by a miss,
+        # and below the cap only those read a ready set
         assert entry["step_calls"] >= entry["trie_nodes"]
-        assert entry["ready_set_calls"] >= entry["trie_nodes"]
+        assert entry["ready_set_calls"] == entry["trie_nodes"]
     counts = {"step": 0, "ready_set": 0}
 
     def counting(name):

@@ -157,6 +157,35 @@ def test_policy_picks_a_rule_and_the_episode_applies_it():
             assert result.start_times == tuple(map(tuple, starts))
 
 
+def test_states_of_two_instances_step_in_turn():
+    # a state keeps the instance reset gave it: two episodes on different
+    # instances, driven one decision each in turn, each give run_episode's
+    # result on its own instance
+    rng = random.Random(86)
+    for _ in range(100):
+        instances = [random_instance(rng, max_jobs=6, max_machines=5) for _ in range(2)]
+        policies = [make_policy(random_program(rng)) for _ in instances]
+        states = [sim.reset(inst) for inst in instances]
+        starts = [[[None] * len(job) for job in inst.jobs] for inst in instances]
+        decisions = [[], []]
+        while any(state.durations for state in states):
+            for state, policy, start, made in zip(states, policies, starts, decisions):
+                if not state.durations:
+                    continue
+                ready = sim.ready_set(state)
+                cv = extract(state)
+                rule = policy(cv)
+                pick = apply(rule, state)
+                assert pick in ready
+                start[pick][state.job_next_op[pick]] = state.clock
+                made.append((cv, rule.value))
+                sim.step(state, pick)
+        for inst, policy, state, start, made in zip(instances, policies, states, starts, decisions):
+            assert state.instance is inst
+            assert sim.run_episode(inst, policy) == sim.ScheduleResult(
+                max(state.machine_free_at), tuple(map(tuple, start)), tuple(made))
+
+
 def _unscheduled_durations(state, inst) -> list[int]:
     """The durations of the unscheduled operations, sorted, read afresh
     from each job's next operation."""
