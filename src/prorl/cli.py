@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 
 from . import bo, dsl, pdr, search, sim
-from .instance import Instance, instance_name, load_bks, load_instance_file
+from .instance import Instance, instance_name, integer, load_bks, load_instance_file
 
 USAGE_ERROR = 2
 IO_ERROR = 3
@@ -186,6 +186,8 @@ def _search_config(budget: int, seed: int, set_pairs: list[str] | None) -> searc
         else:
             raise UsageError(f"unknown config key {key!r} (use bo.* or search.*)")
         try:
+            if "_" in raw or not raw.isascii():  # float() reads 1_0 and fullwidth digits
+                raise ValueError
             value = float(raw)
         except ValueError:
             raise UsageError(f"invalid value {raw!r} for {key}") from None
@@ -265,7 +267,7 @@ def cmd_bench(args) -> int:
         if m not in PDR_METHODS + ("random", "prorl"):
             raise UsageError(f"unknown method {m!r} in --methods {args.methods!r}")
     try:
-        seeds = [int(s) for s in args.seeds.split(",")]
+        seeds = [integer(s.strip()) for s in args.seeds.split(",")]
     except ValueError:
         raise UsageError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from None
     for flag, raw, values in (("--methods", args.methods, methods), ("--seeds", args.seeds, seeds)):
@@ -336,6 +338,30 @@ def cmd_bench(args) -> int:
     return 0
 
 
+# the flags that name a file; bench's --dir names a directory
+_PATH_FLAGS = ("instance", "bks", "policy", "csv", "trace", "dump_schedule", "out", "log")
+
+
+def _check_paths(args) -> None:
+    """Refuse an empty path, two path flags that name one file, and a bench
+    --csv among the files of --dir, each of which bench reads as an
+    instance; before the command reads or writes anything."""
+    named: dict[str, str] = {}
+    for name in _PATH_FLAGS + ("dir",):
+        path = getattr(args, name, None)
+        flag = "--" + name.replace("_", "-")
+        if path == "":
+            raise UsageError(f"{flag} is empty")
+        if path is not None and name != "dir":
+            real = os.path.realpath(path)
+            if real in named:
+                raise UsageError(f"{named[real]} and {flag} name one file, {path!r}")
+            named[real] = flag
+    if args.command == "bench" and args.csv is not None:
+        if os.path.dirname(os.path.realpath(args.csv)) == os.path.realpath(args.dir):
+            raise UsageError(f"--csv {args.csv!r} is in --dir {args.dir!r}, whose files are instances")
+
+
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="prorl", description=__doc__.splitlines()[0])
@@ -360,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random", help="uniform-random rule-picking agent")
     add_common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--episodes", type=int, default=1)
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--episodes", type=integer, default=1)
     p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("train", help="learn a policy on an instance")
     add_common(p)
-    p.add_argument("--budget", type=int, required=True, help="episode budget")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=integer, required=True, help="episode budget")
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--out", help="write the learned policy to this path")
     p.add_argument("--log", help="write the per-generation training log CSV")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -386,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", required=True, help="directory of instance files")
     p.add_argument("--methods", default="fifo,spt,mor,mwr,lor",
                    help="comma-separated: fifo,spt,mor,mwr,lor,random,prorl")
-    p.add_argument("--budget", type=int, default=1000, help="episode budget for prorl")
+    p.add_argument("--budget", type=integer, default=1000, help="episode budget for prorl")
     p.add_argument("--seeds", default="0", help="comma-separated seeds for prorl/random")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override bo.* or search.* configuration keys")
@@ -401,6 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
+        _check_paths(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -99,6 +99,15 @@ class Instance:
         return tuple(sorted(op.duration for job in self.jobs for op in job))
 
 
+def integer(text: str) -> int:
+    """`text` as an integer: ASCII digits with an optional sign, the one
+    syntax of every integer the program reads, in files and on its command
+    line. int() alone also reads `1_0` and non-ASCII digits."""
+    if _INTEGER.fullmatch(text):
+        return int(text)
+    raise ValueError(f"invalid integer {text!r}")
+
+
 def _data_lines(text: str):
     """Yield (line_no, tokens) for non-blank, non-comment lines."""
     for i, raw in enumerate(text.splitlines(), start=1):

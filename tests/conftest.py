@@ -82,7 +82,7 @@ def to_taillard(instance: Instance) -> str:
 
 
 # What the boundary fuzz inserts into a text, and the characters it deletes.
-FUZZ_INSERTS = tuple(string.digits + "+-") + (" ", "\t", "\n", ",", ".", "_", "\ufeff", "nan")
+FUZZ_INSERTS = tuple(string.digits + "+-") + (" ", "\t", "\n", ",", ".", "_", "\ufeff", "nan", "\uff17")
 _FUZZ_DELETABLE = frozenset(string.digits + "+- \t\n,._")
 _FUZZ_INTEGER = re.compile(r"[0-9]+")
 
@@ -90,9 +90,9 @@ _FUZZ_INTEGER = re.compile(r"[0-9]+")
 def mutate(text: str, rng: random.Random) -> str:
     """`text` after one to three seeded edits, each one of: delete a digit,
     sign or separator; insert one of FUZZ_INSERTS (digits, signs,
-    separators, a byte-order mark, `nan`) anywhere; replace one integer with
-    a 400-digit one, which lands on a duration about as often as the file
-    holds durations."""
+    separators, a byte-order mark, `nan`, a fullwidth 7) anywhere; replace
+    one integer with a 400-digit one, which lands on a duration about as
+    often as the file holds durations."""
     for _ in range(rng.randint(1, 3)):
         edit = rng.randrange(3)
         if edit == 0:

@@ -715,3 +715,84 @@ def test_an_instance_past_2_53_of_work_is_rejected_at_load(tmp_path, capsys, com
     assert out == ""  # no partial table
     assert "line 3: total work exceeds 2**53" in err
 
+
+
+def _snapshot(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["pdr", "--instance", "ft06.txt", "--rule", "spt", "--trace", "ft06.txt"],
+    ["train", "--instance", "ft06.txt", "--budget", "5", "--out", "p.json", "--log", "p.json"],
+    ["pdr", "--instance", "ft06.txt", "--rule", "spt", "--bks", "b.csv", "--csv", "b.csv"],
+    ["eval", "--instance", "ft06.txt", "--policy", "p.json", "--csv", "p.json"],
+    ["bench", "--dir", "d", "--csv", "d/ft06.txt"],
+    ["bench", "--dir", "d", "--csv", "./d/../d/new.csv"],  # a new file there is read as an instance
+    ["pdr", "--instance", "./ft06.txt", "--rule", "spt", "--dump-schedule", "d/../ft06.txt"],
+    ["pdr", "--instance", "ft06.txt", "--rule", "spt", "--csv", ""],
+    ["pdr", "--instance", "ft06.txt", "--rule", "spt", "--trace", ""],
+    ["eval", "--instance", "ft06.txt", "--policy", ""],
+    ["bench", "--dir", ""],
+])
+def test_an_output_path_cannot_overwrite_an_input(tmp_path, capsys, monkeypatch, argv):
+    # each of these once exited 0, replacing the instance, BKS table, policy
+    # or log with a report, or skipped an empty path without a word
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ft06.txt").write_text(Path(FT06).read_text())
+    (tmp_path / "b.csv").write_text("ft06,55\n")
+    (tmp_path / "p.json").write_text('{"kind": "action", "heuristic": "MWR"}')
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "ft06.txt").write_text(Path(FT06).read_text())
+    before = _snapshot(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "usage error" in err
+    assert _snapshot(tmp_path) == before
+
+
+def test_a_csv_below_the_bench_dir_is_no_instance(tmp_path, capsys):
+    # bench reads the files of --dir, not of its subdirectories
+    (tmp_path / "ft06.txt").write_text(Path(FT06).read_text())
+    (tmp_path / "out").mkdir()
+    assert main(["bench", "--dir", str(tmp_path), "--methods", "spt",
+                 "--csv", str(tmp_path / "out" / "r.csv")]) == 0
+    assert (tmp_path / "out" / "r.csv").read_text().startswith(cli.RunReport.CSV_HEADER)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["random", "--seed", "７"],  # a fullwidth 7
+    ["random", "--episodes", "1_0"],
+    ["random", "--seed", " 7"],
+    ["train", "--budget", "1_0"],
+    ["train", "--budget", "5", "--seed", "７"],
+    ["train", "--budget", "5", "--set", "search.lambda=1_0"],
+    ["train", "--budget", "5", "--set", "search.lambda=１０"],
+    ["train", "--budget", "5", "--set", "bo.beta=2_0"],
+    ["train", "--budget", "5", "--set", "bo.beta=２.0"],
+    ["bench", "--seeds", "1_0,２", "--methods", "random"],
+    ["bench", "--seeds", "0,1_0", "--methods", "random"],
+    ["bench", "--budget", "1_0", "--methods", "prorl"],
+])
+def test_a_flag_integer_is_ascii_digits(tmp_path, capsys, monkeypatch, argv):
+    # int() and float() read 1_0 as 10 and fullwidth digits as their value,
+    # which instance and BKS files refuse; so do the flags
+    (tmp_path / "ft06.txt").write_text(Path(FT06).read_text())
+    where = ["--dir", str(tmp_path)] if argv[0] == "bench" else ["--instance", str(tmp_path / "ft06.txt")]
+    ran = []
+    monkeypatch.setattr(cli, "_bench_single", lambda *task: ran.append(task))
+    before = _snapshot(tmp_path)
+    assert main(argv[:1] + where + argv[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and ("usage error" in err or "invalid integer value" in err)
+    assert ran == [] and _snapshot(tmp_path) == before
+
+
+def test_bench_seeds_may_have_spaces_around_an_entry(tmp_path, capsys):
+    (tmp_path / "ft06.txt").write_text(Path(FT06).read_text())
+    csv_path = tmp_path / "out" / "r.csv"
+    csv_path.parent.mkdir()
+    argv = ["bench", "--dir", str(tmp_path), "--methods", "random", "--csv", str(csv_path)]
+    assert main(argv + ["--seeds", " 3 , -1"]) == 0
+    assert [row["seed"] for row in csv.DictReader(csv_path.open())] == ["3", "-1"]
+    capsys.readouterr()

@@ -1,22 +1,24 @@
 """Boundary fuzz: seeded mutations of every input the commands read.
 
-Instance files in both formats, BKS files, policy JSON and `--set` text are
-mutated by `conftest.mutate` and fed to `pdr`, `eval` and `train --budget 3`.
-Whatever the input, `cli.main` returns 0, 2 or 3 and never raises; a run
-that fails prints no report table; and a malformed instance or BKS file is
-reported with its line.
+Instance files in both formats, BKS files, policy JSON, `--set` text and
+the integer flags are mutated by `conftest.mutate` and fed to `pdr`,
+`eval`, `random` and `train --budget 3`. Whatever the input, `cli.main`
+returns 0, 2 or 3 and never raises; a run that fails prints no report
+table; a malformed instance or BKS file is reported with its line; and a
+flag integer or `--set` value holding `_` or a non-ASCII character exits 2.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 from conftest import mutate, to_taillard
 from prorl import dsl
-from prorl.cli import RunReport, main
+from prorl.cli import RunReport, build_parser, main
 from prorl.instance import parse_standard
 from prorl.pdr import Heuristic
 
@@ -106,4 +108,36 @@ def test_mutated_set_text(tmp_path, capsys, valid):
     instance.write_text(texts["standard"])
     train = _commands(str(instance), "standard", policy, bks)[2]
     for _ in range(CASES):
-        _run(capsys, train + ["--set", mutate(rng.choice(SETTINGS), rng)])
+        text = mutate(rng.choice(SETTINGS), rng)
+        code, _ = _run(capsys, train + ["--set", text])
+        if "_" in text.partition("=")[2] or not text.isascii():
+            assert code == 2, text
+
+
+# (command, flag, value): --seed runs, and --episodes and --budget are only
+# parsed, since a mutation can make them 400 digits long
+INTEGER_FLAGS = (("random", "--seed", "7"), ("train", "--seed", "7"),
+                 ("random", "--episodes", "2"), ("train", "--budget", "3"))
+
+
+def test_mutated_integer_flags(tmp_path, capsys, valid):
+    texts, policy, bks = valid
+    rng = random.Random("integer flags")
+    instance = tmp_path / "fuzz.txt"
+    instance.write_text(texts["standard"])
+    for _ in range(CASES):
+        command, flag, text = rng.choice(INTEGER_FLAGS)
+        value = mutate(text, rng)
+        argv = [command, "--instance", str(instance), "--bks", bks, flag, value]
+        argv += ["--budget", "3"] if command == "train" and flag == "--seed" else []
+        ascii_integer = re.fullmatch(r"[+-]?[0-9]+", value) is not None
+        if flag == "--seed":
+            code, _ = _run(capsys, argv)
+            assert (code != 2) == ascii_integer, value
+        elif ascii_integer:
+            assert getattr(build_parser().parse_args(argv), flag[2:]) == int(value)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2, value
+            assert "invalid integer value" in capsys.readouterr().err
