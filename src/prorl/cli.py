@@ -338,25 +338,26 @@ def cmd_bench(args) -> int:
     return 0
 
 
-# the flags that name a file; bench's --dir names a directory
-_PATH_FLAGS = ("instance", "bks", "policy", "csv", "trace", "dump_schedule", "out", "log")
+# the flags that name a file, or for bench's --dir a directory
+_PATH_FLAGS = ("instance", "bks", "policy", "dir", "csv", "trace", "dump_schedule", "out", "log")
 
 
 def _check_paths(args) -> None:
-    """Refuse an empty path, two path flags that name one file, and a bench
-    --csv among the files of --dir, each of which bench reads as an
-    instance; before the command reads or writes anything."""
+    """Refuse an empty path, two path flags that resolve to one path, and
+    a bench --csv among the files of --dir, each of which bench reads as
+    an instance; before the command reads or writes anything."""
     named: dict[str, str] = {}
-    for name in _PATH_FLAGS + ("dir",):
+    for name in _PATH_FLAGS:
         path = getattr(args, name, None)
+        if path is None:
+            continue
         flag = "--" + name.replace("_", "-")
-        if path == "":
+        if not path:
             raise UsageError(f"{flag} is empty")
-        if path is not None and name != "dir":
-            real = os.path.realpath(path)
-            if real in named:
-                raise UsageError(f"{named[real]} and {flag} name one file, {path!r}")
-            named[real] = flag
+        real = os.path.realpath(path)
+        if real in named:
+            raise UsageError(f"{named[real]} and {flag} name one path, {path!r}")
+        named[real] = flag
     if args.command == "bench" and args.csv is not None:
         if os.path.dirname(os.path.realpath(args.csv)) == os.path.realpath(args.dir):
             raise UsageError(f"--csv {args.csv!r} is in --dir {args.dir!r}, whose files are instances")

@@ -133,6 +133,9 @@ def test_train_bad_set_key_usage_error(tiny_path, capsys):
     "search.max_tokens=86",
     "search.max_tokens=0",
     "bogus=1",
+    "search.lambda=1_0",  # float() reads 1_0 and fullwidth digits as 10
+    "search.lambda=\uff11\uff10",
+    "bo.beta=\uff12.0",
 ])
 @pytest.mark.parametrize("command", ["train", "bench", "bench-fifo"])
 def test_bad_set_value_is_usage_error(tmp_path, capsys, tiny_path, pair, command):
@@ -546,6 +549,8 @@ def test_bench_deterministic_csv(tmp_path, capsys):
     ("--seeds", "1,01"),
     ("--methods", "spt,SPT"),
     ("--methods", "random,prorl,random"),
+    ("--seeds", "1_0,\uff12"),  # int() reads them as 10 and 2
+    ("--seeds", "0,1_0"),
 ])
 def test_bench_bad_seeds_or_methods_is_usage_error(tmp_path, capsys, monkeypatch, flag, value):
     inst_dir = tmp_path / "instances"
@@ -716,7 +721,6 @@ def test_an_instance_past_2_53_of_work_is_rejected_at_load(tmp_path, capsys, com
     assert "line 3: total work exceeds 2**53" in err
 
 
-
 def _snapshot(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -728,6 +732,7 @@ def _snapshot(root: Path) -> dict[str, bytes]:
     ["eval", "--instance", "ft06.txt", "--policy", "p.json", "--csv", "p.json"],
     ["bench", "--dir", "d", "--csv", "d/ft06.txt"],
     ["bench", "--dir", "d", "--csv", "./d/../d/new.csv"],  # a new file there is read as an instance
+    ["bench", "--dir", "d", "--csv", "d/"],
     ["pdr", "--instance", "./ft06.txt", "--rule", "spt", "--dump-schedule", "d/../ft06.txt"],
     ["pdr", "--instance", "ft06.txt", "--rule", "spt", "--csv", ""],
     ["pdr", "--instance", "ft06.txt", "--rule", "spt", "--trace", ""],
@@ -750,45 +755,29 @@ def test_an_output_path_cannot_overwrite_an_input(tmp_path, capsys, monkeypatch,
     assert _snapshot(tmp_path) == before
 
 
-def test_a_csv_below_the_bench_dir_is_no_instance(tmp_path, capsys):
-    # bench reads the files of --dir, not of its subdirectories
-    (tmp_path / "ft06.txt").write_text(Path(FT06).read_text())
-    (tmp_path / "out").mkdir()
-    assert main(["bench", "--dir", str(tmp_path), "--methods", "spt",
-                 "--csv", str(tmp_path / "out" / "r.csv")]) == 0
-    assert (tmp_path / "out" / "r.csv").read_text().startswith(cli.RunReport.CSV_HEADER)
-    capsys.readouterr()
-
-
 @pytest.mark.parametrize("argv", [
-    ["random", "--seed", "７"],  # a fullwidth 7
+    ["random", "--seed", "\uff17"],  # a fullwidth 7
     ["random", "--episodes", "1_0"],
     ["random", "--seed", " 7"],
     ["train", "--budget", "1_0"],
-    ["train", "--budget", "5", "--seed", "７"],
-    ["train", "--budget", "5", "--set", "search.lambda=1_0"],
-    ["train", "--budget", "5", "--set", "search.lambda=１０"],
-    ["train", "--budget", "5", "--set", "bo.beta=2_0"],
-    ["train", "--budget", "5", "--set", "bo.beta=２.0"],
-    ["bench", "--seeds", "1_0,２", "--methods", "random"],
-    ["bench", "--seeds", "0,1_0", "--methods", "random"],
+    ["train", "--budget", "5", "--seed", "\uff17"],
     ["bench", "--budget", "1_0", "--methods", "prorl"],
 ])
-def test_a_flag_integer_is_ascii_digits(tmp_path, capsys, monkeypatch, argv):
-    # int() and float() read 1_0 as 10 and fullwidth digits as their value,
-    # which instance and BKS files refuse; so do the flags
+def test_a_flag_integer_is_ascii_digits(tmp_path, capsys, argv):
+    # int() reads 1_0 as 10 and a fullwidth digit as its value, which
+    # instance and BKS files refuse; so do the flags
     (tmp_path / "ft06.txt").write_text(Path(FT06).read_text())
     where = ["--dir", str(tmp_path)] if argv[0] == "bench" else ["--instance", str(tmp_path / "ft06.txt")]
-    ran = []
-    monkeypatch.setattr(cli, "_bench_single", lambda *task: ran.append(task))
     before = _snapshot(tmp_path)
     assert main(argv[:1] + where + argv[1:]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and ("usage error" in err or "invalid integer value" in err)
-    assert ran == [] and _snapshot(tmp_path) == before
+    assert out == "" and "invalid integer value" in err
+    assert _snapshot(tmp_path) == before
 
 
-def test_bench_seeds_may_have_spaces_around_an_entry(tmp_path, capsys):
+def test_bench_takes_spaced_seeds_and_a_csv_below_its_dir(tmp_path, capsys):
+    # spaces around a --seeds entry pass, and bench reads the files of
+    # --dir, not those of its subdirectories, so a report may go there
     (tmp_path / "ft06.txt").write_text(Path(FT06).read_text())
     csv_path = tmp_path / "out" / "r.csv"
     csv_path.parent.mkdir()
