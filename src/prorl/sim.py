@@ -27,8 +27,8 @@ jobs, a decision costs O(r) in the simulator, O(n) more at a clock jump,
 and O(n + m) in the concept read-out, plus one deletion from the sorted
 list. Start times are not state; `run_episode` records them. A state
 keeps the instance `reset` gave it, so each per-decision call takes the
-state alone: `ready_set(state)`, `extract(state)`, `pdr.apply(rule,
-state)` and `step(state, job)`.
+state alone: `ready_set(state)`, `extract(state)`,
+`pdr.apply(rule, state)` and `step(state, job)`.
 
 Training asks for makespans only, and most of its episodes repeat an
 earlier dispatch sequence. `EpisodeTrie` caches the decisions of every
