@@ -101,15 +101,6 @@ def test_apply_rejects_empty_ready(inst_2x2):
         apply(Heuristic.SPT, state)
 
 
-def lone_job_state(inst):
-    """The first state whose ready set is one job, on the episode that
-    always dispatches the lowest ready job."""
-    state = sim.reset(inst)
-    while len(state.ready) > 1:
-        sim.step(state, state.ready[0])
-    return state
-
-
 @pytest.mark.parametrize("rule", ["MWR", "LOR", None, 3, 1, []])
 def test_apply_rejects_a_rule_that_is_no_heuristic(ft06, rule):
     # a rule's name is not the rule: "MWR" once fell through to LOR's key,
@@ -119,7 +110,9 @@ def test_apply_rejects_a_rule_that_is_no_heuristic(ft06, rule):
     # dict at all, and a known node once raised TypeError on it
     with pytest.raises(ValueError, match="not a dispatching rule"):
         apply(rule, sim.reset(ft06))
-    lone = lone_job_state(ft06)
+    lone = sim.reset(ft06)  # the first state with one ready job, dispatching the lowest
+    while len(lone.ready) > 1:
+        sim.step(lone, lone.ready[0])
     assert len(lone.ready) == 1
     with pytest.raises(ValueError, match="not a dispatching rule"):
         apply(rule, lone)  # a lone job is checked too
