@@ -25,7 +25,7 @@ from prorl.pdr import Heuristic
 CASES = 200  # per input kind
 TABLE = RunReport.table_header()
 SETTINGS = ("bo.beta=2.0", "bo.candidates=64", "bo.init_points=5", "bo.jitter=1e-5",
-            "search.lambda=4", "search.max_depth=3", "search.max_tokens=40",
+            "search.lambda=4", "search.max_depth=2", "search.max_depth=3",
             "search.mutation_rate=0.25")
 
 

@@ -222,3 +222,24 @@ def test_bench_command_csv_matches_golden(tmp_path, capsys):
     ])
     assert code == 0
     assert _sha(csv.read_text()) == BENCH_FT06_CSV
+
+
+# sha256 over serialize(program) of random_program(random.Random(seed),
+# max_depth) and of each of 100 chained mutate(program, rng, max_depth) calls
+# on that one random source, for max_depth 1-4 and seeds 0-9 in turn: the
+# programs generation and mutation draw, frozen while a token budget still
+# rode along with the depth budget
+GENERATION_AND_MUTATION = "0da2017087c9f588fd17c7de5d1991b70c205effc04c4e34afe32ee656796735"
+
+
+def test_generation_and_mutation_match_golden():
+    digest = hashlib.sha256()
+    for max_depth in range(1, dsl.MAX_DEPTH + 1):
+        for seed in range(10):
+            rng = random.Random(seed)
+            program = dsl.random_program(rng, max_depth)
+            digest.update(dsl.serialize(program).encode())
+            for _ in range(100):
+                program = dsl.mutate(program, rng, max_depth)
+                digest.update(dsl.serialize(program).encode())
+    assert digest.hexdigest() == GENERATION_AND_MUTATION
