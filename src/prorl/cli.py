@@ -158,8 +158,7 @@ def cmd_random(args) -> int:
     return 0
 
 
-_SEARCH_KEYS = {"lambda": "lam", "mutation_rate": "mutation_rate", "max_depth": "max_depth",
-                "max_tokens": "max_tokens"}
+_SEARCH_KEYS = {"lambda": "lam", "mutation_rate": "mutation_rate", "max_depth": "max_depth"}
 
 
 def _search_config(budget: int, seed: int, set_pairs: list[str] | None) -> search.SearchConfig:

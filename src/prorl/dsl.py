@@ -50,8 +50,6 @@ WEIGHTS_LEN = 1 + len(CONCEPT_NAMES)
 
 # an if-node's own tokens: the keyword, its weights and the comparison
 _IF_TOKENS = 1 + WEIGHTS_LEN + 1
-# minimal token cost of an if-node with two leaves
-_IF_MIN_TOKENS = _IF_TOKENS + 1 + 1
 
 
 class PolicyFormatError(ValueError):
@@ -154,25 +152,19 @@ def make_policy(program: Program) -> Policy:
     return _compile(program.root, operator.attrgetter("weights"))
 
 
-def _random_node(rng: random.Random, depth_budget: int, token_budget: int) -> Node:
-    """Grammar-driven expansion; if/leaf each with probability 0.5 when both fit."""
-    can_branch = depth_budget >= 2 and token_budget >= _IF_MIN_TOKENS
-    if can_branch and rng.random() < 0.5:
-        # drawn before the branches
+def _random_node(rng: random.Random, depth_budget: int) -> Node:
+    """Grammar-driven expansion; if/leaf each with probability 0.5 when the
+    depth budget leaves room for an if-node."""
+    if depth_budget >= 2 and rng.random() < 0.5:
+        # the weights are drawn first, then the then- and the else-branch
         weights = tuple(rng.uniform(WEIGHT_LOW, WEIGHT_HIGH) for _ in range(WEIGHTS_LEN))
-        then_budget = token_budget - _IF_TOKENS - 1  # reserve one token for the else leaf
-        then_branch = _random_node(rng, depth_budget - 1, then_budget)
-        else_budget = token_budget - _IF_TOKENS - node_tokens(then_branch)
-        else_branch = _random_node(rng, depth_budget - 1, else_budget)
-        return If(weights, then_branch, else_branch)
+        return If(weights, _random_node(rng, depth_budget - 1), _random_node(rng, depth_budget - 1))
     return rng.choice(HEURISTICS)
 
 
-def random_program(
-    rng: random.Random, max_depth: int = MAX_DEPTH, max_tokens: int = MAX_TOKENS
-) -> Program:
+def random_program(rng: random.Random, max_depth: int = MAX_DEPTH) -> Program:
     """Sample a complete program from the grammar with fresh uniform weights."""
-    return Program(_random_node(rng, max_depth, max_tokens))
+    return Program(_random_node(rng, max_depth))
 
 
 def _nodes(node: Node, path: tuple[str, ...] = ()) -> list[tuple[tuple[str, ...], Node]]:
@@ -193,17 +185,12 @@ def _replace(node: Node, path: tuple[str, ...], new: Node) -> Node:
     return If(node.weights, node.then_branch, _replace(node.else_branch, rest, new))
 
 
-def mutate(
-    program: Program,
-    rng: random.Random,
-    max_depth: int = MAX_DEPTH,
-    max_tokens: int = MAX_TOKENS,
-) -> Program:
+def mutate(program: Program, rng: random.Random, max_depth: int = MAX_DEPTH) -> Program:
     """Mutate one uniformly chosen node; the input program is left unchanged.
 
     An if-node has its branches deleted and is re-expanded from the grammar
-    (fresh weights, within the depth and token budget remaining at its
-    position); a leaf swaps its rule for a different one.
+    (fresh weights, within the depth budget remaining at its position); a
+    leaf swaps its rule for a different one.
     """
     nodes = _nodes(program.root)
     path, target = nodes[rng.randrange(len(nodes))]
@@ -211,9 +198,7 @@ def mutate(
         options = [h for h in HEURISTICS if h is not target]
         new_node: Node = options[rng.randrange(len(options))]
     else:
-        depth_budget = max_depth - len(path)
-        token_budget = max_tokens - (program.tokens - node_tokens(target))
-        new_node = _random_node(rng, depth_budget, token_budget)
+        new_node = _random_node(rng, max_depth - len(path))
     return Program(_replace(program.root, path, new_node))
 
 

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 
 from .bo import BoConfig, optimize_params
-from .dsl import MAX_DEPTH, MAX_TOKENS, Program, make_policy, mutate, random_program
+from .dsl import MAX_DEPTH, Program, make_policy, mutate, random_program
 from .instance import Instance
 from .sim import EpisodeTrie, Policy, run_episode
 
@@ -44,7 +44,6 @@ class SearchConfig:
     lam: int = 10  # neighborhood (population) size
     mutation_rate: float = 0.1
     max_depth: int = MAX_DEPTH
-    max_tokens: int = MAX_TOKENS
     seed: int = 0
     bo: BoConfig = field(default_factory=BoConfig)
 
@@ -58,8 +57,6 @@ class SearchConfig:
             raise ValueError("mutation_rate must be in [0, 1]")
         if not 1 <= self.max_depth <= MAX_DEPTH:
             raise ValueError(f"max_depth must be in [1, {MAX_DEPTH}]")
-        if not 1 <= self.max_tokens <= MAX_TOKENS:
-            raise ValueError(f"max_tokens must be in [1, {MAX_TOKENS}]")
 
 
 @dataclass(frozen=True)
@@ -94,16 +91,15 @@ def make_neighborhood(
     mutation_rate: float,
     rng: random.Random,
     max_depth: int = MAX_DEPTH,
-    max_tokens: int = MAX_TOKENS,
 ) -> list[Program]:
     """lambda mutants of the incumbent; each chains extra mutations with
     probability `mutation_rate` (geometric, capped)."""
     neighborhood = []
     for _ in range(lam):
-        candidate = mutate(incumbent, rng, max_depth, max_tokens)
+        candidate = mutate(incumbent, rng, max_depth)
         extra = 0
         while extra < _EXTRA_MUTATIONS_CAP and rng.random() < mutation_rate:
-            candidate = mutate(candidate, rng, max_depth, max_tokens)
+            candidate = mutate(candidate, rng, max_depth)
             extra += 1
         neighborhood.append(candidate)
     return neighborhood
@@ -112,7 +108,7 @@ def make_neighborhood(
 def train(instance: Instance, config: SearchConfig) -> tuple[Program, SearchState]:
     """Run the full bilevel search on one instance."""
     init_rng = random.Random(_seed_key(config.seed, "init"))
-    incumbent = random_program(init_rng, config.max_depth, config.max_tokens)
+    incumbent = random_program(init_rng, config.max_depth)
     state = SearchState(generation=0, incumbent=incumbent, incumbent_return=None, episodes_used=0)
     trie = EpisodeTrie(instance)
 
@@ -130,7 +126,6 @@ def train(instance: Instance, config: SearchConfig) -> tuple[Program, SearchStat
             config.mutation_rate,
             random.Random(_seed_key(config.seed, "gen", gen, "mut")),
             config.max_depth,
-            config.max_tokens,
         )
 
         # Selection over optimized candidates plus the incumbent; ties keep

@@ -130,8 +130,6 @@ def test_train_bad_set_key_usage_error(tiny_path, capsys):
     "search.mutation_rate=nan",
     "search.max_depth=10",
     "search.max_depth=0",
-    "search.max_tokens=86",
-    "search.max_tokens=0",
     "bogus=1",
     "search.lambda=1_0",  # float() reads 1_0 and fullwidth digits as 10
     "search.lambda=\uff11\uff10",
@@ -173,14 +171,17 @@ def _training_argv(tmp_path, command: str, seed: int = 0) -> list[str]:
     (["bo.length_scale=1e200"], "length_scale"),
     (["bo.length_scale=1.4e154"], "length_scale"),
     (["bo.signal_var=1e308", "bo.jitter=1e308"], "signal_var"),
+    (["search.max_tokens=40"], "max_tokens"),
 ])
 @pytest.mark.parametrize("command", ["train", "bench"])
 def test_gp_settings_no_tuning_can_factor_are_usage_errors(tmp_path, capsys, pairs, field, command):
-    # each of these once trained and failed with the internal-error exit 4;
-    # the kernel is fixed, so its length scale and signal variance are no keys
+    # each bo.* pair once trained and failed with the internal-error exit 4;
+    # the kernel is fixed, so its length scale and signal variance are no
+    # keys, and depth alone bounds a program's size, so no token limit is
     sets = [arg for pair in pairs for arg in ("--set", pair)]
     assert main(_training_argv(tmp_path, command) + sets) == 2
-    assert f"usage error: unknown config key 'bo.{field}'" in capsys.readouterr().err
+    section = pairs[0].partition(".")[0]
+    assert f"usage error: unknown config key '{section}.{field}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, low, high", [

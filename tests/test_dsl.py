@@ -232,12 +232,13 @@ class _AlwaysBranch:
         return options[0]
 
 
-def test_random_program_reaches_the_token_limit_exactly():
-    # an if-node and its extra leaf add 9 tokens, so a limit of 1 + 9c holds
-    # c conditions; the depth limit caps a full tree at 7 of them (64 tokens)
-    for limit in range(1, MAX_TOKENS + 1):
-        tokens = random_program(_AlwaysBranch(), MAX_DEPTH, limit).tokens
-        assert tokens == min(1 + 9 * ((limit - 1) // 9), 64), limit
+def test_random_program_fills_its_depth_limit():
+    # a tree of depth d holds at most 2^(d-1) - 1 conditions, each adding 9
+    # tokens, so the depth limit alone keeps a program within MAX_TOKENS
+    for max_depth, tokens in zip(range(1, MAX_DEPTH + 1), (1, 10, 28, 64)):
+        program = random_program(_AlwaysBranch(), max_depth)
+        assert (program.depth, program.tokens) == (max_depth, tokens)
+    assert tokens <= MAX_TOKENS
 
 
 def _has_leaf(node, heuristic) -> bool:

@@ -49,9 +49,9 @@ def test_zero_mutation_rate_means_single_mutation(monkeypatch):
     calls = []
     real_mutate = search_module.mutate
 
-    def counting_mutate(program, rng, max_depth=MAX_DEPTH, max_tokens=MAX_TOKENS):
+    def counting_mutate(program, rng, max_depth=MAX_DEPTH):
         calls.append(1)
-        return real_mutate(program, rng, max_depth, max_tokens)
+        return real_mutate(program, rng, max_depth)
 
     monkeypatch.setattr(search_module, "mutate", counting_mutate)
     rng = random.Random(2)
