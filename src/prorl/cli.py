@@ -343,8 +343,8 @@ _PATH_FLAGS = ("instance", "bks", "policy", "dir", "csv", "trace", "dump_schedul
 
 def _check_paths(args) -> None:
     """Refuse an empty path, two path flags that resolve to one path, and
-    a bench --csv among the files of --dir, each of which bench reads as
-    an instance; before the command reads or writes anything."""
+    a bench --bks or --csv among the files of --dir, each of which bench
+    reads as an instance; before the command reads or writes anything."""
     named: dict[str, str] = {}
     for name in _PATH_FLAGS:
         path = getattr(args, name, None)
@@ -357,9 +357,11 @@ def _check_paths(args) -> None:
         if real in named:
             raise UsageError(f"{named[real]} and {flag} name one path, {path!r}")
         named[real] = flag
-    if args.command == "bench" and args.csv is not None:
-        if os.path.dirname(os.path.realpath(args.csv)) == os.path.realpath(args.dir):
-            raise UsageError(f"--csv {args.csv!r} is in --dir {args.dir!r}, whose files are instances")
+    if args.command == "bench":
+        for name in ("bks", "csv"):
+            path = getattr(args, name)
+            if path is not None and os.path.dirname(os.path.realpath(path)) == os.path.realpath(args.dir):
+                raise UsageError(f"--{name} {path!r} is in --dir {args.dir!r}, whose files are instances")
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged

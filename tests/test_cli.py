@@ -739,16 +739,19 @@ def _snapshot(root: Path) -> dict[str, bytes]:
     ["pdr", "--instance", "ft06.txt", "--rule", "spt", "--trace", ""],
     ["eval", "--instance", "ft06.txt", "--policy", ""],
     ["bench", "--dir", ""],
+    ["bench", "--dir", "d", "--bks", "d/b.csv", "--methods", "spt"],  # b.csv read as an instance
 ])
 def test_an_output_path_cannot_overwrite_an_input(tmp_path, capsys, monkeypatch, argv):
     # each of these once exited 0, replacing the instance, BKS table, policy
-    # or log with a report, or skipped an empty path without a word
+    # or log with a report, or skipped an empty path without a word; a bench
+    # --bks in --dir ran every task and exited 3 on the table read as an instance
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ft06.txt").write_text(Path(FT06).read_text())
     (tmp_path / "b.csv").write_text("ft06,55\n")
     (tmp_path / "p.json").write_text('{"kind": "action", "heuristic": "MWR"}')
     (tmp_path / "d").mkdir()
     (tmp_path / "d" / "ft06.txt").write_text(Path(FT06).read_text())
+    (tmp_path / "d" / "b.csv").write_text("ft06,55\n")
     before = _snapshot(tmp_path)
     assert main(argv) == 2
     out, err = capsys.readouterr()
