@@ -201,10 +201,13 @@ def test_posterior_batch_matches_dense_oracle_at_training_shapes(d, n):
     xs = [tuple(rng.uniform(-2.0, 2.0) for _ in range(d)) for _ in range(n)]
     ys = [rng.uniform(-200, -50) for _ in range(n)]
     queries = 2.0 * _uniform_matrix(rng, 256, d)
-    mean, std = posterior_batch(fit(dataset_from(zip(xs, ys)), BoConfig()), queries)
+    model = fit(dataset_from(zip(xs, ys)), BoConfig())
+    mean, std = posterior_batch(model, queries)
     oracle_mean, oracle_std = dense_oracle_batch(xs, ys, queries)
     assert np.max(np.abs(mean - oracle_mean)) <= 1e-8
     assert np.max(np.abs(std - oracle_std)) <= 1e-8
+    with pytest.raises(ValueError, match="query dimension"):
+        posterior_batch(model, queries[:, 1:])  # one weight short
 
 
 def test_posterior_batch_holds_no_full_difference_array():
@@ -294,6 +297,8 @@ def test_propose_degenerate_cases():
     expected = random.Random(7).uniform(-2.0, 2.0)
     assert single == (expected,)
     assert type(single[0]) is float
+    with pytest.raises(ValueError, match="at least one candidate"):
+        propose_from(model, 2.0, 7, 0)
 
 
 def test_propose_concentrates_near_high_observation():

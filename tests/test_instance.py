@@ -142,6 +142,8 @@ def test_ft06_file_has_36_ops_all_machines():
     assert len(inst.durations) == 36
     for job in inst.jobs:
         assert sorted(op.machine for op in job) == list(range(6))
+    with pytest.raises(ValueError, match="unknown instance format 'bogus'"):
+        load_instance_file(str(INSTANCE_DIR / "ft06.txt"), "bogus")
 
 
 @pytest.mark.parametrize("fmt, text", [
