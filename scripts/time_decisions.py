@@ -18,6 +18,12 @@ repeats, in µs per decision (an episode makes one per operation):
 
 The result is printed as one JSON object keyed by size. Point PYTHONPATH at
 another checkout's `src/` to time that version on the same inputs.
+
+One process times one version, so a pair of runs measures the machine as
+much as the code: on a shared 2-core VM two consecutive rounds of the same
+code gave 15x15 `run_pdr_us` 12.39 then 7.32 (1.7x). Compare two versions
+only in alternating rounds (A, B, A, B, ...), each a fresh process, and
+report every round, not just the best or the median.
 """
 
 from __future__ import annotations

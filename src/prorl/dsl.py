@@ -15,16 +15,19 @@ weight vector without building a program, and `make_policy` reads them
 from the program's own nodes.
 
 Programs are immutable values; generation and mutation take an explicit
-random source and respect the structural limits (depth at most 4, at most
-85 tokens) by construction. A generated if-node draws its six weights with
+random source and a depth limit (at most 4), which they respect by
+construction. A generated if-node draws its six weights with
 `rng.uniform` over the weight box; the module imports no numpy.
 
 Token accounting: a leaf costs 1 token; an if-node costs 1 for the
 keyword plus 7 for its condition (six weights and the comparison) plus the
 tokens of its two branches. An if-node thus adds 9 tokens together with its
-extra leaf, and a program of t tokens has (t - 1) / 9 conditions. A
-`Program` records its depth, tokens and parameter count when it is built,
-so no caller walks the tree to size a parameter vector.
+extra leaf, and a program of t tokens has (t - 1) / 9 conditions. The
+DSL's bound of 85 tokens follows from depth: a tree of depth d holds at
+most 2^(d-1) - 1 conditions, so depth 4 caps a program at 7 conditions,
+64 tokens, and only depth is a setting. A `Program` records its depth,
+tokens and parameter count when it is built, so no caller walks the tree
+to size a parameter vector.
 """
 
 from __future__ import annotations
