@@ -235,10 +235,9 @@ class _AlwaysBranch:
 def test_random_program_fills_its_depth_limit():
     # a tree of depth d holds at most 2^(d-1) - 1 conditions, each adding 9
     # tokens, so the depth limit alone keeps a program within MAX_TOKENS
-    for max_depth, tokens in zip(range(1, MAX_DEPTH + 1), (1, 10, 28, 64)):
-        program = random_program(_AlwaysBranch(), max_depth)
-        assert (program.depth, program.tokens) == (max_depth, tokens)
-    assert tokens <= MAX_TOKENS
+    sizes = [random_program(_AlwaysBranch(), d).tokens for d in range(1, MAX_DEPTH + 1)]
+    assert sizes == [1, 10, 28, 64]
+    assert max(sizes) <= MAX_TOKENS
 
 
 def _has_leaf(node, heuristic) -> bool:
