@@ -130,6 +130,8 @@ def test_train_bad_set_key_usage_error(tiny_path, capsys):
     "search.mutation_rate=nan",
     "search.max_depth=10",
     "search.max_depth=0",
+    "search.max_tokens=0",  # a retired key is refused at any value
+    "search.max_tokens=86",
     "bogus=1",
     "search.lambda=1_0",  # float() reads 1_0 and fullwidth digits as 10
     "search.lambda=\uff11\uff10",
